@@ -17,9 +17,13 @@
 //!   through the recycled buffer pool vs an owned `Vec` per read.
 //!
 //! Plus the end-to-end view of the transport A/B (`query_e2e/ring` vs
-//! `query_e2e/channel`) and three single-sided trajectory points:
+//! `query_e2e/channel`) and the single-sided trajectory points:
 //! `elevator/read_batch` (worker disk-batch throughput),
-//! `frame_decode/records`, and `bulk_load/grid_file`.
+//! `frame_decode/records`, `bulk_load/grid_file`, `page_scan/fused` (the
+//! worker's verify→filter scan of one block) and the checksum kernel under
+//! every block read and frame, `crc32/4k` (one block) and `crc32/256k` (one
+//! large reply), through the public `crc32` with whichever kernel this CPU
+//! selected.
 //!
 //! Regenerate the trajectory file with:
 //!
@@ -32,7 +36,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use crossbeam::channel::unbounded;
 use pargrid_core::{ConflictPolicy, DeclusterInput, DeclusterMethod, IndexScheme};
 use pargrid_datagen::dsmc3d_sized;
-use pargrid_gridfile::Record;
+use pargrid_geom::{Point, Rect};
+use pargrid_gridfile::page::{encode_page, scan_page};
+use pargrid_gridfile::{crc32, Record};
 use pargrid_net::frame::encode_frame;
 use pargrid_net::{read_frame, RecordsReply, Response};
 use pargrid_parallel::{
@@ -244,6 +250,57 @@ fn bench_store_read(c: &mut Criterion) {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The checksum kernel over one stored block (header + 4 KB page) and one
+/// large reply frame.
+fn bench_crc32(c: &mut Criterion) {
+    let bytes: Vec<u8> = (0..256 * 1024u32)
+        .map(|i| (i.wrapping_mul(2654435761) >> 24) as u8)
+        .collect();
+    let block = &bytes[..4_100];
+
+    let mut group = c.benchmark_group("crc32");
+    group.sample_size(300);
+    group.throughput(Throughput::Bytes(block.len() as u64));
+    group.bench_function("4k", |b| b.iter(|| black_box(crc32(black_box(block)))));
+    group.throughput(Throughput::Bytes(bytes.len() as u64));
+    group.bench_function("256k", |b| b.iter(|| black_box(crc32(black_box(&bytes)))));
+    group.finish();
+}
+
+/// The worker's fused scan of one full 4 KB DSMC page: coordinates compared
+/// in place, records built for the hits only (44 of the page's 128 here).
+fn bench_page_scan(c: &mut Criterion) {
+    let ds = dsmc3d_sized(7, 20_000);
+    let cfg = ds.grid_config();
+    let capacity = cfg.page_bytes / Record::encoded_size(3, cfg.payload_bytes);
+    let records: Vec<Record> = ds.records().take(capacity).collect();
+    let page = encode_page(&records, 3, cfg.payload_bytes, cfg.page_bytes);
+    // A box around the first record, sized to take in part of the page.
+    let center = records[0].point;
+    let corner = |sign: f64| {
+        let at = |k: usize| center.get(k) + sign * 0.3 * ds.domain.side(k);
+        Point::new3(at(0), at(1), at(2))
+    };
+    let query = Rect::new(corner(-1.0), corner(1.0));
+
+    let mut group = c.benchmark_group("page_scan");
+    group.sample_size(300);
+    group.throughput(Throughput::Elements(records.len() as u64));
+    let mut out = Vec::with_capacity(records.len());
+    group.bench_function("fused", |b| {
+        b.iter(|| {
+            out.clear();
+            black_box(scan_page(
+                black_box(&page),
+                cfg.payload_bytes,
+                &query,
+                &mut out,
+            ))
+        })
+    });
+    group.finish();
+}
+
 /// Sorted bulk load of a 20k-record DSMC snapshot into a grid file.
 fn bench_bulk_load(c: &mut Criterion) {
     let ds = dsmc3d_sized(7, 20_000);
@@ -261,6 +318,8 @@ criterion_group!(
     bench_elevator,
     bench_frame,
     bench_store_read,
+    bench_crc32,
+    bench_page_scan,
     bench_bulk_load
 );
 criterion_main!(benches);

@@ -19,6 +19,9 @@ const REQUIRED: &[&str] = &[
     "frame_decode/records",
     "store_read/pooled",
     "store_read/alloc",
+    "crc32/4k",
+    "crc32/256k",
+    "page_scan/fused",
     "bulk_load/grid_file",
 ];
 

@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::Sender;
+use crossbeam::channel::{RecvTimeoutError, Sender};
 use pargrid_net::cluster_proto::{ClusterRequest, ClusterResponse};
 use pargrid_net::frame::{read_frame, write_frame};
 use pargrid_parallel::message::{FromWorker, QueryPriority, RawBlocks, ReadRequest, ToWorker};
@@ -219,10 +219,17 @@ impl Proxy {
             Ok(c) => c,
             Err(()) => return self.mark_dead(),
         };
-        let mut last_beat = Instant::now();
+        // Block on the inbox until the next heartbeat is due: a dispatch
+        // wakes the proxy at once (no poll interval to wait out), an idle
+        // slot costs one wake-up per park bound instead of thousands a
+        // second, and a closed inbox — the engine is gone — ends the proxy
+        // instead of leaving it heartbeating forever.
+        let beat = Duration::from_millis(self.heartbeat_ms);
+        let mut next_beat = Instant::now() + beat;
         loop {
-            match inbox.try_recv() {
-                Some(ToWorker::Process(reqs)) => {
+            let idle = next_beat.saturating_duration_since(Instant::now());
+            match inbox.recv_timeout(idle) {
+                Ok(ToWorker::Process(reqs)) => {
                     for req in reqs {
                         match self.dispatch(&mut conn, &req) {
                             Ok(()) => {}
@@ -230,12 +237,12 @@ impl Proxy {
                         }
                     }
                 }
-                Some(ToWorker::FetchRaw { blocks, reply }) => {
+                Ok(ToWorker::FetchRaw { blocks, reply }) => {
                     if self.fetch_raw(&mut conn, blocks, &reply).is_err() {
                         return self.mark_dead();
                     }
                 }
-                Some(ToWorker::WriteRaw { blocks }) => {
+                Ok(ToWorker::WriteRaw { blocks }) => {
                     // Mirror first: a reconnect must re-upload the
                     // repaired bytes, not the stale ones.
                     self.state.write_raw_blocks(blocks.clone());
@@ -247,15 +254,12 @@ impl Proxy {
                         return self.mark_dead();
                     }
                 }
-                Some(ToWorker::Shutdown) => return,
-                None => {
-                    if last_beat.elapsed() >= Duration::from_millis(self.heartbeat_ms) {
-                        last_beat = Instant::now();
-                        if self.heartbeat(&mut conn).is_err() {
-                            return self.mark_dead();
-                        }
+                Ok(ToWorker::Shutdown) | Err(RecvTimeoutError::Disconnected) => return,
+                Err(RecvTimeoutError::Timeout) => {
+                    next_beat = Instant::now() + beat;
+                    if self.heartbeat(&mut conn).is_err() {
+                        return self.mark_dead();
                     }
-                    thread::sleep(Duration::from_micros(300));
                 }
             }
         }
@@ -467,4 +471,34 @@ fn xorshift(state: &mut u64) -> u64 {
     x ^= x << 17;
     *state = x;
     x
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{WorkerConfig, WorkerServer};
+    use pargrid_parallel::disk::DiskParams;
+    use pargrid_parallel::ring::RequestRing;
+
+    /// A proxy whose engine vanished (inbox closed, nothing queued, no
+    /// `Shutdown` ever sent) must end, not heartbeat forever. Both
+    /// transports: dropped channel sender, closed ring.
+    #[test]
+    fn proxy_exits_when_its_inbox_closes() {
+        let mut worker =
+            WorkerServer::start("127.0.0.1:0", WorkerConfig::default()).expect("start");
+        let backend = RemoteBackend::new(vec![worker.local_addr().to_string()], 1);
+        let state = || WorkerState::new(0, 0, DiskParams::default());
+
+        let (tx, rx) = crossbeam::channel::unbounded::<ToWorker>();
+        let over_channel = backend.spawn_worker(0, state(), WorkerInbox::from(rx), None);
+        drop(tx);
+        over_channel.join().expect("proxy over a channel joins");
+
+        let ring = Arc::new(RequestRing::new());
+        let over_ring = backend.spawn_worker(1, state(), WorkerInbox::from(ring.clone()), None);
+        ring.close();
+        over_ring.join().expect("proxy over a ring joins");
+        worker.shutdown();
+    }
 }

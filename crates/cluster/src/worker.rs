@@ -698,3 +698,34 @@ fn xorshift(state: &mut u64) -> u64 {
     *state = x;
     x
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The durable voter-state blob as the bytewise-CRC build wrote it (CRC
+    /// cross-checked against zlib): a worker restarted across the kernel
+    /// change must still restore its vote.
+    #[test]
+    fn golden_voter_state_bytes() {
+        let plane = Plane {
+            slots: HashMap::new(),
+            epoch: 7,
+            term: 9,
+            voted: Some((9, 3)),
+            commit_seen: 1234,
+            commit_term: 6,
+            leader_term_seen: 8,
+        };
+        let mut expected = b"PGVS\x01\x00".to_vec();
+        for v in [7u64, 9, 8, 1234, 6] {
+            expected.extend_from_slice(&v.to_le_bytes());
+        }
+        expected.push(1);
+        expected.extend_from_slice(&9u64.to_le_bytes());
+        expected.extend_from_slice(&3u32.to_le_bytes());
+        expected.extend_from_slice(&0x6D8C_A96Fu32.to_le_bytes());
+        assert_eq!(encode_state(&plane), expected);
+        assert_eq!(expected.len(), STATE_LEN);
+    }
+}

@@ -56,7 +56,7 @@ pub mod scale;
 pub mod wal;
 
 pub use cartesian::CartesianProductFile;
-pub use checksum::crc32;
+pub use checksum::{crc32, Crc32};
 pub use directory::Directory;
 pub use durable::DurableGridFile;
 pub use file::{GridConfig, GridFile, GridFileStats, MutationEffect};

@@ -11,9 +11,14 @@
 //! All integers and floats are little-endian. The payload is all zeros — the
 //! experiments only measure block counts and sizes, never payload contents —
 //! but it is physically present so block sizes match the configured page.
+//!
+//! Two readers: [`decode_page`] materialises every record (rebuild, repair
+//! and replay callers that want the whole bucket), [`scan_page`] answers a
+//! range query straight off the block — it tests the query box on
+//! coordinates read in place and builds a [`Record`] only for the hits.
 
 use crate::record::Record;
-use pargrid_geom::Point;
+use pargrid_geom::{Point, Rect, MAX_DIM};
 
 /// Page header size in bytes.
 pub const HEADER_BYTES: usize = 4;
@@ -58,11 +63,11 @@ pub fn encode_page(
     page
 }
 
-/// Decodes a page produced by [`encode_page`].
+/// Reads and checks a page header: `(record_count, dim, record_size)`.
 ///
 /// # Panics
 /// Panics if the page is malformed (short page, impossible header).
-pub fn decode_page(page: &[u8], payload_bytes: usize) -> Vec<Record> {
+fn read_header(page: &[u8], payload_bytes: usize) -> (usize, usize, usize) {
     assert!(page.len() >= HEADER_BYTES, "page shorter than header");
     let n = u16::from_le_bytes([page[0], page[1]]) as usize;
     let dim = u16::from_le_bytes([page[2], page[3]]) as usize;
@@ -72,20 +77,65 @@ pub fn decode_page(page: &[u8], payload_bytes: usize) -> Vec<Record> {
         "header claims {n} records of {rec_size} bytes in a {} byte page",
         page.len()
     );
+    (n, dim, rec_size)
+}
+
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("slice is 8 bytes"))
+}
+
+/// Decodes a page produced by [`encode_page`].
+///
+/// # Panics
+/// Panics if the page is malformed (short page, impossible header).
+pub fn decode_page(page: &[u8], payload_bytes: usize) -> Vec<Record> {
+    let (n, dim, rec_size) = read_header(page, payload_bytes);
     let mut out = Vec::with_capacity(n);
-    let mut off = HEADER_BYTES;
-    for _ in 0..n {
-        let id = u64::from_le_bytes(page[off..off + 8].try_into().expect("slice is 8 bytes"));
-        off += 8;
-        let mut coords = [0.0f64; pargrid_geom::MAX_DIM];
-        for c in coords.iter_mut().take(dim) {
-            *c = f64::from_le_bytes(page[off..off + 8].try_into().expect("slice is 8 bytes"));
-            off += 8;
+    for rec in page[HEADER_BYTES..HEADER_BYTES + n * rec_size].chunks_exact(rec_size) {
+        let mut coords = [0.0f64; MAX_DIM];
+        for (k, c) in coords.iter_mut().take(dim).enumerate() {
+            *c = f64::from_bits(u64_at(rec, 8 + 8 * k));
         }
-        off += payload_bytes;
-        out.push(Record::new(id, Point::new(&coords[..dim])));
+        out.push(Record::new(u64_at(rec, 0), Point::new(&coords[..dim])));
     }
     out
+}
+
+/// Appends to `out` the records of `page` that lie in the closed box
+/// `query`, in page order, and returns how many records the page holds
+/// (the number scanned). Equivalent to [`decode_page`] followed by
+/// [`Rect::contains_closed`] on each record, without building the records
+/// that miss: coordinates are compared where they sit in the block, and a
+/// record is rejected at its first coordinate outside the box.
+///
+/// # Panics
+/// Panics where [`decode_page`] would (short page, impossible header), and
+/// when a non-empty page's dimensionality differs from the query's.
+pub fn scan_page(page: &[u8], payload_bytes: usize, query: &Rect, out: &mut Vec<Record>) -> usize {
+    let (n, dim, rec_size) = read_header(page, payload_bytes);
+    if n == 0 {
+        return 0;
+    }
+    assert!(
+        (1..=MAX_DIM).contains(&dim),
+        "page dimensionality must be in 1..={MAX_DIM}, got {dim}"
+    );
+    assert_eq!(dim, query.dim(), "page and query dimensionality differ");
+    let (lo, hi) = (query.lo().coords(), query.hi().coords());
+    'records: for rec in page[HEADER_BYTES..HEADER_BYTES + n * rec_size].chunks_exact(rec_size) {
+        let mut coords = [0.0f64; MAX_DIM];
+        for k in 0..dim {
+            let x = f64::from_bits(u64_at(rec, 8 + 8 * k));
+            // The same comparison `contains_closed` makes, so NaN and
+            // boundary coordinates get the same verdict.
+            if x < lo[k] || x > hi[k] {
+                continue 'records;
+            }
+            coords[k] = x;
+        }
+        out.push(Record::new(u64_at(rec, 0), Point::new(&coords[..dim])));
+    }
+    n
 }
 
 #[cfg(test)]

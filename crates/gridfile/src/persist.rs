@@ -405,6 +405,16 @@ mod tests {
     }
 
     #[test]
+    fn golden_image_footer() {
+        // Length and CRC footer of the sample image as the bytewise-CRC
+        // build wrote it. The footer covers every preceding byte, so an
+        // equal footer means an equal image *and* an equal checksum.
+        let bytes = sample_file().to_bytes();
+        assert_eq!(bytes.len(), 16272);
+        assert_eq!(bytes[bytes.len() - 4..], 0x02E2_44A1u32.to_le_bytes());
+    }
+
+    #[test]
     fn save_load_via_filesystem() {
         let dir = std::env::temp_dir().join("pargrid_persist_test");
         let _ = std::fs::remove_dir_all(&dir);

@@ -263,6 +263,27 @@ mod tests {
     }
 
     #[test]
+    fn golden_record_bytes() {
+        // One record exactly as the bytewise-CRC build logged it (CRC
+        // cross-checked against zlib): logs written before the kernel
+        // change replay, logs written after it are readable by older builds.
+        let insert = WalOp::Insert(Record::new(7, Point::new3(1.5, -2.0, 0.25)));
+        let mut expected = vec![0x23, 0, 0, 0, OP_INSERT];
+        expected.extend_from_slice(&7u64.to_le_bytes());
+        expected.extend_from_slice(&3u16.to_le_bytes());
+        for c in [1.5f64, -2.0, 0.25] {
+            expected.extend_from_slice(&c.to_le_bytes());
+        }
+        expected.extend_from_slice(&0xF6F9_54B8u32.to_le_bytes());
+        assert_eq!(insert.encode(), expected);
+        let delete = WalOp::Delete {
+            id: 7,
+            point: Point::new3(1.5, -2.0, 0.25),
+        };
+        assert_eq!(delete.encode()[39..], 0x7D2A_6AA1u32.to_le_bytes());
+    }
+
+    #[test]
     fn append_and_replay_round_trip() {
         let dir = std::env::temp_dir().join("pargrid-wal-roundtrip");
         let _ = std::fs::remove_dir_all(&dir);

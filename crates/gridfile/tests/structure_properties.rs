@@ -2,7 +2,7 @@
 //! growth, page codec, scales and persistence.
 
 use pargrid_geom::{Point, Rect};
-use pargrid_gridfile::page::{decode_page, encode_page};
+use pargrid_gridfile::page::{decode_page, encode_page, scan_page};
 use pargrid_gridfile::{Directory, GridConfig, GridFile, LinearScale, Record};
 use proptest::prelude::*;
 
@@ -60,6 +60,88 @@ proptest! {
         let rec_size = Record::encoded_size(2, payload);
         let page = encode_page(&records, 2, payload, 40 * rec_size);
         prop_assert_eq!(decode_page(&page, payload), records);
+    }
+
+    /// The fused scan returns exactly what decode-then-filter returns: the
+    /// same records in the same order and the page's record count as
+    /// `scanned`. Coordinates and query corners share a small integer
+    /// lattice, so records sit exactly on the closed boundaries all the time;
+    /// empty pages and empty answers come up too.
+    #[test]
+    fn scan_page_matches_decode_then_filter(
+        dim in 1usize..=4,
+        cells in prop::collection::vec((any::<u64>(), prop::collection::vec(0u32..8, 4)), 0..40),
+        corner in prop::collection::vec((0u32..8, 0u32..5), 4),
+        payload in 0usize..32,
+    ) {
+        let records: Vec<Record> = cells
+            .iter()
+            .map(|(id, c)| {
+                let coords: Vec<f64> = c[..dim].iter().map(|&v| v as f64).collect();
+                Record::new(*id, Point::new(&coords))
+            })
+            .collect();
+        let lo: Vec<f64> = corner[..dim].iter().map(|&(l, _)| l as f64).collect();
+        let hi: Vec<f64> = corner[..dim].iter().map(|&(l, e)| (l + e) as f64).collect();
+        let query = Rect::new(Point::new(&lo), Point::new(&hi));
+        let page = encode_page(&records, dim, payload, 40 * Record::encoded_size(dim, payload));
+
+        let expected: Vec<Record> = decode_page(&page, payload)
+            .into_iter()
+            .filter(|r| query.contains_closed(&r.point))
+            .collect();
+        // `out` is appended to, never cleared: one vector collects a whole
+        // request's blocks.
+        let sentinel = Record::new(u64::MAX, Point::new(&lo));
+        let mut out = vec![sentinel];
+        let scanned = scan_page(&page, payload, &query, &mut out);
+        prop_assert_eq!(scanned, records.len());
+        prop_assert_eq!(out[0], sentinel);
+        prop_assert_eq!(&out[1..], &expected[..]);
+    }
+
+    /// Malformed pages: wherever `decode_page` panics (short page, a header
+    /// claiming more records than fit, a dimensionality no `Point` can
+    /// hold), `scan_page` panics too; wherever it decodes, the scan agrees.
+    #[test]
+    fn scan_page_rejects_what_decode_page_rejects(
+        n in prop_oneof![0u16..4, 30u16..50, any::<u16>()],
+        dim in prop_oneof![0u16..9, any::<u16>()],
+        cut in prop_oneof![Just(usize::MAX), 0usize..200],
+        payload in 0usize..16,
+    ) {
+        let (n, dim, cut): (u16, u16, usize) = (n, dim, cut);
+        let records: Vec<Record> = (0..40)
+            .map(|i| Record::new(i, Point::new2(i as f64, 1.0)))
+            .collect();
+        let mut page = encode_page(&records, 2, payload, 40 * Record::encoded_size(2, payload));
+        page[0..2].copy_from_slice(&n.to_le_bytes());
+        page[2..4].copy_from_slice(&dim.to_le_bytes());
+        page.truncate(cut.min(page.len()));
+        let query = Rect::new2(0.0, 0.0, 20.0, 1.0);
+
+        let decoded = std::panic::catch_unwind(|| decode_page(&page, payload));
+        let scanned = std::panic::catch_unwind(|| {
+            let mut out = Vec::new();
+            let scanned = scan_page(&page, payload, &query, &mut out);
+            (scanned, out)
+        });
+        match (decoded, scanned) {
+            (Err(_), Err(_)) => {}
+            (Ok(all), Ok((scanned, hits))) => {
+                prop_assert!(all.is_empty() || dim == 2, "a {dim}-d page scanned by a 2-d query");
+                prop_assert_eq!(scanned, all.len());
+                let expected: Vec<Record> = all
+                    .into_iter()
+                    .filter(|r| query.contains_closed(&r.point))
+                    .collect();
+                prop_assert_eq!(hits, expected);
+            }
+            // A well-formed page of another dimensionality decodes but is
+            // no answer to a 2-d query: the scan refuses it outright.
+            (Ok(all), Err(_)) => prop_assert!(!all.is_empty() && dim != 2),
+            (Err(_), Ok(_)) => panic!("scan_page accepted a page decode_page rejects (n={n} dim={dim} cut={cut})"),
+        }
     }
 
     /// Scales: cell_of is the inverse of cell_bounds on interior points.

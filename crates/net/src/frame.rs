@@ -16,11 +16,19 @@
 //! caught, not just payload corruption. Decoding is total: any byte
 //! sequence maps to a [`Frame`] or a typed [`FrameError`] — never a panic
 //! and never an allocation larger than [`MAX_PAYLOAD`].
+//!
+//! The checksum is the workspace's one CRC-32 kernel
+//! (`pargrid_gridfile::checksum`). The encoder sums the finished wire
+//! buffer in place; the decoder streams the header and then the payload
+//! through a [`Crc32`] where they landed — no second buffer is assembled
+//! just to be summed. The decoder's payload buffer grows with the bytes
+//! that actually arrive (64 KiB reserved up front), so a length prefix
+//! alone commits no memory.
 
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use pargrid_gridfile::crc32;
+use pargrid_gridfile::{crc32, Crc32};
 
 /// First two bytes of every frame.
 pub const MAGIC: [u8; 2] = [b'P', b'G'];
@@ -29,6 +37,10 @@ pub const PROTOCOL_VERSION: u8 = 1;
 /// Upper bound on payload length; larger length prefixes are rejected
 /// before any allocation (a hostile 4 GiB prefix must not OOM the server).
 pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
+/// Most the decoder reserves for a payload on the strength of the length
+/// prefix alone; past it the buffer grows only as payload bytes arrive, so
+/// an 8-byte hostile header cannot pin [`MAX_PAYLOAD`] per connection.
+const PAYLOAD_RESERVE: usize = 64 * 1024;
 /// Fixed header size: magic + version + type + length.
 pub const HEADER_LEN: usize = 8;
 /// CRC trailer size.
@@ -234,6 +246,19 @@ fn read_exact_or(
     Ok(())
 }
 
+/// Reads exactly `len` payload bytes into `payload` (empty on entry),
+/// growing it as they arrive rather than sizing it from `len`.
+fn read_payload(r: &mut impl Read, len: usize, payload: &mut Vec<u8>) -> Result<(), FrameError> {
+    payload.reserve_exact(len.min(PAYLOAD_RESERVE));
+    // `read_to_end` retries `Interrupted` itself and stops at `len` bytes or
+    // EOF, whichever comes first.
+    let got = r.take(len as u64).read_to_end(payload)?;
+    if got < len {
+        return Err(FrameError::Truncated);
+    }
+    Ok(())
+}
+
 /// Reads and validates one frame. Any `&[u8]` works as the reader, so the
 /// same code path serves sockets and in-memory fuzzing:
 ///
@@ -257,16 +282,17 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
     if len > MAX_PAYLOAD {
         return Err(FrameError::Oversized(len));
     }
-    let mut payload = vec![0u8; len as usize];
-    read_exact_or(r, &mut payload, FrameError::Truncated)?;
+    let mut payload = Vec::new();
+    read_payload(r, len as usize, &mut payload)?;
     let mut trailer = [0u8; TRAILER_LEN];
     read_exact_or(r, &mut trailer, FrameError::Truncated)?;
     let actual = u32::from_le_bytes(trailer);
-    // CRC over header + payload, exactly as encode_frame computed it.
-    let mut crc_buf = Vec::with_capacity(HEADER_LEN + payload.len());
-    crc_buf.extend_from_slice(&header);
-    crc_buf.extend_from_slice(&payload);
-    let expected = crc32(&crc_buf);
+    // CRC over header + payload, exactly as `finish` computed it, each
+    // summed where it was read.
+    let mut crc = Crc32::new();
+    crc.update(&header);
+    crc.update(&payload);
+    let expected = crc.finish();
     if expected != actual {
         return Err(FrameError::BadCrc { expected, actual });
     }
@@ -283,6 +309,20 @@ mod tests {
         let frame = read_frame(&mut &bytes[..]).unwrap();
         assert_eq!(frame.msg_type, 0x42);
         assert_eq!(frame.payload, b"hello grid");
+    }
+
+    #[test]
+    fn golden_frame_bytes() {
+        // The wire bytes the bytewise-CRC build produced (trailer value
+        // cross-checked against zlib): a kernel change must not move one.
+        // 100 payload bytes, so the folding kernel is on the path.
+        let payload: Vec<u8> = (0..100).collect();
+        let mut expected = b"PG\x01\x42\x64\x00\x00\x00".to_vec();
+        expected.extend_from_slice(&payload);
+        expected.extend_from_slice(&0xEA9B_C24Du32.to_le_bytes());
+        assert_eq!(encode_frame(0x42, &payload).unwrap(), expected);
+        let frame = read_frame(&mut &expected[..]).unwrap();
+        assert_eq!((frame.msg_type, frame.payload), (0x42, payload));
     }
 
     #[test]
@@ -384,6 +424,32 @@ mod tests {
                 | FrameError::BadCrc { .. } => {}
                 other => panic!("byte {i}: unexpected {other}"),
             }
+        }
+    }
+
+    #[test]
+    fn length_prefix_alone_commits_no_memory() {
+        // A header that claims MAX_PAYLOAD and then hangs up: the typed
+        // error is unchanged, and the payload buffer never grew past the
+        // up-front reserve plus what actually arrived.
+        let mut bytes = encode_frame(0x01, b"").unwrap();
+        bytes.truncate(HEADER_LEN);
+        bytes[4..8].copy_from_slice(&MAX_PAYLOAD.to_le_bytes());
+        assert!(matches!(
+            read_frame(&mut &bytes[..]),
+            Err(FrameError::Truncated)
+        ));
+        for arrived in [0usize, 100, 3 * PAYLOAD_RESERVE] {
+            let sent = vec![0x5A; arrived];
+            let mut payload = Vec::new();
+            let err = read_payload(&mut &sent[..], MAX_PAYLOAD as usize, &mut payload).unwrap_err();
+            assert!(matches!(err, FrameError::Truncated), "unexpected {err}");
+            assert_eq!(payload, sent);
+            assert!(
+                payload.capacity() <= 2 * (PAYLOAD_RESERVE + arrived),
+                "{arrived} bytes arrived, {} reserved",
+                payload.capacity()
+            );
         }
     }
 

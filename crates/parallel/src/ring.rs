@@ -20,13 +20,13 @@
 //! (`benches/hotpath.rs`, `BENCH_hotpath.json`).
 
 use crate::message::ToWorker;
-use crossbeam::channel::{Receiver, Sender, TryRecvError};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, Thread};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Which transport carries coordinator → worker messages.
 ///
@@ -248,32 +248,54 @@ impl<T> RequestRing<T> {
 
     /// Consumer-only: blocks for the next message. Returns `None` once the
     /// ring is closed *and* drained.
+    pub fn recv(&self) -> Option<T> {
+        self.recv_until(None).ok()
+    }
+
+    /// Consumer-only: blocks for the next message for at most `timeout`.
+    /// `Disconnected` once the ring is closed *and* drained, `Timeout` when
+    /// the wait ran out first.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
+        self.recv_until(Some(Instant::now() + timeout))
+    }
+
+    /// The blocking receive behind [`Self::recv`] (no deadline) and
+    /// [`Self::recv_timeout`].
     ///
     /// Spins [`spin_probes`] times first — a producer dispatching while the
     /// worker is between batches is caught here without any syscall (and on
     /// a single hardware thread the spin phase is skipped entirely) — then
     /// parks under the `parked` flag protocol: set the flag, re-check,
     /// park. A producer that observes the flag clears it and unparks us;
-    /// the bounded [`PARK_TIMEOUT`] covers the residual race.
-    pub fn recv(&self) -> Option<T> {
+    /// the bounded [`PARK_TIMEOUT`] covers the residual race. A deadline
+    /// only shortens the park and is checked before each one.
+    fn recv_until(&self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
+        // Closed: drain anything published before the close.
+        let drain = || self.try_pop().ok_or(RecvTimeoutError::Disconnected);
         loop {
             // Fast path: a message is already published.
             if let Some(v) = self.try_pop() {
-                return Some(v);
+                return Ok(v);
             }
             if self.closed.load(Ordering::Acquire) {
-                // Closed: drain anything published before the close.
-                return self.try_pop();
+                return drain();
             }
             for _ in 0..spin_probes() {
                 if let Some(v) = self.try_pop() {
-                    return Some(v);
+                    return Ok(v);
                 }
                 if self.closed.load(Ordering::Acquire) {
-                    return self.try_pop();
+                    return drain();
                 }
                 std::hint::spin_loop();
             }
+            let park = match deadline {
+                None => PARK_TIMEOUT,
+                Some(d) => match d.saturating_duration_since(Instant::now()) {
+                    Duration::ZERO => return Err(RecvTimeoutError::Timeout),
+                    left => left.min(PARK_TIMEOUT),
+                },
+            };
             if !self.consumer_registered.load(Ordering::Relaxed) {
                 // SAFETY: single-consumer contract — this thread is the only
                 // writer, and producers only read after the release store
@@ -284,13 +306,13 @@ impl<T> RequestRing<T> {
             self.parked.store(true, Ordering::SeqCst);
             if let Some(v) = self.try_pop() {
                 self.parked.store(false, Ordering::SeqCst);
-                return Some(v);
+                return Ok(v);
             }
             if self.closed.load(Ordering::SeqCst) {
                 self.parked.store(false, Ordering::SeqCst);
-                return self.try_pop();
+                return drain();
             }
-            thread::park_timeout(PARK_TIMEOUT);
+            thread::park_timeout(park);
             self.parked.store(false, Ordering::SeqCst);
         }
     }
@@ -376,6 +398,16 @@ impl WorkerInbox {
         match self {
             WorkerInbox::Channel(rx) => rx.recv().ok(),
             WorkerInbox::Ring(ring) => ring.recv(),
+        }
+    }
+
+    /// Blocks for the next message for at most `timeout`: `Timeout` when
+    /// none came, `Disconnected` once the transport is closed and drained —
+    /// the distinction [`WorkerInbox::try_recv`] cannot make.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<ToWorker, RecvTimeoutError> {
+        match self {
+            WorkerInbox::Channel(rx) => rx.recv_timeout(timeout),
+            WorkerInbox::Ring(ring) => ring.recv_timeout(timeout),
         }
     }
 
@@ -510,6 +542,39 @@ mod tests {
         thread::sleep(Duration::from_millis(20));
         ring.close();
         assert_eq!(consumer.join().expect("join"), None);
+    }
+
+    #[test]
+    fn recv_timeout_tells_idle_from_closed() {
+        let ring: Arc<RequestRing<u64>> = Arc::new(RequestRing::new());
+        let t0 = Instant::now();
+        assert!(matches!(
+            ring.recv_timeout(Duration::from_millis(30)),
+            Err(RecvTimeoutError::Timeout)
+        ));
+        assert!(t0.elapsed() >= Duration::from_millis(30), "returned early");
+        // A push during the wait ends it with the message, long before the
+        // deadline; the barrier holds the push until the wait is under way.
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let (r, g) = (Arc::clone(&ring), Arc::clone(&gate));
+        let consumer = thread::spawn(move || {
+            g.wait();
+            r.recv_timeout(Duration::from_secs(30))
+        });
+        gate.wait();
+        ring.push(9).expect("push");
+        assert!(matches!(consumer.join().expect("join"), Ok(9)));
+        // Closed: what was published still drains, then Disconnected at
+        // once instead of waiting the timeout out.
+        ring.push(10).expect("push");
+        ring.close();
+        assert!(matches!(ring.recv_timeout(Duration::from_secs(30)), Ok(10)));
+        let t0 = Instant::now();
+        assert!(matches!(
+            ring.recv_timeout(Duration::from_secs(30)),
+            Err(RecvTimeoutError::Disconnected)
+        ));
+        assert!(t0.elapsed() < Duration::from_secs(5));
     }
 
     #[test]

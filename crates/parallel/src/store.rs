@@ -12,7 +12,11 @@
 //! it. Silent corruption (bit rot, an injected [`crate::FaultKind::CorruptBlock`])
 //! therefore surfaces as a [`StoreError::Corrupt`] error instead of
 //! quietly decoding garbage, and the coordinator can repair the block from
-//! its chained-declustering replica via [`BlockStore::overwrite`].
+//! its chained-declustering replica via [`BlockStore::overwrite`]. The sum is
+//! the workspace's one kernel, `pargrid_gridfile::crc32` (carry-less-multiply
+//! folding where the CPU has it, slice-by-16 elsewhere): verifying a 4 KB
+//! block costs a fraction of the `pread` that fetched it, so verify-on-read
+//! stays unconditional.
 //!
 //! Two read surfaces:
 //! - [`BlockStore::read_block`] — the hot path. Returns a [`BlockBuf`]
@@ -423,6 +427,41 @@ mod tests {
         assert_eq!(allocations, 1, "steady state reuses one buffer");
         assert_eq!(reuses, 31);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn golden_page_and_recorded_sum() {
+        // A stored page and the sum recorded beside it, as the bytewise-CRC
+        // build had them (sum cross-checked against zlib). The recorded sum
+        // is private; a corrupt read reports it.
+        use pargrid_geom::Point;
+        use pargrid_gridfile::page::encode_page;
+        use pargrid_gridfile::Record;
+        let records = [
+            Record::new(10, Point::new2(1.0, 2.0)),
+            Record::new(11, Point::new2(3.5, -4.25)),
+            Record::new(12, Point::new2(1e-3, 1e9)),
+        ];
+        let page = encode_page(&records, 2, 0, 256);
+        let mut expected = vec![3, 0, 2, 0];
+        for r in &records {
+            expected.extend_from_slice(&r.id.to_le_bytes());
+            expected.extend_from_slice(&r.point.get(0).to_le_bytes());
+            expected.extend_from_slice(&r.point.get(1).to_le_bytes());
+        }
+        expected.resize(260, 0);
+        assert_eq!(page, expected);
+        let mut s = BlockStore::memory();
+        s.put(0, page).expect("put");
+        assert_eq!(&*s.read_block(0).expect("verified read"), &expected[..]);
+        assert!(s.corrupt(0));
+        assert!(matches!(
+            s.read_block(0),
+            Err(StoreError::Corrupt {
+                stored: 0xB8DB_4062,
+                ..
+            })
+        ));
     }
 
     #[test]

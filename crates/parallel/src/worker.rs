@@ -24,7 +24,7 @@ use crate::ring::WorkerInbox;
 use crate::stats::WorkerCounters;
 use crate::store::BlockStore;
 use pargrid_geom::Rect;
-use pargrid_gridfile::page::decode_page;
+use pargrid_gridfile::page::scan_page;
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -337,15 +337,17 @@ impl WorkerState {
                     //
                     // `read_block` is the allocation-free path: in-memory
                     // pages are borrowed, file pages land in a recycled
-                    // pool buffer released when `page` drops.
+                    // pool buffer released when `page` drops. The scan is
+                    // fused with the filter: it reads coordinates out of
+                    // the verified block and builds records only for hits.
                     match self.store.read_block(b) {
                         Ok(page) => {
-                            for r in decode_page(page.as_ref(), self.payload_bytes) {
-                                scanned += 1;
-                                if req.query.contains_closed(&r.point) {
-                                    records.push(r);
-                                }
-                            }
+                            scanned += scan_page(
+                                page.as_ref(),
+                                self.payload_bytes,
+                                req.query,
+                                &mut records,
+                            ) as u64;
                         }
                         Err(e) => {
                             if matches!(e, StoreError::Corrupt { .. }) {
