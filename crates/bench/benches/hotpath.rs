@@ -20,10 +20,13 @@
 //! `query_e2e/channel`) and the single-sided trajectory points:
 //! `elevator/read_batch` (worker disk-batch throughput),
 //! `frame_decode/records`, `bulk_load/grid_file`, `page_scan/fused` (the
-//! worker's verify→filter scan of one block) and the checksum kernel under
+//! worker's verify→filter scan of one block), the checksum kernel under
 //! every block read and frame, `crc32/4k` (one block) and `crc32/256k` (one
 //! large reply), through the public `crc32` with whichever kernel this CPU
-//! selected.
+//! selected, and the two per-record stages of a `scan`-sized reply:
+//! `reply_merge/8x900` (the coordinator's merge of eight worker parts into
+//! the id-sorted answer) and `frame_decode/records_7k` (`Response::decode`
+//! of the 7,200-record payload).
 //!
 //! Regenerate the trajectory file with:
 //!
@@ -41,6 +44,7 @@ use pargrid_gridfile::page::{encode_page, scan_page};
 use pargrid_gridfile::{crc32, Record};
 use pargrid_net::frame::encode_frame;
 use pargrid_net::{read_frame, RecordsReply, Response};
+use pargrid_parallel::merge::merge_by_id;
 use pargrid_parallel::{
     BlockStore, DiskModel, DiskParams, DispatchMode, EngineConfig, ParallelGridFile, RequestRing,
 };
@@ -209,6 +213,40 @@ fn bench_frame(c: &mut Criterion) {
     group.bench_function("records", |b| {
         b.iter(|| black_box(read_frame(&mut bytes.as_slice()).expect("valid frame")))
     });
+    // The typed decode of a `scan`-sized reply: 7,200 3-D records, 245 KB.
+    let (msg_type, payload) = records_response(7_200).encode();
+    group.throughput(Throughput::Bytes(payload.len() as u64));
+    group.bench_function("records_7k", |b| {
+        b.iter(|| black_box(Response::decode(msg_type, black_box(&payload)).expect("valid")))
+    });
+    group.finish();
+}
+
+/// The coordinator's reply assembly for a `scan`-sized query: eight worker
+/// parts of 900 records, ids in no order (as pages yield them), merged
+/// into one id-sorted vector.
+fn bench_reply_merge(c: &mut Criterion) {
+    let mut x = 42u64;
+    let parts: Vec<Vec<Record>> = (0..8)
+        .map(|_| {
+            (0..900)
+                .map(|_| {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let id = (x >> 33) % 400_000;
+                    Record::new(id, Point::new3(id as f64, 0.5, 1.0))
+                })
+                .collect()
+        })
+        .collect();
+
+    let mut group = c.benchmark_group("reply_merge");
+    group.sample_size(200);
+    group.throughput(Throughput::Elements(7_200));
+    group.bench_function("8x900", |b| {
+        b.iter(|| black_box(merge_by_id(black_box(&parts))))
+    });
     group.finish();
 }
 
@@ -317,6 +355,7 @@ criterion_group!(
     bench_query_e2e,
     bench_elevator,
     bench_frame,
+    bench_reply_merge,
     bench_store_read,
     bench_crc32,
     bench_page_scan,

@@ -17,6 +17,8 @@ const REQUIRED: &[&str] = &[
     "frame_encode/zero_copy",
     "frame_encode/copy",
     "frame_decode/records",
+    "frame_decode/records_7k",
+    "reply_merge/8x900",
     "store_read/pooled",
     "store_read/alloc",
     "crc32/4k",

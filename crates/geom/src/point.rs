@@ -42,6 +42,30 @@ impl Point {
         }
     }
 
+    /// Creates a `dim`-dimensional point from a full-width array whose
+    /// entries past `dim` are zero — the form decoders already hold after
+    /// filling a zeroed array, so no second copy is made.
+    ///
+    /// # Panics
+    /// Panics if `dim` is zero or exceeds [`MAX_DIM`], or if an entry past
+    /// `dim` is not zero: equality compares the whole array, so stray
+    /// padding would make equal points compare unequal.
+    #[inline]
+    pub fn from_padded(coords: [f64; MAX_DIM], dim: usize) -> Self {
+        assert!(
+            (1..=MAX_DIM).contains(&dim),
+            "point dimensionality must be in 1..={MAX_DIM}, got {dim}"
+        );
+        assert!(
+            coords[dim..].iter().all(|c| c.to_bits() == 0),
+            "point padding past dimension {dim} must be zero"
+        );
+        Point {
+            coords,
+            dim: dim as u8,
+        }
+    }
+
     /// Creates a 2-D point.
     #[inline]
     pub fn new2(x: f64, y: f64) -> Self {
@@ -153,6 +177,39 @@ mod tests {
             Point::new4(1.0, 2.0, 3.0, 4.0),
             Point::new(&[1.0, 2.0, 3.0, 4.0])
         );
+    }
+
+    #[test]
+    fn from_padded_equals_new_for_every_dim() {
+        let full = [1.5, -2.0, 3.25, 0.0, -0.0, 1e300];
+        for d in 1..=MAX_DIM {
+            let mut padded = [0.0; MAX_DIM];
+            padded[..d].copy_from_slice(&full[..d]);
+            let p = Point::from_padded(padded, d);
+            assert_eq!(p, Point::new(&full[..d]));
+            assert_eq!(p.dim(), d);
+            assert_eq!(p.coords(), &full[..d]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dimensionality")]
+    fn from_padded_rejects_zero_dim() {
+        let _ = Point::from_padded([0.0; MAX_DIM], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimensionality")]
+    fn from_padded_rejects_too_many_dims() {
+        let _ = Point::from_padded([0.0; MAX_DIM], MAX_DIM + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "padding")]
+    fn from_padded_rejects_dirty_padding() {
+        let mut c = [0.0; MAX_DIM];
+        c[2] = 7.0;
+        let _ = Point::from_padded(c, 2);
     }
 
     #[test]

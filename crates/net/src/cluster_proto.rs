@@ -31,7 +31,9 @@
 use pargrid_geom::{Point, Rect, MAX_DIM};
 use pargrid_gridfile::Record;
 
-use crate::proto::{checked_dim, err, Cur, ProtoError};
+use crate::proto::{
+    checked_dim, err, put_records, records_wire_len, take_records, Cur, ProtoError,
+};
 
 // Request type bytes (worker/election plane).
 const REQ_WORKER_JOIN: u8 = 0x20;
@@ -597,7 +599,11 @@ impl ClusterResponse {
                 (RESP_WELCOME, p)
             }
             ClusterResponse::WorkerReply(r) => {
-                p.reserve(64 + 4 * r.corrupt_blocks.len() + r.records.len() * (10 + 8 * MAX_DIM));
+                p.reserve(
+                    57 + 4 * r.corrupt_blocks.len()
+                        + r.error.as_ref().map_or(0, |m| 4 + m.len())
+                        + records_wire_len(&r.records),
+                );
                 p.extend_from_slice(&r.query_id.to_le_bytes());
                 p.extend_from_slice(&r.seq.to_le_bytes());
                 p.extend_from_slice(&r.worker.to_le_bytes());
@@ -616,15 +622,7 @@ impl ClusterResponse {
                         p.extend_from_slice(msg.as_bytes());
                     }
                 }
-                p.extend_from_slice(&(r.records.len() as u32).to_le_bytes());
-                for rec in &r.records {
-                    p.extend_from_slice(&rec.id.to_le_bytes());
-                    let coords = rec.point.coords();
-                    p.extend_from_slice(&(coords.len() as u16).to_le_bytes());
-                    for v in coords {
-                        p.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
+                put_records(&mut p, &r.records);
                 (RESP_WORKER_REPLY, p)
             }
             ClusterResponse::BlocksAck { epoch, written } => {
@@ -724,22 +722,7 @@ impl ClusterResponse {
                     }
                     t => return Err(err(format!("bad error flag {t}"))),
                 };
-                let n = c.u32()? as usize;
-                // 14 bytes is the smallest record (1-D), as in the client
-                // plane's records decoder.
-                if n > c.remaining() / 14 {
-                    return Err(err(format!("record count {n} exceeds payload")));
-                }
-                let mut records = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let id = c.u64()?;
-                    let d = checked_dim(c.u16()?)?;
-                    let mut coords = [0.0; MAX_DIM];
-                    for slot in coords.iter_mut().take(d) {
-                        *slot = c.finite_f64("record coordinate")?;
-                    }
-                    records.push(Record::new(id, Point::new(&coords[..d])));
-                }
+                let records = take_records(&mut c)?;
                 ClusterResponse::WorkerReply(WireReply {
                     query_id,
                     seq,

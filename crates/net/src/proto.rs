@@ -375,6 +375,63 @@ fn decode_keyed(c: &mut Cur<'_>) -> Result<(u64, Vec<f64>), ProtoError> {
     Ok((id, key))
 }
 
+/// Exact encoded size of a records section: `n u32`, then per record
+/// `id u64`, `dim u16`, `dim × coord f64`.
+pub(crate) fn records_wire_len(records: &[Record]) -> usize {
+    4 + records
+        .iter()
+        .map(|r| 10 + 8 * r.point.dim())
+        .sum::<usize>()
+}
+
+/// Appends a records section (layout on [`records_wire_len`]) to `p` — the
+/// one encoder under both `RESP_RECORDS` and the cluster plane's worker
+/// reply.
+pub(crate) fn put_records(p: &mut Vec<u8>, records: &[Record]) {
+    p.extend_from_slice(&(records.len() as u32).to_le_bytes());
+    for rec in records {
+        p.extend_from_slice(&rec.id.to_le_bytes());
+        let coords = rec.point.coords();
+        p.extend_from_slice(&(coords.len() as u16).to_le_bytes());
+        for c in coords {
+            p.extend_from_slice(&c.to_le_bytes());
+        }
+    }
+}
+
+/// Decodes a records section — the one decoder under both planes. Total:
+/// a count the payload cannot hold, a short record, a dimension outside
+/// `1..=MAX_DIM` and a non-finite coordinate are all typed errors.
+///
+/// A reply carries thousands of records, so the loop asks the cursor for
+/// bytes twice per record — the fixed `id, dim` head, then all `dim`
+/// coordinates as one slice — instead of once per field, and hands the
+/// zero-padded array it filled straight to [`Point::from_padded`].
+pub(crate) fn take_records(c: &mut Cur<'_>) -> Result<Vec<Record>, ProtoError> {
+    let n = c.u32()? as usize;
+    // 14 bytes is under the smallest possible record (1-D: 18); a hostile
+    // count can't make us allocate more than the payload holds.
+    if n > c.remaining() / 14 {
+        return Err(err(format!("record count {n} exceeds payload")));
+    }
+    let mut records = Vec::with_capacity(n);
+    for _ in 0..n {
+        let head = c.take(10)?;
+        let id = u64::from_le_bytes(head[..8].try_into().unwrap());
+        let d = checked_dim(u16::from_le_bytes([head[8], head[9]]))?;
+        let mut coords = [0.0; MAX_DIM];
+        for (slot, raw) in coords.iter_mut().zip(c.take(8 * d)?.chunks_exact(8)) {
+            let v = f64::from_le_bytes(raw.try_into().unwrap());
+            if !v.is_finite() {
+                return Err(err("record coordinate is not finite"));
+            }
+            *slot = v;
+        }
+        records.push(Record::new(id, Point::from_padded(coords, d)));
+    }
+    Ok(records)
+}
+
 impl Request {
     /// Message type byte + payload for this request.
     pub fn encode(&self) -> (u8, Vec<u8>) {
@@ -538,7 +595,7 @@ impl Response {
     /// vector; the server's write path uses [`Response::encode_frame`]
     /// instead, which serializes straight into the wire buffer).
     pub fn encode(&self) -> (u8, Vec<u8>) {
-        let mut p = Vec::new();
+        let mut p = Vec::with_capacity(self.payload_size_hint());
         let t = self.encode_into(&mut p);
         (t, p)
     }
@@ -559,7 +616,7 @@ impl Response {
     /// also the right size.
     fn payload_size_hint(&self) -> usize {
         match self {
-            Response::Records(r) => 45 + r.records.len() * (10 + 8 * MAX_DIM),
+            Response::Records(r) => 41 + records_wire_len(&r.records),
             Response::Pong { .. } => 8,
             Response::StatsText(s) => 4 + s.len(),
             Response::Error(e) => match e {
@@ -581,7 +638,6 @@ impl Response {
     fn encode_into(&self, p: &mut Vec<u8>) -> u8 {
         match self {
             Response::Records(r) => {
-                p.reserve(self.payload_size_hint());
                 p.push(r.incomplete as u8);
                 for v in [
                     r.elapsed_us,
@@ -592,15 +648,7 @@ impl Response {
                 ] {
                     p.extend_from_slice(&v.to_le_bytes());
                 }
-                p.extend_from_slice(&(r.records.len() as u32).to_le_bytes());
-                for rec in &r.records {
-                    p.extend_from_slice(&rec.id.to_le_bytes());
-                    let coords = rec.point.coords();
-                    p.extend_from_slice(&(coords.len() as u16).to_le_bytes());
-                    for c in coords {
-                        p.extend_from_slice(&c.to_le_bytes());
-                    }
-                }
+                put_records(p, &r.records);
                 RESP_RECORDS
             }
             Response::Pong { token } => {
@@ -677,22 +725,7 @@ impl Response {
                 let response_blocks = c.u64()?;
                 let total_blocks = c.u64()?;
                 let cache_hits = c.u64()?;
-                let n = c.u32()? as usize;
-                // 14 bytes is the smallest possible record (1-D); a hostile
-                // count can't make us allocate more than the payload holds.
-                if n > payload.len() / 14 {
-                    return Err(err(format!("record count {n} exceeds payload")));
-                }
-                let mut records = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let id = c.u64()?;
-                    let d = checked_dim(c.u16()?)?;
-                    let mut coords = [0.0; MAX_DIM];
-                    for slot in coords.iter_mut().take(d) {
-                        *slot = c.finite_f64("record coordinate")?;
-                    }
-                    records.push(Record::new(id, Point::new(&coords[..d])));
-                }
+                let records = take_records(&mut c)?;
                 Response::Records(RecordsReply {
                     incomplete,
                     elapsed_us,
@@ -942,6 +975,271 @@ mod tests {
         p.extend_from_slice(&[0u8; 40]);
         p.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(Response::decode(RESP_RECORDS, &p).is_err());
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// Three records of three dimensionalities, ids small, writer-space and
+    /// maximal — the records section of both goldens below.
+    fn golden_records() -> Vec<Record> {
+        vec![
+            Record::new(7, Point::new2(1.5, -2.0)),
+            Record::new(1 << 40 | 3, Point::new3(0.0, 0.25, 1e300)),
+            Record::new(u64::MAX, Point::new(&[9.0])),
+        ]
+    }
+
+    const GOLDEN_RECORDS_SECTION: &str = "03000000\
+        0700000000000000\
+        0200\
+        000000000000f83f\
+        00000000000000c0\
+        0300000000010000\
+        0300\
+        0000000000000000\
+        000000000000d03f\
+        9c7500883ce4377e\
+        ffffffffffffffff\
+        0100\
+        0000000000002240";
+
+    #[test]
+    fn golden_records_payload_bytes() {
+        // The bytes this plane's own encoder produced before the records
+        // loop was shared with the cluster plane.
+        let reply = Response::Records(RecordsReply {
+            incomplete: true,
+            elapsed_us: 0x0102,
+            comm_us: 3,
+            response_blocks: 4,
+            total_blocks: 5,
+            cache_hits: 6,
+            records: golden_records(),
+        });
+        let head = "01\
+            0201000000000000\
+            0300000000000000\
+            0400000000000000\
+            0500000000000000\
+            0600000000000000";
+        let expected = unhex(&format!("{head}{GOLDEN_RECORDS_SECTION}"));
+        let (t, p) = reply.encode();
+        assert_eq!((t, &p), (RESP_RECORDS, &expected));
+        assert_eq!(p.len(), reply.payload_size_hint(), "size hint is exact");
+        let frame = reply.encode_frame().unwrap();
+        assert_eq!(crate::frame::encode_frame(t, &expected).unwrap(), frame);
+        assert_eq!(Response::decode(t, &expected).unwrap(), reply);
+    }
+
+    #[test]
+    fn golden_worker_reply_bytes() {
+        // Likewise for the cluster plane's copy of the loop: a worker reply
+        // carrying the same records section.
+        use crate::cluster_proto::{ClusterResponse, WireReply};
+        let reply = ClusterResponse::WorkerReply(WireReply {
+            query_id: 11,
+            seq: 99,
+            worker: 3,
+            blocks_requested: 4,
+            cache_hits: 2,
+            disk_us: 1000,
+            cpu_us: 10,
+            corrupt_blocks: vec![5],
+            error: Some("bad".into()),
+            records: golden_records(),
+        });
+        let head = "0b00000000000000\
+            6300000000000000\
+            03000000\
+            0400000000000000\
+            0200000000000000\
+            e803000000000000\
+            0a00000000000000\
+            01000000\
+            05000000\
+            01\
+            03000000\
+            626164";
+        let expected = unhex(&format!("{head}{GOLDEN_RECORDS_SECTION}"));
+        let (t, p) = reply.encode();
+        assert_eq!((t, &p), (0xa1, &expected));
+        assert_eq!(p.capacity(), p.len(), "reserve is exact");
+        assert_eq!(ClusterResponse::decode(t, &expected).unwrap(), reply);
+    }
+
+    /// The records decoder as it was before `take_records`: one checked
+    /// cursor read per field and a `Point::new` copy. Kept as the reference
+    /// the differential tests below hold the shared decoder to.
+    fn reference_decode_records(payload: &[u8]) -> Result<Response, ProtoError> {
+        let mut c = Cur::new(payload);
+        let incomplete = match c.u8()? {
+            0 => false,
+            1 => true,
+            t => return Err(err(format!("bad incomplete flag {t}"))),
+        };
+        let elapsed_us = c.u64()?;
+        let comm_us = c.u64()?;
+        let response_blocks = c.u64()?;
+        let total_blocks = c.u64()?;
+        let cache_hits = c.u64()?;
+        let n = c.u32()? as usize;
+        if n > payload.len() / 14 {
+            return Err(err(format!("record count {n} exceeds payload")));
+        }
+        let mut records = Vec::with_capacity(n);
+        for _ in 0..n {
+            let id = c.u64()?;
+            let d = checked_dim(c.u16()?)?;
+            let mut coords = [0.0; MAX_DIM];
+            for slot in coords.iter_mut().take(d) {
+                *slot = c.finite_f64("record coordinate")?;
+            }
+            records.push(Record::new(id, Point::new(&coords[..d])));
+        }
+        c.done()?;
+        Ok(Response::Records(RecordsReply {
+            incomplete,
+            elapsed_us,
+            comm_us,
+            response_blocks,
+            total_blocks,
+            cache_hits,
+            records,
+        }))
+    }
+
+    /// Same `Ok` value, or an error from both (messages may differ).
+    fn assert_same_verdict(payload: &[u8]) {
+        let new = Response::decode(RESP_RECORDS, payload);
+        match reference_decode_records(payload) {
+            Ok(old) => assert_eq!(new.as_ref(), Ok(&old), "payload {payload:02x?}"),
+            Err(_) => assert!(new.is_err(), "accepted {payload:02x?}"),
+        }
+    }
+
+    /// A `RESP_RECORDS` payload whose records have these dims and raw
+    /// coordinate bits (so non-finite values can be planted).
+    fn records_payload(n_claimed: u32, records: &[(u64, u16, Vec<u64>)]) -> Vec<u8> {
+        let mut p = vec![0u8];
+        p.extend_from_slice(&[0u8; 40]);
+        p.extend_from_slice(&n_claimed.to_le_bytes());
+        for (id, dim, bits) in records {
+            p.extend_from_slice(&id.to_le_bytes());
+            p.extend_from_slice(&dim.to_le_bytes());
+            for b in bits {
+                p.extend_from_slice(&b.to_le_bytes());
+            }
+        }
+        p
+    }
+
+    #[test]
+    fn decode_differential_explicit_cases() {
+        let one = 1.0f64.to_bits();
+        let ok = records_payload(2, &[(1, 2, vec![one, one]), (2, 1, vec![one])]);
+        assert!(Response::decode(RESP_RECORDS, &ok).is_ok());
+        assert_same_verdict(&ok);
+        // Truncated at every byte, and one trailing byte.
+        for cut in 0..ok.len() {
+            assert!(Response::decode(RESP_RECORDS, &ok[..cut]).is_err(), "{cut}");
+            assert_same_verdict(&ok[..cut]);
+        }
+        let mut trailing = ok.clone();
+        trailing.push(0);
+        assert!(Response::decode(RESP_RECORDS, &trailing).is_err());
+        assert_same_verdict(&trailing);
+        // Dimension 0 and MAX_DIM + 1 (with the bytes such a record would
+        // need, so only the dimension is wrong), and MAX_DIM itself.
+        let wide = (MAX_DIM + 1) as u16;
+        for (dim, accepted) in [(0, false), (wide, false), (MAX_DIM as u16, true)] {
+            let p = records_payload(1, &[(9, dim, vec![one; dim as usize])]);
+            assert_eq!(Response::decode(RESP_RECORDS, &p).is_ok(), accepted);
+            assert_same_verdict(&p);
+        }
+        // Non-finite coordinates, first and last position.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in [0, 2] {
+                let mut bits = vec![one; 3];
+                bits[at] = bad.to_bits();
+                let p = records_payload(1, &[(9, 3, bits)]);
+                assert!(Response::decode(RESP_RECORDS, &p).is_err());
+                assert_same_verdict(&p);
+            }
+        }
+        // Record count larger than the payload holds: hostile, and off by one.
+        for claimed in [u32::MAX, 3] {
+            let p = records_payload(claimed, &[(1, 2, vec![one, one]), (2, 1, vec![one])]);
+            assert!(Response::decode(RESP_RECORDS, &p).is_err());
+            assert_same_verdict(&p);
+        }
+        // Fewer claimed than present is trailing bytes.
+        let p = records_payload(1, &[(1, 2, vec![one, one]), (2, 1, vec![one])]);
+        assert!(Response::decode(RESP_RECORDS, &p).is_err());
+        assert_same_verdict(&p);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn decode_differential_valid_truncated_and_flipped(
+            shape in proptest::prop::collection::vec(
+                (proptest::any::<u64>(), 1usize..=MAX_DIM, -1e6f64..1e6),
+                0..12usize,
+            ),
+            flip_at in 0.0f64..1.0,
+            flip in 1u8..=255,
+        ) {
+            let records: Vec<Record> = shape
+                .iter()
+                .map(|&(id, d, x)| {
+                    let coords: Vec<f64> = (0..d).map(|k| x + k as f64).collect();
+                    Record::new(id, Point::new(&coords))
+                })
+                .collect();
+            let reply = Response::Records(RecordsReply {
+                incomplete: false,
+                elapsed_us: 1,
+                comm_us: 2,
+                response_blocks: 3,
+                total_blocks: 4,
+                cache_hits: 5,
+                records,
+            });
+            let (_, payload) = reply.encode();
+            assert_eq!(Response::decode(RESP_RECORDS, &payload).as_ref(), Ok(&reply));
+            assert_same_verdict(&payload);
+            for cut in 0..payload.len() {
+                assert_same_verdict(&payload[..cut]);
+            }
+            let mut flipped = payload.clone();
+            let at = ((payload.len() - 1) as f64 * flip_at) as usize;
+            flipped[at] ^= flip;
+            assert_same_verdict(&flipped);
+        }
+
+        #[test]
+        fn decode_differential_arbitrary_bytes(
+            body in proptest::prop::collection::vec(0u8..=255, 0..120usize),
+            n in 0u32..6,
+            dim in 0u16..9,
+        ) {
+            // Arbitrary bytes behind a plausible head, so the loop is
+            // reached: flag, five counters, a small count, a smallish dim.
+            let mut p = vec![0u8; 41];
+            p.extend_from_slice(&n.to_le_bytes());
+            p.extend_from_slice(&body);
+            if p.len() >= 55 {
+                p[53..55].copy_from_slice(&dim.to_le_bytes());
+            }
+            assert_same_verdict(&p);
+            assert_same_verdict(&body);
+        }
     }
 
     #[test]

@@ -797,7 +797,7 @@ fn dispatcher_loop(inner: &Arc<Inner>) {
                 if outcome.incomplete {
                     Response::Error(WireError::Incomplete(format!(
                         "{} of {} engine workers alive",
-                        inner.engine.stats().live_workers(),
+                        inner.engine.live_workers(),
                         inner.engine.n_workers(),
                     )))
                 } else {
@@ -805,7 +805,7 @@ fn dispatcher_loop(inner: &Arc<Inner>) {
                     // Distance from the frontier oracle's per-query bound:
                     // no layout can serve total_blocks on M live workers
                     // with fewer than ceil(total/M) on the busiest one.
-                    let live = inner.engine.stats().live_workers().max(1) as u64;
+                    let live = inner.engine.live_workers().max(1) as u64;
                     let bound = outcome.total_blocks.div_ceil(live);
                     inner
                         .metrics

@@ -9,7 +9,11 @@
 //!    the grid directory (which the paper stores on the coordinator's disk),
 //! 2. involved workers read their blocks (virtual disk time, LRU cache),
 //!    decode the real pages and filter records,
-//! 3. replies stream back; the coordinator merges them.
+//! 3. replies stream back; the coordinator keeps each accepted reply (or
+//!    hedge fallback) as its own part and, once nothing is awaited, merges
+//!    the parts into the id-sorted answer in one linear pass
+//!    ([`crate::merge`]) — every caller (sessions, the workload runners, the
+//!    server, the cluster backend) gets its records through that one merge.
 //!
 //! The engine is a **shared service**: every query method takes `&self`, so
 //! any number of threads can hold the same engine and open independent
@@ -57,6 +61,7 @@
 use crate::disk::DiskParams;
 use crate::error::EngineError;
 use crate::fault::FaultPlan;
+use crate::merge::merge_by_id;
 use crate::message::{FromWorker, QueryPriority, ReadRequest, ToWorker};
 use crate::ring::{DispatchError, DispatchMode, RequestRing, WorkerOutbox};
 use crate::stats::{EngineStats, SharedStats};
@@ -74,7 +79,7 @@ use pargrid_gridfile::{GridFile, MutationEffect, Record};
 use pargrid_obs::{Event, Recorder, SpanKind, NO_ID};
 use pargrid_rebalance::{plan_rebalance, CopyKind, RepairConfig};
 use pargrid_sim::{QueryWorkload, ThroughputStats};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -420,7 +425,9 @@ impl EngineConfig {
 /// Result of a single query.
 #[derive(Clone, Debug)]
 pub struct QueryOutcome {
-    /// Qualifying records, merged from all workers (sorted by id).
+    /// Qualifying records, merged from all workers: sorted by id
+    /// (non-decreasing). The order among records that share an id is
+    /// unspecified — it follows reply arrival order.
     pub records: Vec<Record>,
     /// Grid-directory buckets the query touched (sorted by id).
     pub buckets: Vec<u32>,
@@ -667,7 +674,9 @@ struct PendingQuery {
     cache_hits: u64,
     comm_us: u64,
     max_worker_us: u64,
-    records: Vec<Record>,
+    /// Accepted worker answers, one part per reply (or hedge fallback) in
+    /// arrival order; merged once, in [`PendingQuery::into_outcome`].
+    parts: Vec<Vec<Record>>,
     retries: u64,
     hedges: u64,
     incomplete: bool,
@@ -687,7 +696,7 @@ impl PendingQuery {
             cache_hits: 0,
             comm_us: 0,
             max_worker_us: 0,
-            records: Vec::new(),
+            parts: Vec::new(),
             retries: 0,
             hedges: 0,
             incomplete: false,
@@ -698,13 +707,12 @@ impl PendingQuery {
     /// past the deadline, or died).
     fn absorb_fallback(&mut self, fb: HedgeFallback) {
         self.max_worker_us = self.max_worker_us.max(fb.service_us);
-        self.records.extend(fb.records);
+        self.parts.push(fb.records);
     }
 
-    fn into_outcome(mut self) -> QueryOutcome {
-        self.records.sort_unstable_by_key(|r| r.id);
+    fn into_outcome(self) -> QueryOutcome {
         QueryOutcome {
-            records: self.records,
+            records: merge_by_id(&self.parts),
             buckets: self.buckets,
             response_blocks: self.response_blocks,
             total_blocks: self.total_blocks,
@@ -1046,6 +1054,15 @@ impl ParallelGridFile {
         self.shared.snapshot()
     }
 
+    /// Number of workers not known dead, read off the liveness flags alone
+    /// — what a per-query caller wants instead of a whole
+    /// [`ParallelGridFile::stats`] snapshot.
+    pub fn live_workers(&self) -> usize {
+        (0..self.shared.workers.len())
+            .filter(|&w| self.shared.is_alive(w))
+            .count()
+    }
+
     /// The installed trace recorder, if any.
     #[cfg(feature = "obs")]
     pub fn recorder(&self) -> Option<&Arc<Recorder>> {
@@ -1105,12 +1122,13 @@ impl ParallelGridFile {
     /// Translates a query into its touched buckets (sorted), per-worker
     /// reads against **live** workers (dead primaries fall over to their
     /// replicas at planning time), and whether some bucket has no live copy
-    /// at all.
-    fn plan(&self, rect: &Rect) -> (Vec<u32>, HashMap<usize, PlannedRead>, bool) {
+    /// at all. The reads iterate in ascending worker order, so a query's
+    /// dispatch order (and the seqs it hands out) repeats from run to run.
+    fn plan(&self, rect: &Rect) -> (Vec<u32>, BTreeMap<usize, PlannedRead>, bool) {
         let cat = self.catalog.read().expect("engine catalog lock");
         let mut buckets = cat.gf.range_query_buckets(rect);
         buckets.sort_unstable();
-        let mut per_worker: HashMap<usize, PlannedRead> = HashMap::new();
+        let mut per_worker: BTreeMap<usize, PlannedRead> = BTreeMap::new();
         let mut incomplete = false;
         for &b in &buckets {
             let pl = &cat.placement[&b];
@@ -1161,7 +1179,8 @@ impl ParallelGridFile {
         // worker -> (blocks, buckets) of the retry request. Collected under
         // the catalog read lock, which is dropped before any channel I/O
         // (the dead-transport branch below recurses back into this method).
-        let mut regroup: HashMap<usize, (Vec<u32>, Vec<u32>)> = HashMap::new();
+        // Ordered by worker, like `plan`, so retry seqs repeat too.
+        let mut regroup: BTreeMap<usize, (Vec<u32>, Vec<u32>)> = BTreeMap::new();
         {
             let cat = self.catalog.read().expect("engine catalog lock");
             for &b in buckets {
@@ -1787,7 +1806,7 @@ impl ParallelGridFile {
             // itself failed.
             if reply.error.is_none() {
                 p.max_worker_us = p.max_worker_us.max(service_us.min(fb.service_us));
-                p.records.extend(reply.records);
+                p.parts.push(reply.records);
             } else {
                 p.absorb_fallback(fb);
             }
@@ -1851,7 +1870,7 @@ impl ParallelGridFile {
             }
         }
         p.max_worker_us = p.max_worker_us.max(service_us);
-        p.records.extend(reply.records);
+        p.parts.push(reply.records);
     }
 
     /// Collects replies until no pending query awaits a worker. On each

@@ -81,6 +81,7 @@ pub mod disk;
 pub mod engine;
 pub mod error;
 pub mod fault;
+pub mod merge;
 pub mod message;
 pub mod ring;
 pub mod stats;

@@ -24,7 +24,8 @@ use crate::ring::WorkerInbox;
 use crate::stats::WorkerCounters;
 use crate::store::BlockStore;
 use pargrid_geom::Rect;
-use pargrid_gridfile::page::scan_page;
+use pargrid_gridfile::page::{scan_page, HEADER_BYTES};
+use pargrid_gridfile::Record;
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -32,6 +33,10 @@ use std::sync::Arc;
 /// Virtual CPU cost of decoding and filtering one record, nanoseconds.
 /// (A ~60 MHz POWER2 node touching a 50-byte record: a few hundred ns.)
 const CPU_NS_PER_RECORD: u64 = 300;
+
+/// Most records a request's hit vector is pre-sized for (4 MB of records;
+/// a `scan`-class request of ≈ 18 blocks needs a twentieth of it).
+const MAX_PRESIZED_HITS: usize = 1 << 16;
 
 /// Default for how many serviced dispatch seqs a worker remembers for dedup
 /// (see [`crate::engine::EngineConfig::seen_seq_window`]). Far larger than
@@ -342,12 +347,25 @@ impl WorkerState {
                     // the verified block and builds records only for hits.
                     match self.store.read_block(b) {
                         Ok(page) => {
-                            scanned += scan_page(
-                                page.as_ref(),
-                                self.payload_bytes,
-                                req.query,
-                                &mut records,
-                            ) as u64;
+                            let page = page.as_ref();
+                            if records.capacity() == 0 {
+                                // Sized once: a store's blocks are all one
+                                // size, so what the first holds times the
+                                // block count bounds the request's hits.
+                                // Capped, because a wire worker's block
+                                // list comes off a socket; past the cap the
+                                // vector grows as any other.
+                                let per_page = page.len().saturating_sub(HEADER_BYTES)
+                                    / Record::encoded_size(req.query.dim(), self.payload_bytes);
+                                records.reserve_exact(
+                                    req.blocks
+                                        .len()
+                                        .saturating_mul(per_page)
+                                        .min(MAX_PRESIZED_HITS),
+                                );
+                            }
+                            scanned +=
+                                scan_page(page, self.payload_bytes, req.query, &mut records) as u64;
                         }
                         Err(e) => {
                             if matches!(e, StoreError::Corrupt { .. }) {
@@ -725,6 +743,16 @@ mod tests {
         assert_eq!(ids, vec![3, 4, 5, 6, 7, 8, 9, 10, 11, 12]);
         assert!(reply.disk_us > 0);
         assert!(reply.cpu_us > 0 || CPU_NS_PER_RECORD < 50);
+    }
+
+    #[test]
+    fn hit_vector_is_sized_once_from_the_block_count() {
+        let mut w = worker_with_two_blocks();
+        let q = Rect::new2(0.0, 0.0, 100.0, 100.0);
+        let reply = w.handle_read(0, vec![0, 1], &q);
+        assert_eq!(reply.records.len(), 20);
+        // Two 4 KB pages of 24-byte records: room for 2 × 170 hits.
+        assert_eq!(reply.records.capacity(), 2 * (4096 / 24));
     }
 
     #[test]
