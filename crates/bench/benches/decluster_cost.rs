@@ -4,7 +4,6 @@
 //! Run with `cargo bench -p pargrid-bench --bench decluster_cost`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pargrid_core::minimax::{minimax_assign, minimax_assign_parallel};
 use pargrid_core::{ConflictPolicy, DeclusterInput, DeclusterMethod, EdgeWeight, IndexScheme};
 use pargrid_datagen::dsmc3d_sized;
 use std::hint::black_box;
@@ -44,42 +43,5 @@ fn bench_decluster_cost(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial vs multithreaded minimax on the largest instance.
-fn bench_minimax_parallel(c: &mut Criterion) {
-    let ds = dsmc3d_sized(42, 64_000);
-    let gf = ds.build_grid_file();
-    let input = DeclusterInput::from_grid_file(&gf);
-    let mut group = c.benchmark_group("minimax_threads");
-    group.sample_size(10);
-    group.bench_function("serial", |b| {
-        b.iter(|| {
-            black_box(minimax_assign(
-                black_box(&input),
-                16,
-                EdgeWeight::Proximity,
-                42,
-            ))
-        })
-    });
-    for threads in [2usize, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    black_box(minimax_assign_parallel(
-                        black_box(&input),
-                        16,
-                        EdgeWeight::Proximity,
-                        42,
-                        threads,
-                    ))
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_decluster_cost, bench_minimax_parallel);
+criterion_group!(benches, bench_decluster_cost);
 criterion_main!(benches);

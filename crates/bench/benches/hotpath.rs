@@ -26,7 +26,9 @@
 //! selected, and the two per-record stages of a `scan`-sized reply:
 //! `reply_merge/8x900` (the coordinator's merge of eight worker parts into
 //! the id-sorted answer) and `frame_decode/records_7k` (`Response::decode`
-//! of the 7,200-record payload).
+//! of the 7,200-record payload), and the two largest stages of the
+//! `pargrid-e2e` benchmark's set-up on its own 400k-record instance:
+//! `bulk_load/dsmc3d_400k` and `decluster/minimax_4.7k_x8`.
 //!
 //! Regenerate the trajectory file with:
 //!
@@ -37,7 +39,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use crossbeam::channel::unbounded;
-use pargrid_core::{ConflictPolicy, DeclusterInput, DeclusterMethod, IndexScheme};
+use pargrid_core::{ConflictPolicy, DeclusterInput, DeclusterMethod, EdgeWeight, IndexScheme};
 use pargrid_datagen::dsmc3d_sized;
 use pargrid_geom::{Point, Rect};
 use pargrid_gridfile::page::{encode_page, scan_page};
@@ -349,6 +351,29 @@ fn bench_bulk_load(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two largest stages of the `pargrid-e2e` benchmark's set-up, on its
+/// own instance: 400k DSMC records bulk-loaded into 4.7k buckets, and those
+/// buckets declustered over 8 disks by minimax.
+fn bench_setup_stages(c: &mut Criterion) {
+    let ds = dsmc3d_sized(42, 400_000);
+    let mut group = c.benchmark_group("bulk_load");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(ds.len() as u64));
+    group.bench_function("dsmc3d_400k", |b| {
+        b.iter(|| black_box(ds.build_grid_file()))
+    });
+    group.finish();
+
+    let input = DeclusterInput::from_grid_file(&ds.build_grid_file());
+    let minimax = DeclusterMethod::Minimax(EdgeWeight::Proximity);
+    let mut group = c.benchmark_group("decluster");
+    group.sample_size(10);
+    group.bench_function("minimax_4.7k_x8", |b| {
+        b.iter(|| black_box(minimax.assign(black_box(&input), 8, 42)))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_dispatch,
@@ -359,6 +384,7 @@ criterion_group!(
     bench_store_read,
     bench_crc32,
     bench_page_scan,
-    bench_bulk_load
+    bench_bulk_load,
+    bench_setup_stages
 );
 criterion_main!(benches);

@@ -25,6 +25,8 @@ const REQUIRED: &[&str] = &[
     "crc32/256k",
     "page_scan/fused",
     "bulk_load/grid_file",
+    "bulk_load/dsmc3d_400k",
+    "decluster/minimax_4.7k_x8",
 ];
 
 fn trajectory_path() -> PathBuf {

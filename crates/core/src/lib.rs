@@ -44,6 +44,8 @@
 pub mod analysis;
 pub mod assignment;
 pub mod conflict;
+#[cfg(test)]
+mod differential_tests;
 pub mod exhaustive;
 pub mod incremental;
 pub mod index_based;

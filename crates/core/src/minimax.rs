@@ -16,10 +16,32 @@
 //! Round-robin growth guarantees perfect balance: every disk receives at
 //! most `ceil(N / M)` buckets. The cost is `O(N^2)` similarity evaluations
 //! and `O(N * M)` memory for the `MAX` table.
+//!
+//! # Layout
+//!
+//! Everything the expansion loop scans is kept *compact and in one order* —
+//! the order of `unassigned`: the candidates' boxes as per-dimension columns
+//! ([`BoxColumns`]) and `MAX` as one column per tree. Taking a bucket is one
+//! `swap_remove` at the same index on every column, so index `i` always
+//! means the same bucket everywhere and no scan goes through an index
+//! indirection or strides over other trees' entries. A step is then three
+//! linear passes: the similarity row of the taken bucket
+//! ([`EdgeWeight::similarity_row`]), `max` of that row into the grown tree's
+//! column, arg-min of the next tree's column.
+//!
+//! # Ties
+//!
+//! Equal `MAX` values are common (on a Cartesian product file they are the
+//! rule), so which minimum wins is part of the algorithm's observable
+//! output: it is the **first** minimum in `unassigned` order, and
+//! `unassigned` starts in ascending bucket position and is only ever
+//! reordered by `swap_remove`. `similarity_row` returns the scalar
+//! `similarity` to the bit, so the values compared — and the winner — are
+//! those of the textbook per-pair loop (kept as the test reference below).
 
 use crate::assignment::Assignment;
 use crate::input::DeclusterInput;
-use crate::weights::EdgeWeight;
+use crate::weights::{BoxColumns, EdgeWeight};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -53,9 +75,83 @@ pub fn minimax_assign(
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(&mut rng);
     let seeds = &order[..m];
+    for (k, &s) in seeds.iter().enumerate() {
+        disks[s] = k as u32;
+    }
 
-    // MAX table, row-major: max_tab[x * m + k] = MAX_x(k).
-    // Initialized from the seeds (Phase 2 step 1).
+    // Phase 2 step 1: MAX_x(k) is the similarity of x to tree k's seed.
+    let mut unassigned: Vec<usize> = (0..n).filter(|&x| disks[x] == u32::MAX).collect();
+    let mut boxes = BoxColumns::from_input(input, unassigned.iter().copied());
+    let mut row = vec![0.0f64; unassigned.len()];
+    let mut max_cols: Vec<Vec<f64>> = seeds
+        .iter()
+        .map(|&s| {
+            weight.similarity_row(input, s, &boxes, &mut row);
+            row.clone()
+        })
+        .collect();
+
+    // Phase 2 steps 2-5: round-robin expansion.
+    let mut tree = 0usize; // K
+    loop {
+        // Find y minimizing MAX_y(tree) and take it out of every column.
+        let best = first_min(&max_cols[tree]);
+        let y = unassigned.swap_remove(best);
+        disks[y] = tree as u32;
+        boxes.swap_remove(best);
+        for col in &mut max_cols {
+            col.swap_remove(best);
+        }
+        if unassigned.is_empty() {
+            break;
+        }
+
+        // Update MAX_x(tree) for the remaining vertices.
+        row.truncate(unassigned.len());
+        weight.similarity_row(input, y, &boxes, &mut row);
+        for (slot, &c) in max_cols[tree].iter_mut().zip(&row) {
+            if c > *slot {
+                *slot = c;
+            }
+        }
+        tree = (tree + 1) % m;
+    }
+
+    Assignment::new(input, m, disks)
+}
+
+/// Index of the first minimum of a non-empty `MAX` column (`min_by` keeps
+/// the first of equal elements).
+fn first_min(col: &[f64]) -> usize {
+    let (best, _) = col
+        .iter()
+        .enumerate()
+        .min_by(|(_, a), (_, b)| a.partial_cmp(b).expect("similarities are never NaN"))
+        .expect("unassigned is non-empty");
+    best
+}
+
+/// The textbook per-pair loop this module's column layout replaced, kept as
+/// the reference the differential tests hold [`minimax_assign`] to: a
+/// row-major `MAX` table, one scalar `similarity` per pair, `min_by` over
+/// `unassigned`.
+#[cfg(test)]
+pub(crate) fn minimax_assign_reference(
+    input: &DeclusterInput,
+    m: usize,
+    weight: EdgeWeight,
+    seed: u64,
+) -> Assignment {
+    let n = input.n_buckets();
+    if n == 0 || m >= n {
+        return Assignment::new(input, m, (0..n as u32).collect());
+    }
+    let mut disks = vec![u32::MAX; n];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut order: Vec<usize> = (0..n).collect();
+    order.shuffle(&mut rng);
+    let seeds = &order[..m];
+
     let mut max_tab = vec![0.0f64; n * m];
     let mut unassigned: Vec<usize> = Vec::with_capacity(n - m);
     for x in 0..n {
@@ -71,10 +167,8 @@ pub fn minimax_assign(
         disks[s] = k as u32;
     }
 
-    // Phase 2 steps 2-5: round-robin expansion.
-    let mut tree = 0usize; // K
+    let mut tree = 0usize;
     while !unassigned.is_empty() {
-        // Find y minimizing MAX_y(tree).
         let (best_idx, &y) = unassigned
             .iter()
             .enumerate()
@@ -86,8 +180,6 @@ pub fn minimax_assign(
             .expect("unassigned is non-empty");
         disks[y] = tree as u32;
         unassigned.swap_remove(best_idx);
-
-        // Update MAX_x(tree) for the remaining vertices.
         for &x in &unassigned {
             let c = weight.similarity(input, y, x);
             let slot = &mut max_tab[x * m + tree];
@@ -95,139 +187,6 @@ pub fn minimax_assign(
                 *slot = c;
             }
         }
-        tree = (tree + 1) % m;
-    }
-
-    Assignment::new(input, m, disks)
-}
-
-/// Multithreaded minimax: identical algorithm, with the `O(N)` inner
-/// operations (the `MAX` scan and the `MAX` update) data-parallel over
-/// `threads` chunks via scoped threads.
-///
-/// Tie-breaking differs from [`minimax_assign`] (candidates are scanned in
-/// bucket-position order rather than insertion order), so assignments are
-/// deterministic per seed but not bit-identical to the serial variant;
-/// quality and the balance guarantee are the same.
-pub fn minimax_assign_parallel(
-    input: &DeclusterInput,
-    m: usize,
-    weight: EdgeWeight,
-    seed: u64,
-    threads: usize,
-) -> Assignment {
-    assert!(m >= 1, "need at least one disk");
-    assert!(threads >= 1, "need at least one thread");
-    let n = input.n_buckets();
-    let mut disks = vec![u32::MAX; n];
-    if n == 0 {
-        return Assignment::new(input, m, disks);
-    }
-    if m >= n {
-        for (p, d) in disks.iter_mut().enumerate() {
-            *d = p as u32;
-        }
-        return Assignment::new(input, m, disks);
-    }
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut order: Vec<usize> = (0..n).collect();
-    order.shuffle(&mut rng);
-    let seeds = &order[..m];
-
-    // Transposed MAX table: one column per tree, full length n; `assigned`
-    // marks rows no longer in B. Full-range scans keep chunks contiguous
-    // for `chunks_mut`, at the same O(N^2) total as the serial variant.
-    let mut assigned = vec![false; n];
-    let mut tabs: Vec<Vec<f64>> = vec![vec![0.0; n]; m];
-    for (k, &s) in seeds.iter().enumerate() {
-        disks[s] = k as u32;
-        assigned[s] = true;
-    }
-    let chunk = n.div_ceil(threads).max(1);
-    std::thread::scope(|scope| {
-        for (k, tab) in tabs.iter_mut().enumerate() {
-            let s = seeds[k];
-            for (mut start, slice) in tab
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(i, c)| (i * chunk, c))
-            {
-                let assigned = &assigned;
-                scope.spawn(move || {
-                    for v in slice.iter_mut() {
-                        if !assigned[start] {
-                            *v = weight.similarity(input, start, s);
-                        }
-                        start += 1;
-                    }
-                });
-            }
-        }
-    });
-
-    let mut remaining = n - m;
-    let mut tree = 0usize;
-    while remaining > 0 {
-        // Parallel arg-min over unassigned rows of tabs[tree].
-        let tab = &tabs[tree];
-        let mut best: Vec<(usize, f64)> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for t in 0..threads {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(n);
-                if lo >= hi {
-                    break;
-                }
-                let assigned = &assigned;
-                handles.push(scope.spawn(move || {
-                    let mut arg = usize::MAX;
-                    let mut val = f64::INFINITY;
-                    for x in lo..hi {
-                        if !assigned[x] && tab[x] < val {
-                            val = tab[x];
-                            arg = x;
-                        }
-                    }
-                    (arg, val)
-                }));
-            }
-            for h in handles {
-                best.push(h.join().expect("worker thread panicked"));
-            }
-        });
-        let (y, _) = best
-            .into_iter()
-            .filter(|&(arg, _)| arg != usize::MAX)
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN").then(a.0.cmp(&b.0)))
-            .expect("some bucket remains");
-        disks[y] = tree as u32;
-        assigned[y] = true;
-        remaining -= 1;
-
-        // Parallel MAX update for the tree that just grew.
-        let tab = &mut tabs[tree];
-        std::thread::scope(|scope| {
-            for (mut start, slice) in tab
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(i, c)| (i * chunk, c))
-            {
-                let assigned = &assigned;
-                scope.spawn(move || {
-                    for v in slice.iter_mut() {
-                        if !assigned[start] {
-                            let c = weight.similarity(input, y, start);
-                            if c > *v {
-                                *v = c;
-                            }
-                        }
-                        start += 1;
-                    }
-                });
-            }
-        });
         tree = (tree + 1) % m;
     }
     Assignment::new(input, m, disks)
@@ -323,57 +282,5 @@ mod tests {
         let input = grid_instance(6, 6);
         let a = minimax_assign(&input, 4, EdgeWeight::EuclideanCenter, 3);
         assert!(a.is_perfectly_balanced());
-    }
-
-    #[test]
-    fn parallel_variant_is_balanced_and_deterministic() {
-        let input = grid_instance(10, 10);
-        for threads in [1usize, 2, 4, 7] {
-            let a = minimax_assign_parallel(&input, 8, EdgeWeight::Proximity, 5, threads);
-            assert!(a.is_perfectly_balanced(), "threads={threads}");
-            // Same result regardless of thread count (scan-order selection).
-            let b = minimax_assign_parallel(&input, 8, EdgeWeight::Proximity, 5, 3);
-            assert_eq!(a.disks(), b.disks(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_variant_quality_matches_serial() {
-        // Not bit-identical (different tie-breaking) but the same quality
-        // class: count adjacent same-disk pairs for both.
-        let w = 12u32;
-        let input = grid_instance(w, w);
-        let count_adjacent_same = |a: &Assignment| {
-            let idx = |x: u32, y: u32| (x * w + y) as usize;
-            let mut same = 0;
-            for x in 0..w {
-                for y in 0..w {
-                    if x + 1 < w && a.disk_at(idx(x, y)) == a.disk_at(idx(x + 1, y)) {
-                        same += 1;
-                    }
-                    if y + 1 < w && a.disk_at(idx(x, y)) == a.disk_at(idx(x, y + 1)) {
-                        same += 1;
-                    }
-                }
-            }
-            same
-        };
-        let serial = minimax_assign(&input, 8, EdgeWeight::Proximity, 7);
-        let parallel = minimax_assign_parallel(&input, 8, EdgeWeight::Proximity, 7, 4);
-        let s = count_adjacent_same(&serial);
-        let p = count_adjacent_same(&parallel);
-        assert!(p <= s + 6, "parallel {p} much worse than serial {s}");
-    }
-
-    #[test]
-    fn parallel_degenerate_cases() {
-        let input = grid_instance(2, 2);
-        let a = minimax_assign_parallel(&input, 1, EdgeWeight::Proximity, 0, 4);
-        assert!(a.disks().iter().all(|&d| d == 0));
-        let a = minimax_assign_parallel(&input, 16, EdgeWeight::Proximity, 0, 4);
-        let mut seen = a.disks().to_vec();
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len(), 4);
     }
 }

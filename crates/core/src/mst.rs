@@ -13,7 +13,7 @@
 
 use crate::assignment::Assignment;
 use crate::input::DeclusterInput;
-use crate::weights::EdgeWeight;
+use crate::weights::{BoxColumns, EdgeWeight};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -44,6 +44,55 @@ pub fn mst_assign(input: &DeclusterInput, m: usize, weight: EdgeWeight, seed: u6
 /// Prim's algorithm on similarities (maximum spanning tree). Returns the
 /// parent of each vertex (root has `None`) and the insertion order.
 pub(crate) fn maximum_similarity_tree(
+    input: &DeclusterInput,
+    weight: EdgeWeight,
+    seed: u64,
+) -> (Vec<Option<usize>>, Vec<usize>) {
+    let n = input.n_buckets();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let root = rng.random_range(0..n);
+
+    let mut parent: Vec<Option<usize>> = vec![None; n];
+    let mut best_sim = vec![0.0f64; n];
+    let mut best_link = vec![root; n];
+    let mut in_tree = vec![false; n];
+    let mut order = Vec::with_capacity(n);
+
+    // Rows run over the full bucket set in position order; `in_tree` masks
+    // the entries of vertices already taken (the root's own slot included).
+    let boxes = BoxColumns::from_input(input, 0..n);
+    let mut row = vec![0.0f64; n];
+
+    in_tree[root] = true;
+    order.push(root);
+    weight.similarity_row(input, root, &boxes, &mut best_sim);
+    for _ in 1..n {
+        let v = (0..n)
+            .filter(|&x| !in_tree[x])
+            .max_by(|&a, &b| {
+                best_sim[a]
+                    .partial_cmp(&best_sim[b])
+                    .expect("similarities are never NaN")
+            })
+            .expect("some vertex remains");
+        in_tree[v] = true;
+        parent[v] = Some(best_link[v]);
+        order.push(v);
+        weight.similarity_row(input, v, &boxes, &mut row);
+        for x in 0..n {
+            if !in_tree[x] && row[x] > best_sim[x] {
+                best_sim[x] = row[x];
+                best_link[x] = v;
+            }
+        }
+    }
+    (parent, order)
+}
+
+/// The per-pair Prim loop [`maximum_similarity_tree`] replaced, kept as the
+/// reference the differential tests hold it to.
+#[cfg(test)]
+pub(crate) fn maximum_similarity_tree_reference(
     input: &DeclusterInput,
     weight: EdgeWeight,
     seed: u64,

@@ -10,10 +10,15 @@
 //! heuristic: start from a random bucket and repeatedly extend the path with
 //! the unvisited bucket most similar to the current endpoint — `O(N^2)`
 //! similarity evaluations, the same complexity class the paper quotes.
+//! Each step weighs the endpoint against every unvisited bucket with one
+//! [`EdgeWeight::similarity_row`] over the unvisited buckets' [`BoxColumns`],
+//! kept in `remaining` order. Among equally similar candidates the **last**
+//! one in `remaining` order wins (`Iterator::max_by`); the path, and so the
+//! assignment, depends on it wherever similarities tie.
 
 use crate::assignment::Assignment;
 use crate::input::DeclusterInput;
-use crate::weights::EdgeWeight;
+use crate::weights::{BoxColumns, EdgeWeight};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -34,6 +39,39 @@ pub fn ssp_assign(input: &DeclusterInput, m: usize, weight: EdgeWeight, seed: u6
 
 /// Greedy nearest-neighbor path over the bucket graph.
 pub(crate) fn short_spanning_path(
+    input: &DeclusterInput,
+    weight: EdgeWeight,
+    seed: u64,
+) -> Vec<usize> {
+    let n = input.n_buckets();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut path = Vec::with_capacity(n);
+    let mut remaining: Vec<usize> = (0..n).collect();
+    let mut boxes = BoxColumns::from_input(input, 0..n);
+    let mut row = vec![0.0f64; n];
+    let mut next = rng.random_range(0..n);
+    loop {
+        let cur = remaining.swap_remove(next);
+        boxes.swap_remove(next);
+        path.push(cur);
+        if remaining.is_empty() {
+            break;
+        }
+        row.truncate(remaining.len());
+        weight.similarity_row(input, cur, &boxes, &mut row);
+        (next, _) = row
+            .iter()
+            .enumerate()
+            .max_by(|(_, a), (_, b)| a.partial_cmp(b).expect("similarities are never NaN"))
+            .expect("remaining is non-empty");
+    }
+    path
+}
+
+/// The per-pair loop [`short_spanning_path`] replaced, kept as the reference
+/// the differential tests hold it to.
+#[cfg(test)]
+pub(crate) fn short_spanning_path_reference(
     input: &DeclusterInput,
     weight: EdgeWeight,
     seed: u64,

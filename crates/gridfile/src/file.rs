@@ -302,30 +302,39 @@ impl GridFile {
 
     /// Inserts a record, splitting buckets as needed.
     pub fn insert(&mut self, rec: Record) {
-        let _ = self.insert_tracked(rec);
+        self.insert_into_bucket(rec, &mut Vec::new());
     }
 
     /// Inserts a record and reports which buckets the insert rewrote or
     /// created — the delta an external materialization of the buckets (the
     /// parallel engine's block stores) must apply.
     pub fn insert_tracked(&mut self, rec: Record) -> MutationEffect {
+        let mut effect = MutationEffect::default();
+        let target = self.insert_into_bucket(rec, &mut effect.created);
+        effect.rewritten.push(target);
+        effect.normalize();
+        effect
+    }
+
+    /// The one insert path: places the record, splits while over capacity,
+    /// appends the split-off buckets to `created` and returns the bucket the
+    /// record was first placed in. The untracked entry hands in an empty
+    /// vector, which allocates only on the rare insert that splits.
+    fn insert_into_bucket(&mut self, rec: Record, created: &mut Vec<BucketId>) -> BucketId {
         assert_eq!(
             rec.point.dim(),
             self.dim(),
             "record dimensionality mismatch"
         );
-        let mut effect = MutationEffect::default();
         let mut cell = [0u32; MAX_DIM];
         self.cell_of_point(&rec.point, &mut cell[..self.dim()]);
         let bid = self.dir.bucket_at(&cell[..self.dim()]);
         self.buckets[bid as usize].records.push(rec);
         self.n_records += 1;
-        effect.rewritten.push(bid);
         if self.buckets[bid as usize].records.len() > self.capacity {
-            self.enforce_capacity(bid, &mut effect);
+            self.enforce_capacity(bid, created);
         }
-        effect.normalize();
-        effect
+        bid
     }
 
     /// The live bucket whose region contains `p` (clamped into the domain).
@@ -569,13 +578,13 @@ impl GridFile {
     }
 
     /// Splits buckets until none (reachable from `start`) exceeds capacity.
-    fn enforce_capacity(&mut self, start: BucketId, effect: &mut MutationEffect) {
+    fn enforce_capacity(&mut self, start: BucketId, created: &mut Vec<BucketId>) {
         let mut work = vec![start];
         while let Some(b) = work.pop() {
             while self.buckets[b as usize].records.len() > self.capacity {
                 match self.split_once(b) {
                     Some(nb) => {
-                        effect.created.push(nb);
+                        created.push(nb);
                         if self.buckets[nb as usize].records.len() > self.capacity {
                             work.push(nb);
                         }
@@ -601,6 +610,7 @@ impl GridFile {
         debug_assert!(!region.is_single_cell());
         // Widest axis (in cells); ties broken by larger spatial extent so
         // splits stay roughly square.
+        let rect = self.region_rect(&region);
         let mut best_k = 0;
         let mut best = (0u32, 0.0f64);
         for k in 0..self.dim() {
@@ -608,7 +618,6 @@ impl GridFile {
             if span < 2 {
                 continue;
             }
-            let rect = self.region_rect(&region);
             let extent = rect.side(k) / self.config.domain.side(k);
             if span > best.0 || (span == best.0 && extent > best.1) {
                 best = (span, extent);
@@ -1010,6 +1019,61 @@ mod tests {
         );
         assert!(e.freed.is_empty());
         gf.check_invariants();
+    }
+
+    #[test]
+    fn untracked_and_tracked_inserts_build_the_same_file() {
+        // `insert` (what `bulk_load` runs) keeps no effect; `insert_tracked`
+        // does. Both go through one body, so the files must agree bucket for
+        // bucket, and each effect must be exactly what the insert did: the
+        // bucket the record landed in rewritten, the ids that came alive
+        // created (sorted), nothing freed.
+        let mut x = 7u64;
+        let recs: Vec<Record> = (0..800u64)
+            .map(|i| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                // A squared marginal: skew, so multi-cell buckets form and
+                // both split paths (region and scale refinement) run.
+                let a = ((x >> 16) % 10000) as f64 / 10000.0;
+                let b = ((x >> 40) % 10000) as f64 / 10000.0;
+                rec2(i, a * a * 100.0, b * 100.0)
+            })
+            .collect();
+        let plain = GridFile::bulk_load(cfg2(4), recs.iter().copied());
+        let mut tracked = GridFile::new(cfg2(4));
+        let mut saw_split = false;
+        for r in &recs {
+            let alive_before: Vec<BucketId> = tracked.live_buckets().map(|(id, ..)| id).collect();
+            let target = tracked.bucket_of_point(&r.point);
+            let e = tracked.insert_tracked(*r);
+            let born: Vec<BucketId> = tracked
+                .live_buckets()
+                .map(|(id, ..)| id)
+                .filter(|id| !alive_before.contains(id))
+                .collect();
+            assert_eq!(e.rewritten, vec![target], "record {}", r.id);
+            assert_eq!(e.created, born, "record {}", r.id);
+            assert!(e.freed.is_empty(), "record {}", r.id);
+            saw_split |= !born.is_empty();
+        }
+        assert!(saw_split);
+        assert_eq!(plain.cells_per_dim(), tracked.cells_per_dim());
+        assert!(plain.live_buckets().eq(tracked.live_buckets()));
+        for (id, ..) in plain.live_buckets() {
+            assert_eq!(
+                plain.bucket_rect(id),
+                tracked.bucket_rect(id),
+                "bucket {id}"
+            );
+            assert_eq!(
+                plain.bucket_records(id),
+                tracked.bucket_records(id),
+                "bucket {id}"
+            );
+        }
+        plain.check_invariants();
     }
 
     #[test]
