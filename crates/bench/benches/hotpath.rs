@@ -2,23 +2,20 @@
 //!
 //! Every benchmark here is named in the repo-root trajectory file and
 //! guarded by the CI `bench-smoke` job (`benchgate` fails the build on
-//! any regression past 10% of the committed baseline). Three of the
-//! groups are before/after pairs around this PR's hot-path work, kept
-//! so the win stays visible and regressions stay loud:
+//! any regression past 10% of the committed baseline). Two of the groups
+//! are before/after pairs, kept so the difference stays visible and
+//! regressions stay loud:
 //!
-//! * `dispatch/ring` vs `dispatch/channel` — a 256-message burst through
-//!   the worker transport: the sharded
-//!   [`pargrid_parallel::RequestRing`] vs the legacy channel
-//!   ([`DispatchMode::Channel`]).
 //! * `frame_encode/zero_copy` vs `frame_encode/copy` — response framing
 //!   via [`pargrid_net::FrameBuilder`] (payload serialized straight into
 //!   the frame buffer) vs the encode-then-copy path.
 //! * `store_read/pooled` vs `store_read/alloc` — file-backed block reads
 //!   through the recycled buffer pool vs an owned `Vec` per read.
 //!
-//! Plus the end-to-end view of the transport A/B (`query_e2e/ring` vs
-//! `query_e2e/channel`) and the single-sided trajectory points:
-//! `elevator/read_batch` (worker disk-batch throughput),
+//! The rest are single-sided trajectory points: the coordinator → worker
+//! transport, alone (`dispatch/channel`, a 256-message burst) and under a
+//! whole query (`query_e2e/channel`), `elevator/read_batch` (worker
+//! disk-batch throughput),
 //! `frame_decode/records`, `bulk_load/grid_file`, `page_scan/fused` (the
 //! worker's verify→filter scan of one block), the checksum kernel under
 //! every block read and frame, `crc32/4k` (one block) and `crc32/256k` (one
@@ -37,7 +34,7 @@
 //!     cargo bench -p pargrid-bench --bench hotpath
 //! ```
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use crossbeam::channel::unbounded;
 use pargrid_core::{ConflictPolicy, DeclusterInput, DeclusterMethod, EdgeWeight, IndexScheme};
 use pargrid_datagen::dsmc3d_sized;
@@ -47,50 +44,20 @@ use pargrid_gridfile::{crc32, Record};
 use pargrid_net::frame::encode_frame;
 use pargrid_net::{read_frame, RecordsReply, Response};
 use pargrid_parallel::merge::merge_by_id;
-use pargrid_parallel::{
-    BlockStore, DiskModel, DiskParams, DispatchMode, EngineConfig, ParallelGridFile, RequestRing,
-};
+use pargrid_parallel::{BlockStore, DiskModel, DiskParams, EngineConfig, ParallelGridFile};
 use pargrid_sim::QueryWorkload;
 use std::hint::black_box;
 use std::sync::{mpsc, Arc};
 
-/// The coordinator→worker dispatch hop itself: a 256-message burst pushed
-/// into the worker's transport while a consumer thread drains it, acking
-/// each completed burst. This is where the ring's lock-free publication
-/// shows — the channel takes a mutex per send (and contends with the
-/// draining consumer), the ring publishes with a CAS + release store and
-/// only pays a wake when the consumer actually parked.
+/// The coordinator→worker dispatch hop itself: a 256-message burst sent
+/// into the worker's channel while a consumer thread drains it, acking
+/// each completed burst.
 fn bench_dispatch(c: &mut Criterion) {
     const BURST: u64 = 256;
 
     let mut group = c.benchmark_group("dispatch");
     group.sample_size(300);
     group.throughput(Throughput::Elements(BURST));
-
-    group.bench_function("ring", |b| {
-        let ring: Arc<RequestRing<u64>> = Arc::new(RequestRing::with_capacity(1024));
-        let (ack_tx, ack_rx) = mpsc::channel::<()>();
-        let consumer = {
-            let ring = Arc::clone(&ring);
-            std::thread::spawn(move || {
-                let mut n = 0u64;
-                while let Some(v) = ring.recv() {
-                    n += v;
-                    if n.is_multiple_of(BURST) && ack_tx.send(()).is_err() {
-                        break;
-                    }
-                }
-            })
-        };
-        b.iter(|| {
-            for _ in 0..BURST {
-                ring.push(1u64).expect("ring open");
-            }
-            ack_rx.recv().expect("burst ack")
-        });
-        ring.close();
-        consumer.join().expect("consumer exits");
-    });
 
     group.bench_function("channel", |b| {
         let (tx, rx) = unbounded::<u64>();
@@ -116,9 +83,9 @@ fn bench_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-/// End-to-end query latency through the full engine, ring vs channel
-/// transport, on a small fully cached file: the trajectory view of the
-/// same A/B, with worker scheduling and reply collection included.
+/// End-to-end query latency through the full engine on a small fully
+/// cached file: the dispatch hop with worker scheduling and reply
+/// collection included.
 fn bench_query_e2e(c: &mut Criterion) {
     let ds = dsmc3d_sized(42, 1_000);
     let gf = Arc::new(ds.build_grid_file());
@@ -129,25 +96,16 @@ fn bench_query_e2e(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("query_e2e");
     group.sample_size(400);
-    for (label, mode) in [
-        ("ring", DispatchMode::Ring),
-        ("channel", DispatchMode::Channel),
-    ] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &workload, |b, w| {
-            let engine = ParallelGridFile::build(
-                Arc::clone(&gf),
-                &assignment,
-                EngineConfig::default().with_dispatch(mode),
-            );
-            let mut session = engine.session();
-            let mut i = 0usize;
-            b.iter(|| {
-                let q = &w.queries[i % w.queries.len()];
-                i += 1;
-                black_box(session.query(q))
-            })
-        });
-    }
+    group.bench_function("channel", |b| {
+        let engine = ParallelGridFile::build(Arc::clone(&gf), &assignment, EngineConfig::default());
+        let mut session = engine.session();
+        let mut i = 0usize;
+        b.iter(|| {
+            let q = &workload.queries[i % workload.queries.len()];
+            i += 1;
+            black_box(session.query(q))
+        })
+    });
     group.finish();
 }
 

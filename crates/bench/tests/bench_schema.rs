@@ -1,7 +1,6 @@
 //! Schema validation for the committed `BENCH_hotpath.json` trajectory
-//! file (satellite of the hot-path PR): the file the CI `bench-smoke` job
-//! gates against must stay parseable, complete, and must keep recording a
-//! ring-beats-channel dispatch win.
+//! file: the file the CI `bench-smoke` job gates against must stay
+//! parseable and complete.
 
 use pargrid_obs::json::{parse, Json};
 use std::collections::BTreeMap;
@@ -9,9 +8,7 @@ use std::path::PathBuf;
 
 /// Every benchmark the pinned suite (`benches/hotpath.rs`) must pin.
 const REQUIRED: &[&str] = &[
-    "dispatch/ring",
     "dispatch/channel",
-    "query_e2e/ring",
     "query_e2e/channel",
     "elevator/read_batch",
     "frame_encode/zero_copy",
@@ -99,15 +96,4 @@ fn trajectory_file_matches_schema_and_names_every_pinned_benchmark() {
             "missing pinned benchmark {name}"
         );
     }
-}
-
-#[test]
-fn committed_trajectory_records_ring_beating_channel_on_p50() {
-    let benches = load();
-    let ring = benches["dispatch/ring"].1;
-    let channel = benches["dispatch/channel"].1;
-    assert!(
-        ring < channel,
-        "dispatch/ring p50 ({ring} ns) must beat dispatch/channel p50 ({channel} ns)"
-    );
 }

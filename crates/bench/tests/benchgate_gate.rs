@@ -68,7 +68,7 @@ fn missing_baseline_seeds_from_candidate() {
     let dir = scratch("missing");
     let baseline = dir.join("baseline.json");
     let candidate = dir.join("candidate.json");
-    std::fs::write(&candidate, doc(&[("dispatch/ring", 100.0)])).unwrap();
+    std::fs::write(&candidate, doc(&[("dispatch/channel", 100.0)])).unwrap();
     let out = run_gate(&baseline, &candidate);
     assert_seeded(&dir, &out);
 
@@ -87,7 +87,7 @@ fn zero_length_baseline_seeds_from_candidate() {
     let baseline = dir.join("baseline.json");
     let candidate = dir.join("candidate.json");
     std::fs::write(&baseline, "").unwrap();
-    std::fs::write(&candidate, doc(&[("dispatch/ring", 100.0)])).unwrap();
+    std::fs::write(&candidate, doc(&[("dispatch/channel", 100.0)])).unwrap();
     assert_seeded(&dir, &run_gate(&baseline, &candidate));
 }
 
@@ -97,7 +97,7 @@ fn empty_benchmarks_array_seeds_from_candidate() {
     let baseline = dir.join("baseline.json");
     let candidate = dir.join("candidate.json");
     std::fs::write(&baseline, doc(&[])).unwrap();
-    std::fs::write(&candidate, doc(&[("dispatch/ring", 100.0)])).unwrap();
+    std::fs::write(&candidate, doc(&[("dispatch/channel", 100.0)])).unwrap();
     assert_seeded(&dir, &run_gate(&baseline, &candidate));
 }
 
@@ -107,7 +107,7 @@ fn corrupt_baseline_is_not_overwritten() {
     let baseline = dir.join("baseline.json");
     let candidate = dir.join("candidate.json");
     std::fs::write(&baseline, "{\"schema_version\": 1, truncated garba").unwrap();
-    std::fs::write(&candidate, doc(&[("dispatch/ring", 100.0)])).unwrap();
+    std::fs::write(&candidate, doc(&[("dispatch/channel", 100.0)])).unwrap();
     let out = run_gate(&baseline, &candidate);
     assert_eq!(out.status.code(), Some(2), "corruption must exit 2");
     assert_eq!(
@@ -133,8 +133,8 @@ fn populated_baseline_still_gates_regressions() {
     let dir = scratch("regress");
     let baseline = dir.join("baseline.json");
     let candidate = dir.join("candidate.json");
-    std::fs::write(&baseline, doc(&[("dispatch/ring", 100.0)])).unwrap();
-    std::fs::write(&candidate, doc(&[("dispatch/ring", 150.0)])).unwrap();
+    std::fs::write(&baseline, doc(&[("dispatch/channel", 100.0)])).unwrap();
+    std::fs::write(&candidate, doc(&[("dispatch/channel", 150.0)])).unwrap();
     let out = run_gate(&baseline, &candidate);
     assert_eq!(out.status.code(), Some(1), "a 50% regression must fail");
 }

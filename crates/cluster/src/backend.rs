@@ -30,13 +30,12 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use pargrid_net::cluster_proto::{ClusterRequest, ClusterResponse};
 use pargrid_net::frame::{read_frame, write_frame};
 use pargrid_parallel::message::{FromWorker, QueryPriority, RawBlocks, ReadRequest, ToWorker};
-use pargrid_parallel::ring::WorkerInbox;
 use pargrid_parallel::stats::WorkerCounters;
-use pargrid_parallel::worker::WorkerState;
+use pargrid_parallel::worker::{WorkerState, DEFAULT_SEEN_SEQ_WINDOW};
 use pargrid_parallel::WorkerBackend;
 
 /// Reconnect attempts before a worker is declared dead (each with
@@ -143,7 +142,7 @@ impl WorkerBackend for RemoteBackend {
         &self,
         slot: usize,
         state: WorkerState,
-        inbox: WorkerInbox,
+        inbox: Receiver<ToWorker>,
         counters: Option<Arc<WorkerCounters>>,
     ) -> JoinHandle<()> {
         let alive = Arc::new(AtomicBool::new(true));
@@ -214,16 +213,16 @@ impl Conn {
 }
 
 impl Proxy {
-    fn run(mut self, inbox: WorkerInbox) {
+    fn run(mut self, inbox: Receiver<ToWorker>) {
         let mut conn = match self.establish_with_retry() {
             Ok(c) => c,
             Err(()) => return self.mark_dead(),
         };
         // Block on the inbox until the next heartbeat is due: a dispatch
         // wakes the proxy at once (no poll interval to wait out), an idle
-        // slot costs one wake-up per park bound instead of thousands a
-        // second, and a closed inbox — the engine is gone — ends the proxy
-        // instead of leaving it heartbeating forever.
+        // slot costs one wake-up per heartbeat instead of thousands a
+        // second, and a disconnected inbox — the engine dropped its sender
+        // — ends the proxy instead of leaving it heartbeating forever.
         let beat = Duration::from_millis(self.heartbeat_ms);
         let mut next_beat = Instant::now() + beat;
         loop {
@@ -301,7 +300,7 @@ impl Proxy {
             slot: self.slot,
             epoch: self.epoch,
             payload_bytes: self.state.payload_bytes as u32,
-            seen_seq_window: 4096,
+            seen_seq_window: DEFAULT_SEEN_SEQ_WINDOW as u32,
         };
         let held = match conn.round_trip(&join)? {
             ClusterResponse::Welcome { blocks_held, .. } => blocks_held as usize,
@@ -478,27 +477,19 @@ mod tests {
     use super::*;
     use crate::{WorkerConfig, WorkerServer};
     use pargrid_parallel::disk::DiskParams;
-    use pargrid_parallel::ring::RequestRing;
 
-    /// A proxy whose engine vanished (inbox closed, nothing queued, no
-    /// `Shutdown` ever sent) must end, not heartbeat forever. Both
-    /// transports: dropped channel sender, closed ring.
+    /// A proxy whose engine vanished (every sender dropped, nothing
+    /// queued, no `Shutdown` ever sent) must end, not heartbeat forever.
     #[test]
     fn proxy_exits_when_its_inbox_closes() {
         let mut worker =
             WorkerServer::start("127.0.0.1:0", WorkerConfig::default()).expect("start");
         let backend = RemoteBackend::new(vec![worker.local_addr().to_string()], 1);
-        let state = || WorkerState::new(0, 0, DiskParams::default());
-
+        let state = WorkerState::new(0, 0, DiskParams::default());
         let (tx, rx) = crossbeam::channel::unbounded::<ToWorker>();
-        let over_channel = backend.spawn_worker(0, state(), WorkerInbox::from(rx), None);
+        let proxy = backend.spawn_worker(0, state, rx, None);
         drop(tx);
-        over_channel.join().expect("proxy over a channel joins");
-
-        let ring = Arc::new(RequestRing::new());
-        let over_ring = backend.spawn_worker(1, state(), WorkerInbox::from(ring.clone()), None);
-        ring.close();
-        over_ring.join().expect("proxy over a ring joins");
+        proxy.join().expect("proxy joins");
         worker.shutdown();
     }
 }

@@ -2,25 +2,25 @@
 //! into a running service loop.
 //!
 //! The engine builds one `WorkerState` per slot (store loaded, disks
-//! modeled, faults armed) and one transport pair per slot (ring or
-//! channel), then asks a [`WorkerBackend`] to put a service loop behind
-//! the inbox. The default [`InProcessBackend`] spawns the PR 1 worker
-//! thread — the single-node fast path, unchanged. A remote backend (see
-//! the `pargrid-cluster` crate) instead spawns a *proxy* thread that
-//! forwards each [`crate::message::ToWorker`] over a TCP connection to a
-//! worker process and feeds the wire replies back into the engine's reply
-//! channels.
+//! modeled, faults armed) and one channel per slot, then asks a
+//! [`WorkerBackend`] to put a service loop behind the channel's receiving
+//! end. The default [`InProcessBackend`] spawns the worker thread — the
+//! single-node fast path. A remote backend (see the `pargrid-cluster`
+//! crate) instead spawns a *proxy* thread that forwards each
+//! [`crate::message::ToWorker`] over a TCP connection to a worker process
+//! and feeds the wire replies back into the engine's reply channels.
 //!
-//! Everything above the inbox — sequence numbers, retransmit/backoff,
+//! Everything above the channel — sequence numbers, retransmit/backoff,
 //! reply matching, dead-flag failure detection, replica failover, hedged
 //! reads — is transport-agnostic and works identically over both
 //! backends, which is the point: the coordinator's fault machinery was
 //! built for lost messages and dead workers, and a TCP worker is just a
 //! worker whose messages can actually be lost.
 
-use crate::ring::WorkerInbox;
+use crate::message::ToWorker;
 use crate::stats::WorkerCounters;
 use crate::worker::{run_worker, WorkerState};
+use crossbeam::channel::Receiver;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -29,7 +29,8 @@ use std::thread::JoinHandle;
 /// Implementations receive the slot's fully-loaded [`WorkerState`] (the
 /// in-process backend runs it directly; a remote backend uses its store as
 /// the upload source for the worker process) and must consume `inbox`
-/// until it closes or a [`crate::message::ToWorker::Shutdown`] arrives.
+/// until every sender is gone or a [`ToWorker::Shutdown`] arrives, then
+/// drop it: the engine's sends start failing exactly then, and fail over.
 /// A backend that detects its worker is gone must set `counters.dead` so
 /// the engine's failure detection and replica failover engage — the same
 /// contract the in-process fail-stop path honors.
@@ -39,15 +40,14 @@ pub trait WorkerBackend: Send + Sync + std::fmt::Debug {
         &self,
         slot: usize,
         state: WorkerState,
-        inbox: WorkerInbox,
+        inbox: Receiver<ToWorker>,
         counters: Option<Arc<WorkerCounters>>,
     ) -> JoinHandle<()>;
 }
 
 /// The default backend: one OS thread per worker running
-/// [`WorkerState::run`] in this process. This is the PR 1–8 engine,
-/// byte-for-byte — the A/B baseline every remote deployment is measured
-/// against.
+/// [`WorkerState::run`] in this process — the baseline every remote
+/// deployment is measured against.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct InProcessBackend;
 
@@ -56,7 +56,7 @@ impl WorkerBackend for InProcessBackend {
         &self,
         _slot: usize,
         state: WorkerState,
-        inbox: WorkerInbox,
+        inbox: Receiver<ToWorker>,
         counters: Option<Arc<WorkerCounters>>,
     ) -> JoinHandle<()> {
         run_worker(state, inbox, counters)
@@ -67,15 +67,18 @@ impl WorkerBackend for InProcessBackend {
 mod tests {
     use super::*;
     use crate::disk::DiskParams;
-    use crate::message::ToWorker;
-    use crate::ring::RequestRing;
+    use crossbeam::channel::unbounded;
 
     #[test]
     fn in_process_backend_spawns_a_joinable_worker() {
         let state = WorkerState::new(0, 0, DiskParams::default());
-        let ring = Arc::new(RequestRing::new());
-        let handle = InProcessBackend.spawn_worker(0, state, WorkerInbox::from(ring.clone()), None);
-        ring.push(ToWorker::Shutdown).expect("push shutdown");
+        let (tx, rx) = unbounded();
+        let handle = InProcessBackend.spawn_worker(0, state, rx, None);
+        tx.send(ToWorker::Shutdown).expect("send shutdown");
         handle.join().expect("worker joins");
+        // The exited loop dropped its receiver: later sends bounce with
+        // the message, which is what the engine's fail-over keys on.
+        let bounced = tx.send(ToWorker::Shutdown).expect_err("receiver dropped");
+        assert!(matches!(bounced.0, ToWorker::Shutdown));
     }
 }

@@ -46,11 +46,10 @@
 //! deadline ([`LatencyConfig::deadline_us`]) bounds how long any of this is
 //! allowed to take before the query is answered explicitly incomplete.
 //!
-//! Coordinator → worker dispatch defaults to one lock-free
-//! [`RequestRing`](crate::ring::RequestRing) per worker; the original
-//! channel transport remains selectable via
-//! [`EngineConfig::with_dispatch`]`(`[`DispatchMode::Channel`]`)` so the two
-//! paths stay A/B-benchmarkable (`benches/hotpath.rs`).
+//! Coordinator → worker dispatch rides one unbounded channel per worker. A
+//! send to a worker whose loop has exited bounces back as `SendError(msg)`;
+//! the requests it carried fail over to their other copy at once, through
+//! the same fail-over a reply timeout takes.
 //!
 //! Virtual elapsed time of a query = slowest worker's (disk + CPU) time plus
 //! communication time; communication = one broadcast latency plus each
@@ -63,10 +62,9 @@ use crate::error::EngineError;
 use crate::fault::FaultPlan;
 use crate::merge::merge_by_id;
 use crate::message::{FromWorker, QueryPriority, ReadRequest, ToWorker};
-use crate::ring::{DispatchError, DispatchMode, RequestRing, WorkerOutbox};
 use crate::stats::{EngineStats, SharedStats};
 use crate::worker::WorkerState;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, SendError, Sender};
 use pargrid_core::{
     place_fresh_bucket, place_fresh_replica, Assignment, DeclusterInput, ReplicatedAssignment,
 };
@@ -88,6 +86,12 @@ use std::time::Duration;
 /// Default for [`ResilienceConfig::max_timeout_strikes`]: with the default
 /// 200 ms poll timeout, ten seconds of total silence.
 const DEFAULT_MAX_TIMEOUT_STRIKES: u32 = 50;
+
+/// Bound on retransmits per outstanding request — the lost-message
+/// defense. A request whose reply is still missing after a backed-off
+/// number of timeout polls (1, then 2, then 4, ...) is redelivered with the
+/// same sequence number (the worker dedups), up to this many times.
+const MAX_RETRANSMITS: u32 = 3;
 
 /// Service-time samples required before hedging decisions trust the p95.
 #[cfg(feature = "obs")]
@@ -111,10 +115,9 @@ impl Default for NetParams {
     }
 }
 
-/// Fault-survival policy: injected faults, the reply-timeout poll, strike
-/// limits, retransmit bounds, and the worker dedup window. Grouped out of
-/// [`EngineConfig`] so the seven knobs that only matter under failure share
-/// one sub-config (`config.resilience`).
+/// Fault-survival policy: injected faults, the reply-timeout poll and the
+/// strike limit. Grouped out of [`EngineConfig`] so the knobs that only
+/// matter under failure share one sub-config (`config.resilience`).
 #[derive(Clone, Debug)]
 pub struct ResilienceConfig {
     /// Injected worker faults (none by default); see [`FaultPlan`].
@@ -129,18 +132,6 @@ pub struct ResilienceConfig {
     /// worker is declared dead even if it never published a dead flag (a
     /// thread that panicked, not an injected fail-stop). Default 50.
     pub max_timeout_strikes: u32,
-    /// Bound on retransmits per outstanding request — the lost-message
-    /// defense. A request whose reply is still missing after a backed-off
-    /// number of timeout polls (1, then 2, then 4, ...) is redelivered with
-    /// the same sequence number (the worker dedups), up to this many times.
-    pub max_retransmits: u32,
-    /// How many serviced dispatch seqs each worker remembers for
-    /// retransmit dedup. Size it to at least the engine's in-flight request
-    /// depth (a server fronting many connections may want more); a seq
-    /// evicted from the window could in principle be re-serviced if its
-    /// retransmit arrived extremely late. Default
-    /// [`crate::worker::DEFAULT_SEEN_SEQ_WINDOW`] (4096).
-    pub seen_seq_window: usize,
 }
 
 impl Default for ResilienceConfig {
@@ -149,8 +140,6 @@ impl Default for ResilienceConfig {
             faults: FaultPlan::default(),
             fail_timeout_ms: 200,
             max_timeout_strikes: DEFAULT_MAX_TIMEOUT_STRIKES,
-            max_retransmits: 3,
-            seen_seq_window: crate::worker::DEFAULT_SEEN_SEQ_WINDOW,
         }
     }
 }
@@ -171,18 +160,6 @@ impl ResilienceConfig {
     /// Sets the silent-worker force-declare strike limit (clamped to >= 1).
     pub fn with_max_timeout_strikes(mut self, strikes: u32) -> Self {
         self.max_timeout_strikes = strikes.max(1);
-        self
-    }
-
-    /// Sets the per-request retransmit bound.
-    pub fn with_max_retransmits(mut self, max: u32) -> Self {
-        self.max_retransmits = max;
-        self
-    }
-
-    /// Sets the per-worker retransmit-dedup window size (clamped to >= 1).
-    pub fn with_seen_seq_window(mut self, window: usize) -> Self {
-        self.seen_seq_window = window.max(1);
         self
     }
 }
@@ -245,11 +222,7 @@ impl ObsConfig {
 }
 
 /// Engine configuration: the hardware model (disk, net, store layout), the
-/// dispatch transport, and three grouped policy sub-configs.
-///
-/// The pre-redesign flat `with_*` knobs survive as `#[deprecated]` shims
-/// that delegate into the groups; migrate with the mapping in the README
-/// ("Configuration migration").
+/// worker backend, and three grouped policy sub-configs.
 #[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
     /// Disk model parameters (per worker).
@@ -264,10 +237,6 @@ pub struct EngineConfig {
     /// Disks per worker (0 is treated as 1). The paper's SP-2 had seven
     /// disks per processor; its simulation study assumes one.
     pub disks_per_worker: usize,
-    /// Coordinator → worker transport: lock-free request rings (default)
-    /// or the legacy channel path, kept A/B-benchmarkable (see
-    /// [`DispatchMode`] and `BENCH_hotpath.json`).
-    pub dispatch: DispatchMode,
     /// Extra worker slots spawned idle at build time, holding no data until
     /// a [`ParallelGridFile::rebalance`] with [`RebalanceOp::AddWorkers`]
     /// activates them. Slot indices never renumber: data workers occupy
@@ -280,7 +249,7 @@ pub struct EngineConfig {
     /// Everything above the transport — sequencing, dedup, retransmits,
     /// failure detection, replica failover — is shared between the two.
     pub backend: Option<Arc<dyn crate::backend::WorkerBackend>>,
-    /// Fault-survival policy (timeouts, strikes, retransmits, injection).
+    /// Fault-survival policy (timeouts, strikes, injection).
     pub resilience: ResilienceConfig,
     /// Tail-latency policy (deadline, hedging).
     pub latency: LatencyConfig,
@@ -308,12 +277,6 @@ impl EngineConfig {
             disks_per_worker: 7,
             ..Self::default()
         }
-    }
-
-    /// Selects the coordinator → worker dispatch transport.
-    pub fn with_dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
-        self
     }
 
     /// Spawns `k` idle standby worker slots for later elastic grows (see
@@ -364,61 +327,6 @@ impl EngineConfig {
     pub fn obs(mut self, f: impl FnOnce(ObsConfig) -> ObsConfig) -> Self {
         self.obs = f(self.obs);
         self
-    }
-
-    /// Installs an injected fault plan.
-    #[deprecated(since = "0.2.0", note = "use `.resilience(|r| r.with_faults(..))`")]
-    pub fn with_faults(self, faults: FaultPlan) -> Self {
-        self.resilience(|r| r.with_faults(faults))
-    }
-
-    /// Sets the per-query real-time deadline budget, microseconds.
-    #[deprecated(since = "0.2.0", note = "use `.latency(|l| l.with_deadline_us(..))`")]
-    pub fn with_deadline_us(self, deadline_us: u64) -> Self {
-        self.latency(|l| l.with_deadline_us(deadline_us))
-    }
-
-    /// Enables hedged reads at `threshold x p95` (see
-    /// [`LatencyConfig::hedge_threshold`]).
-    #[deprecated(since = "0.2.0", note = "use `.latency(|l| l.with_hedging(..))`")]
-    pub fn with_hedging(self, threshold: f64) -> Self {
-        self.latency(|l| l.with_hedging(threshold))
-    }
-
-    /// Sets the per-request retransmit bound.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `.resilience(|r| r.with_max_retransmits(..))`"
-    )]
-    pub fn with_max_retransmits(self, max: u32) -> Self {
-        self.resilience(|r| r.with_max_retransmits(max))
-    }
-
-    /// Sets the silent-worker force-declare strike limit (clamped to >= 1).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `.resilience(|r| r.with_max_timeout_strikes(..))`"
-    )]
-    pub fn with_max_timeout_strikes(self, strikes: u32) -> Self {
-        self.resilience(|r| r.with_max_timeout_strikes(strikes))
-    }
-
-    /// Sets the per-worker retransmit-dedup window size (clamped to >= 1).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `.resilience(|r| r.with_seen_seq_window(..))`"
-    )]
-    pub fn with_seen_seq_window(self, window: usize) -> Self {
-        self.resilience(|r| r.with_seen_seq_window(window))
-    }
-
-    /// Installs a trace recorder. Size it with
-    /// [`Recorder::new`]`(n_workers)` so every worker gets its own event
-    /// track.
-    #[cfg(feature = "obs")]
-    #[deprecated(since = "0.2.0", note = "use `.obs(|o| o.with_recorder(..))`")]
-    pub fn with_recorder(self, recorder: Arc<Recorder>) -> Self {
-        self.obs(|o| o.with_recorder(recorder))
     }
 }
 
@@ -632,8 +540,7 @@ struct Outstanding {
     strikes: u32,
     /// Strikes before the next retransmit; doubles per retransmit.
     backoff: u32,
-    /// Retransmits already spent (bounded by
-    /// [`EngineConfig::max_retransmits`]).
+    /// Retransmits already spent (bounded by [`MAX_RETRANSMITS`]).
     retransmits: u32,
     /// Present when this dispatch is a hedge: the primary's held-back
     /// answer to fall back on.
@@ -747,7 +654,9 @@ pub struct ParallelGridFile {
     domain: Rect,
     net: NetParams,
     record_bytes: usize,
-    to_workers: Vec<WorkerOutbox>,
+    /// One channel per worker slot; a send bounces once the slot's loop
+    /// has exited.
+    to_workers: Vec<Sender<ToWorker>>,
     /// Worker thread handles, drained by [`ParallelGridFile::shutdown`]
     /// (behind a mutex so shutdown works through a shared `&self` — a
     /// long-lived server holds the engine in an `Arc`).
@@ -759,7 +668,6 @@ pub struct ParallelGridFile {
     shared: Arc<SharedStats>,
     fail_timeout_ms: u64,
     max_timeout_strikes: u32,
-    max_retransmits: u32,
     deadline_us: Option<u64>,
     replicated: bool,
     #[cfg(feature = "obs")]
@@ -831,7 +739,6 @@ impl ParallelGridFile {
                     store,
                     config.disks_per_worker.max(1),
                 )
-                .with_seen_seq_window(config.resilience.seen_seq_window)
                 .with_faults(config.resilience.faults.for_worker(w))
             })
             .collect();
@@ -904,23 +811,9 @@ impl ParallelGridFile {
         let mut handles = Vec::with_capacity(n_workers);
         for (w, state) in workers.into_iter().enumerate() {
             let counters = Some(Arc::clone(&shared.workers[w]));
-            match config.dispatch {
-                DispatchMode::Channel => {
-                    let (to_tx, to_rx) = unbounded();
-                    handles.push(backend.spawn_worker(w, state, to_rx.into(), counters));
-                    to_workers.push(WorkerOutbox::Channel(to_tx));
-                }
-                _ => {
-                    let ring = Arc::new(RequestRing::new());
-                    handles.push(backend.spawn_worker(
-                        w,
-                        state,
-                        crate::ring::WorkerInbox::from(Arc::clone(&ring)),
-                        counters,
-                    ));
-                    to_workers.push(WorkerOutbox::Ring(ring));
-                }
-            }
+            let (to_tx, to_rx) = unbounded();
+            handles.push(backend.spawn_worker(w, state, to_rx, counters));
+            to_workers.push(to_tx);
         }
 
         let record_bytes = gf.config().record_bytes();
@@ -946,7 +839,6 @@ impl ParallelGridFile {
             shared,
             fail_timeout_ms: config.resilience.fail_timeout_ms,
             max_timeout_strikes: config.resilience.max_timeout_strikes.max(1),
-            max_retransmits: config.resilience.max_retransmits,
             deadline_us: config.latency.deadline_us,
             replicated: replica.is_some(),
             #[cfg(feature = "obs")]
@@ -1220,7 +1112,7 @@ impl ParallelGridFile {
             };
             match self.to_workers[w].send(ToWorker::Process(vec![request])) {
                 Ok(()) => p.awaiting.push(Outstanding::new(w, seq, bkts, blocks)),
-                Err(DispatchError(_)) => {
+                Err(SendError(_)) => {
                     // The replica died too (transport gone). Its buckets are
                     // in `retried` now, so this recursion terminates by
                     // marking them incomplete.
@@ -1228,6 +1120,82 @@ impl ParallelGridFile {
                     self.fail_over(query_id, p, w, &bkts, reply_tx, priority);
                 }
             }
+        }
+    }
+
+    /// Admits one query: hands out its id, plans it, and turns the plan
+    /// into one [`ReadRequest`] per involved worker, each already awaited
+    /// by the returned [`PendingQuery`]. The caller sends the requests (one
+    /// message each, or batched per worker) and hands any bounced message to
+    /// [`ParallelGridFile::fail_over_bounced`].
+    fn admit(
+        &self,
+        rect: &Rect,
+        round_pos: usize,
+        reply_tx: &Sender<FromWorker>,
+        priority: QueryPriority,
+    ) -> (u64, PendingQuery, Vec<(usize, ReadRequest)>) {
+        let query_id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
+        self.shared.queries.fetch_add(1, Ordering::Relaxed);
+        #[cfg(feature = "obs")]
+        self.trace_instant(SpanKind::Admit, query_id, NO_ID, round_pos as u64);
+        let (buckets, plan, incomplete) = self.plan(rect);
+        #[cfg(feature = "obs")]
+        self.trace_instant(SpanKind::Plan, query_id, NO_ID, buckets.len() as u64);
+        let mut p = PendingQuery::new(round_pos, *rect, buckets);
+        p.incomplete = incomplete;
+        let mut requests = Vec::with_capacity(plan.len());
+        for (w, read) in plan {
+            p.response_blocks = p.response_blocks.max(read.blocks.len() as u64);
+            let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+            requests.push((
+                w,
+                ReadRequest {
+                    query_id,
+                    seq,
+                    blocks: read.blocks.clone(),
+                    query: *rect,
+                    reply: reply_tx.clone(),
+                    priority,
+                },
+            ));
+            p.awaiting
+                .push(Outstanding::new(w, seq, read.buckets, read.blocks));
+        }
+        if !requests.is_empty() {
+            // One broadcast latency for the dispatch; each reply adds its
+            // own latency + transfer time as it arrives.
+            p.comm_us += self.net.latency_us;
+        }
+        (query_id, p, requests)
+    }
+
+    /// A dispatch bounced off `worker`'s channel (its loop has exited or
+    /// its thread panicked): marks the worker dead and fails every request
+    /// the message carried over to its other copy.
+    fn fail_over_bounced(
+        &self,
+        worker: usize,
+        msg: ToWorker,
+        pending: &mut HashMap<u64, PendingQuery>,
+        reply_tx: &Sender<FromWorker>,
+        priority: QueryPriority,
+    ) {
+        self.shared.workers[worker]
+            .dead
+            .store(true, Ordering::Relaxed);
+        let ToWorker::Process(reqs) = msg else {
+            return;
+        };
+        for req in reqs {
+            let Some(p) = pending.get_mut(&req.query_id) else {
+                continue;
+            };
+            let Some(pos) = p.awaiting.iter().position(|o| o.seq == req.seq) else {
+                continue;
+            };
+            let o = p.awaiting.remove(pos);
+            self.fail_over(req.query_id, p, worker, &o.buckets, reply_tx, priority);
         }
     }
 
@@ -1933,7 +1901,7 @@ impl ParallelGridFile {
                                 continue;
                             }
                             o.strikes += 1;
-                            if o.strikes < o.backoff || o.retransmits >= self.max_retransmits {
+                            if o.strikes < o.backoff || o.retransmits >= MAX_RETRANSMITS {
                                 continue;
                             }
                             o.strikes = 0;
@@ -2070,31 +2038,10 @@ impl ParallelGridFile {
                 (0..n_workers).map(|_| Vec::new()).collect();
             let mut pending: HashMap<u64, PendingQuery> = HashMap::new();
             for (round_pos, rect) in round.iter().enumerate() {
-                let query_id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
-                self.shared.queries.fetch_add(1, Ordering::Relaxed);
-                #[cfg(feature = "obs")]
-                self.trace_instant(SpanKind::Admit, query_id, NO_ID, round_pos as u64);
-                let (buckets, plan, incomplete) = self.plan(rect);
-                #[cfg(feature = "obs")]
-                self.trace_instant(SpanKind::Plan, query_id, NO_ID, buckets.len() as u64);
-                let mut p = PendingQuery::new(round_pos, *rect, buckets);
-                p.incomplete = incomplete;
-                for (w, read) in plan {
-                    p.response_blocks = p.response_blocks.max(read.blocks.len() as u64);
-                    let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-                    per_worker[w].push(ReadRequest {
-                        query_id,
-                        seq,
-                        blocks: read.blocks.clone(),
-                        query: *rect,
-                        reply: reply_tx.clone(),
-                        priority: QueryPriority::Batch,
-                    });
-                    p.awaiting
-                        .push(Outstanding::new(w, seq, read.buckets, read.blocks));
-                }
-                if !p.awaiting.is_empty() {
-                    p.comm_us += self.net.latency_us;
+                let (query_id, p, requests) =
+                    self.admit(rect, round_pos, &reply_tx, QueryPriority::Batch);
+                for (w, request) in requests {
+                    per_worker[w].push(request);
                 }
                 pending.insert(query_id, p);
             }
@@ -2113,32 +2060,8 @@ impl ParallelGridFile {
                     w as u32,
                     requests.len() as u64,
                 );
-                if let Err(DispatchError(msg)) =
-                    self.to_workers[w].send(ToWorker::Process(requests))
-                {
-                    // The worker's transport is gone (it died earlier this
-                    // round, or its thread panicked): recover the requests
-                    // from the bounced message and fail them over.
-                    self.shared.workers[w].dead.store(true, Ordering::Relaxed);
-                    if let ToWorker::Process(reqs) = msg {
-                        for req in reqs {
-                            let Some(p) = pending.get_mut(&req.query_id) else {
-                                continue;
-                            };
-                            let Some(pos) = p.awaiting.iter().position(|o| o.seq == req.seq) else {
-                                continue;
-                            };
-                            let o = p.awaiting.remove(pos);
-                            self.fail_over(
-                                req.query_id,
-                                p,
-                                w,
-                                &o.buckets,
-                                &reply_tx,
-                                QueryPriority::Batch,
-                            );
-                        }
-                    }
+                if let Err(SendError(msg)) = self.to_workers[w].send(ToWorker::Process(requests)) {
+                    self.fail_over_bounced(w, msg, &mut pending, &reply_tx, QueryPriority::Batch);
                 }
             }
 
@@ -2176,27 +2099,6 @@ impl ParallelGridFile {
         tp.makespan_us = tp.worker_busy_us.iter().copied().max().unwrap_or(0) + tp.comm_us;
         (outcomes, tp)
     }
-
-    /// Runs a workload with up to `window` queries in flight at once.
-    ///
-    /// Compatibility wrapper over
-    /// [`ParallelGridFile::run_workload_concurrent`]: returns the per-query
-    /// outcomes plus [`RunStats`] whose `elapsed_us` is the run's makespan
-    /// (busiest worker plus communication) rather than the sum of per-query
-    /// elapsed times.
-    pub fn run_workload_pipelined(
-        &self,
-        workload: &QueryWorkload,
-        window: usize,
-    ) -> (Vec<QueryOutcome>, RunStats) {
-        let (outcomes, tp) = self.run_workload_concurrent(workload, window);
-        let mut stats = RunStats::default();
-        for o in &outcomes {
-            stats.absorb(o);
-        }
-        stats.elapsed_us = tp.makespan_us;
-        (outcomes, stats)
-    }
 }
 
 /// A client's private stream of queries against a shared engine.
@@ -2223,58 +2125,23 @@ impl QuerySession<'_> {
     /// Executes one range query through the SPMD protocol.
     pub fn query(&mut self, rect: &Rect) -> QueryOutcome {
         let engine = self.engine;
-        let query_id = engine.next_query_id.fetch_add(1, Ordering::Relaxed);
-        engine.shared.queries.fetch_add(1, Ordering::Relaxed);
         #[cfg(feature = "obs")]
         let start_us = engine.recorder.as_ref().map_or(0, |r| r.now());
+        let (query_id, p, requests) = engine.admit(rect, 0, &self.reply_tx, self.priority);
         #[cfg(feature = "obs")]
-        engine.trace_instant(SpanKind::Admit, query_id, NO_ID, 0);
-        let (buckets, plan, incomplete) = engine.plan(rect);
-        #[cfg(feature = "obs")]
-        engine.trace_instant(SpanKind::Plan, query_id, NO_ID, buckets.len() as u64);
-        let mut p = PendingQuery::new(0, *rect, buckets);
-        p.incomplete = incomplete;
-
-        let mut involved = false;
-        for (w, read) in plan {
-            involved = true;
-            p.response_blocks = p.response_blocks.max(read.blocks.len() as u64);
-            let seq = engine.next_seq.fetch_add(1, Ordering::Relaxed);
-            let request = ReadRequest {
-                query_id,
-                seq,
-                blocks: read.blocks.clone(),
-                query: *rect,
-                reply: self.reply_tx.clone(),
-                priority: self.priority,
-            };
-            match engine.to_workers[w].send(ToWorker::Process(vec![request])) {
-                Ok(()) => p
-                    .awaiting
-                    .push(Outstanding::new(w, seq, read.buckets, read.blocks)),
-                Err(DispatchError(_)) => {
-                    engine.shared.workers[w].dead.store(true, Ordering::Relaxed);
-                    engine.fail_over(
-                        query_id,
-                        &mut p,
-                        w,
-                        &read.buckets,
-                        &self.reply_tx,
-                        self.priority,
-                    );
-                }
+        let involved = !requests.is_empty();
+        let mut pending = HashMap::from([(query_id, p)]);
+        for (w, request) in requests {
+            if let Err(SendError(msg)) = engine.to_workers[w].send(ToWorker::Process(vec![request]))
+            {
+                engine.fail_over_bounced(w, msg, &mut pending, &self.reply_tx, self.priority);
             }
         }
+        #[cfg(feature = "obs")]
         if involved {
-            // One broadcast latency for the dispatch; each reply adds its
-            // own latency + transfer time as it arrives.
-            p.comm_us += engine.net.latency_us;
-            #[cfg(feature = "obs")]
-            engine.trace_instant(SpanKind::Dispatch, query_id, NO_ID, p.awaiting.len() as u64);
+            let dispatched = pending[&query_id].awaiting.len() as u64;
+            engine.trace_instant(SpanKind::Dispatch, query_id, NO_ID, dispatched);
         }
-
-        let mut pending = HashMap::new();
-        pending.insert(query_id, p);
         engine.collect(&self.reply_rx, &self.reply_tx, self.priority, &mut pending);
         let p = pending.remove(&query_id).expect("query still pending");
 
@@ -2290,9 +2157,9 @@ impl QuerySession<'_> {
     /// the query incomplete.
     ///
     /// "Closed" covers both orderings: the engine was already shut down
-    /// when the query arrived, and the race where a submit was queued on a
-    /// worker ring as [`ParallelGridFile::shutdown`] closed it — in that
-    /// case the bounced dispatch resolves the outcome incomplete and this
+    /// when the query arrived, and the race where a submit was sent to a
+    /// worker as [`ParallelGridFile::shutdown`] stopped it — in that case
+    /// the bounced dispatch resolves the outcome incomplete and this
     /// method converts it to the typed error. Never hangs and never panics.
     pub fn try_query(&mut self, rect: &Rect) -> Result<QueryOutcome, EngineError> {
         if self.engine.is_shut_down() {
@@ -2595,38 +2462,41 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_matches_sequential_results() {
+    fn concurrent_makespan_never_exceeds_sequential_elapsed() {
         let (_gf, seq, _recs) = build_engine(6);
-        let (_gf2, pip, _recs2) = build_engine(6);
+        let (_gf2, conc, _recs2) = build_engine(6);
         let w = QueryWorkload::square(&Rect::new2(0.0, 0.0, 100.0, 100.0), 0.05, 40, 21);
-        let (outcomes, pstats) = pip.run_workload_pipelined(&w, 8);
+        let (outcomes, tp) = conc.run_workload_concurrent(&w, 8);
         assert_eq!(outcomes.len(), 40);
-        let mut sstats = RunStats::default();
+        let mut sequential_us = 0;
         for (q, out) in w.queries.iter().zip(&outcomes) {
             let s = seq.query(q);
             assert_eq!(s.records, out.records);
             assert_eq!(s.total_blocks, out.total_blocks);
-            sstats.elapsed_us += s.elapsed_us;
+            sequential_us += s.elapsed_us;
         }
         // Batched servicing never exceeds sequential elapsed time (shared
         // elevator passes only remove seeks; cache contents match because
         // both engines saw the same query order).
         assert!(
-            pstats.elapsed_us <= sstats.elapsed_us,
-            "pipelined {} > sequential {}",
-            pstats.elapsed_us,
-            sstats.elapsed_us
+            tp.makespan_us <= sequential_us,
+            "concurrent makespan {} > sequential {sequential_us}",
+            tp.makespan_us
         );
-        assert!(pstats.elapsed_us > 0);
+        assert!(tp.makespan_us > 0);
     }
 
     #[test]
-    fn pipelined_window_one_equals_sequential_totals() {
+    fn concurrent_window_one_equals_sequential_totals() {
         let (_gf, a, _r) = build_engine(4);
         let (_gf2, b, _r2) = build_engine(4);
         let w = QueryWorkload::square(&Rect::new2(0.0, 0.0, 100.0, 100.0), 0.05, 15, 5);
         let sa = a.run_workload(&w);
-        let (_, sb) = b.run_workload_pipelined(&w, 1);
+        let (outcomes, _) = b.run_workload_concurrent(&w, 1);
+        let mut sb = RunStats::default();
+        for out in &outcomes {
+            sb.absorb(out);
+        }
         assert_eq!(sa.total_blocks, sb.total_blocks);
         assert_eq!(sa.records, sb.records);
         assert_eq!(sa.response_blocks, sb.response_blocks);
@@ -3157,11 +3027,11 @@ mod tests {
 
     #[test]
     fn submit_after_close_returns_session_closed_error() {
-        // Regression: a submit hitting closed worker rings must come back
-        // as a typed error, not hang on a reply that will never arrive and
-        // not panic on the closed transport. Covers both orderings — a
+        // Regression: a submit hitting closed worker channels must come
+        // back as a typed error, not hang on a reply that will never arrive
+        // and not panic on the closed transport. Covers both orderings — a
         // query issued after shutdown, and one whose dispatch raced the
-        // rings closing.
+        // channels closing.
         let (_gf, engine, _recs) = build_engine_cfg(4, fast_cfg());
         let mut session = engine.session();
         let q = Rect::new2(20.0, 20.0, 60.0, 60.0);
@@ -3185,39 +3055,6 @@ mod tests {
             late.try_query(&q),
             Err(EngineError::SessionClosed)
         ));
-    }
-
-    #[test]
-    fn channel_dispatch_mode_answers_exactly() {
-        // The legacy transport stays selectable (A/B benchmarking) and
-        // produces the same answers as the default ring path.
-        let (gf, engine, _recs) =
-            build_engine_cfg(4, fast_cfg().with_dispatch(DispatchMode::Channel));
-        let q = Rect::new2(10.0, 10.0, 70.0, 70.0);
-        let out = engine.query(&q);
-        assert_eq!(out.records, oracle(&gf, &q));
-        assert!(!out.incomplete);
-        assert_eq!(engine.shutdown(), 4);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_config_shims_delegate_to_groups() {
-        // The seven pre-redesign flat knobs keep compiling and must land in
-        // the grouped sub-configs they migrated into.
-        let cfg = EngineConfig::default()
-            .with_faults(FaultPlan::kill_first(1))
-            .with_deadline_us(5_000)
-            .with_hedging(2.5)
-            .with_max_retransmits(7)
-            .with_max_timeout_strikes(0) // clamps to 1
-            .with_seen_seq_window(0); // clamps to 1
-        assert!(!cfg.resilience.faults.is_empty());
-        assert_eq!(cfg.latency.deadline_us, Some(5_000));
-        assert_eq!(cfg.latency.hedge_threshold, Some(2.5));
-        assert_eq!(cfg.resilience.max_retransmits, 7);
-        assert_eq!(cfg.resilience.max_timeout_strikes, 1);
-        assert_eq!(cfg.resilience.seen_seq_window, 1);
     }
 
     /// Everything the whole domain holds, via the engine.

@@ -44,10 +44,9 @@
 //! unbounded waits into explicit incomplete answers. Randomized-but-
 //! reproducible fault schedules come from [`fault::FaultPlan::chaos`].
 //!
-//! Coordinator → worker dispatch rides a sharded lock-free
-//! [`ring::RequestRing`] per worker by default; the original channel
-//! transport stays available via [`ring::DispatchMode::Channel`] for A/B
-//! comparison (see `BENCH_hotpath.json` at the repo root).
+//! Coordinator → worker dispatch rides one unbounded channel per worker
+//! (`crossbeam::channel`); a dispatch to a worker whose loop has exited
+//! comes back as the channel's `SendError` and fails over to the replicas.
 //!
 //! ```
 //! use pargrid_core::{DeclusterInput, DeclusterMethod, EdgeWeight};
@@ -74,6 +73,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod backend;
 pub mod cache;
@@ -83,7 +83,6 @@ pub mod error;
 pub mod fault;
 pub mod merge;
 pub mod message;
-pub mod ring;
 pub mod stats;
 pub mod store;
 pub mod worker;
@@ -99,7 +98,6 @@ pub use error::{EngineError, StoreError};
 pub use fault::{FaultKind, FaultPlan, WorkerFault};
 pub use message::{FromWorker, QueryPriority, RawBlocks, ToWorker};
 pub use pargrid_sim::ThroughputStats;
-pub use ring::{DispatchMode, RequestRing, WorkerInbox, WorkerOutbox};
 pub use stats::{EngineStats, WorkerStats};
 pub use store::BlockStore;
 
@@ -114,7 +112,6 @@ pub mod prelude {
     pub use crate::error::{EngineError, StoreError};
     pub use crate::fault::{FaultKind, FaultPlan, WorkerFault};
     pub use crate::message::QueryPriority;
-    pub use crate::ring::DispatchMode;
     pub use crate::stats::{EngineStats, WorkerStats};
     pub use crate::store::BlockStore;
 }

@@ -20,9 +20,9 @@ use crate::disk::{DiskModel, DiskParams};
 use crate::error::StoreError;
 use crate::fault::FaultKind;
 use crate::message::{FromWorker, QueryPriority, RawBlocks, ToWorker};
-use crate::ring::WorkerInbox;
 use crate::stats::WorkerCounters;
 use crate::store::BlockStore;
+use crossbeam::channel::Receiver;
 use pargrid_geom::Rect;
 use pargrid_gridfile::page::{scan_page, HEADER_BYTES};
 use pargrid_gridfile::Record;
@@ -39,8 +39,8 @@ const CPU_NS_PER_RECORD: u64 = 300;
 const MAX_PRESIZED_HITS: usize = 1 << 16;
 
 /// Default for how many serviced dispatch seqs a worker remembers for dedup
-/// (see [`crate::engine::EngineConfig::seen_seq_window`]). Far larger than
-/// any realistic in-flight window; bounded so a long-lived worker's memory
+/// (see [`WorkerState::with_seen_seq_window`]). Far larger than any
+/// realistic in-flight window; bounded so a long-lived worker's memory
 /// stays flat.
 pub const DEFAULT_SEEN_SEQ_WINDOW: usize = 4096;
 
@@ -78,7 +78,7 @@ pub struct WorkerState {
     seen_seqs: HashSet<u64>,
     seen_order: VecDeque<u64>,
     /// Capacity of the dedup window (see
-    /// [`crate::engine::EngineConfig::seen_seq_window`]).
+    /// [`WorkerState::with_seen_seq_window`]).
     seen_seq_window: usize,
     /// Whether the one-shot [`FaultKind::CorruptBlock`] faults have fired.
     corruption_done: bool,
@@ -153,9 +153,10 @@ impl WorkerState {
         self
     }
 
-    /// Sets the dedup-window capacity (clamped to >= 1). Server deployments
-    /// size this to their in-flight request depth; the default
-    /// ([`DEFAULT_SEEN_SEQ_WINDOW`]) is generous for embedded use.
+    /// Sets the dedup-window capacity (clamped to >= 1). A wire worker
+    /// sizes this to the window its coordinator announces at join; the
+    /// engine's in-process workers keep the default
+    /// ([`DEFAULT_SEEN_SEQ_WINDOW`]).
     pub fn with_seen_seq_window(mut self, window: usize) -> Self {
         self.seen_seq_window = window.max(1);
         self
@@ -461,19 +462,16 @@ impl WorkerState {
 
     /// The worker's message loop: consumed by [`run_worker`].
     ///
-    /// Takes anything convertible into a [`WorkerInbox`]: a plain crossbeam
-    /// `Receiver<ToWorker>` ([`crate::ring::DispatchMode::Channel`]) or an
-    /// `Arc<RequestRing<ToWorker>>` ([`crate::ring::DispatchMode::Ring`]).
-    /// On every exit path — shutdown, injected fail-stop, panic — the inbox
-    /// drop closes a ring transport, so coordinator pushes start failing
-    /// exactly when channel sends would.
+    /// Owns the receiving end of the worker's channel, so on every exit
+    /// path — shutdown, injected fail-stop, panic — the receiver drops and
+    /// the coordinator's next send bounces with its message, which the
+    /// engine fails over to the replicas.
     ///
     /// Each iteration blocks for one message, then drains everything already
     /// queued into a single batch — the queue depth at that instant *is* the
     /// batch size, so concurrent sessions coalesce without any coordinator
     /// involvement. Replies go to each request's own `reply` channel.
-    pub fn run(mut self, rx: impl Into<WorkerInbox>, counters: Option<Arc<WorkerCounters>>) {
-        let rx: WorkerInbox = rx.into();
+    pub fn run(mut self, rx: Receiver<ToWorker>, counters: Option<Arc<WorkerCounters>>) {
         // Cumulative wall busy time, used to advance the recorder's global
         // virtual clock (fetch_max across workers).
         #[cfg(feature = "obs")]
@@ -482,29 +480,28 @@ impl WorkerState {
             let mut batch = Vec::new();
             let mut shutdown = false;
             match rx.recv() {
-                Some(ToWorker::Process(reqs)) => batch.extend(reqs),
-                Some(ToWorker::FetchRaw { blocks, reply }) => {
+                Ok(ToWorker::Process(reqs)) => batch.extend(reqs),
+                Ok(ToWorker::FetchRaw { blocks, reply }) => {
                     let _ = reply.send(self.fetch_raw(&blocks));
                     continue;
                 }
-                Some(ToWorker::WriteRaw { blocks }) => {
+                Ok(ToWorker::WriteRaw { blocks }) => {
                     self.write_raw(blocks);
                     continue;
                 }
-                Some(ToWorker::Shutdown) | None => return,
+                Ok(ToWorker::Shutdown) | Err(_) => return,
             }
-            loop {
-                match rx.try_recv() {
-                    Some(ToWorker::Process(reqs)) => batch.extend(reqs),
-                    Some(ToWorker::FetchRaw { blocks, reply }) => {
+            while let Ok(msg) = rx.try_recv() {
+                match msg {
+                    ToWorker::Process(reqs) => batch.extend(reqs),
+                    ToWorker::FetchRaw { blocks, reply } => {
                         let _ = reply.send(self.fetch_raw(&blocks));
                     }
-                    Some(ToWorker::WriteRaw { blocks }) => self.write_raw(blocks),
-                    Some(ToWorker::Shutdown) => {
+                    ToWorker::WriteRaw { blocks } => self.write_raw(blocks),
+                    ToWorker::Shutdown => {
                         shutdown = true;
                         break;
                     }
-                    None => break,
                 }
             }
             // Channel faults before any service: silently discard deliveries
@@ -677,17 +674,15 @@ impl WorkerState {
     }
 }
 
-/// Spawns a worker thread running the message loop over either transport
-/// (see [`WorkerState::run`] for the inbox conversion).
+/// Spawns a worker thread running [`WorkerState::run`] over `rx`.
 pub fn run_worker(
     state: WorkerState,
-    rx: impl Into<WorkerInbox>,
+    rx: Receiver<ToWorker>,
     counters: Option<Arc<WorkerCounters>>,
 ) -> std::thread::JoinHandle<()> {
-    let inbox: WorkerInbox = rx.into();
     std::thread::Builder::new()
         .name(format!("pargrid-worker-{}", state.worker_id))
-        .spawn(move || state.run(inbox, counters))
+        .spawn(move || state.run(rx, counters))
         .expect("failed to spawn worker thread")
 }
 

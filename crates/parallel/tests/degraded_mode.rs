@@ -3,12 +3,20 @@
 //! healthy unreplicated engine, without panicking any session, while the
 //! engine's liveness and failover counters tell the story.
 
+use crossbeam::channel::Receiver;
 use pargrid_core::{DeclusterInput, DeclusterMethod, EdgeWeight};
 use pargrid_datagen::hot2d;
 use pargrid_gridfile::GridFile;
-use pargrid_parallel::{EngineConfig, FaultPlan, ParallelGridFile, QueryOutcome};
+use pargrid_parallel::stats::WorkerCounters;
+use pargrid_parallel::worker::WorkerState;
+use pargrid_parallel::{
+    EngineConfig, FaultPlan, InProcessBackend, ParallelGridFile, QueryOutcome, ToWorker,
+    WorkerBackend,
+};
 use pargrid_sim::QueryWorkload;
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 const WORKERS: usize = 16;
 
@@ -138,6 +146,71 @@ fn concurrent_run_with_failure_matches_healthy_run() {
     // The dead worker accrues no busy time; its load went to the survivors.
     assert_eq!(degraded_tp.worker_busy_us[0], 0);
     assert!(degraded_tp.worker_busy_us.iter().skip(1).all(|&b| b > 0));
+}
+
+/// Slot 0's service loop is gone before the first query — its receiver is
+/// dropped and no dead flag is published, as after a worker thread panics.
+/// Every other slot runs in process.
+#[derive(Debug)]
+struct SlotZeroExited;
+
+impl WorkerBackend for SlotZeroExited {
+    fn spawn_worker(
+        &self,
+        slot: usize,
+        state: WorkerState,
+        inbox: Receiver<ToWorker>,
+        counters: Option<Arc<WorkerCounters>>,
+    ) -> JoinHandle<()> {
+        if slot == 0 {
+            drop(inbox);
+            return std::thread::spawn(|| {});
+        }
+        InProcessBackend.spawn_worker(slot, state, inbox, counters)
+    }
+}
+
+#[test]
+fn bounced_dispatch_fails_over_without_waiting_for_a_reply_timeout() {
+    // A send to the exited slot bounces with its message, and the requests
+    // it carried go to their replicas at once. The reply timeout is set far
+    // above the bound below, so only the bounce path can meet it — for
+    // sessions (one message per request) and for the concurrent runner
+    // (one batch per worker) alike.
+    let gf = grid();
+    let w = workload(&gf);
+    let healthy = healthy_engine(&gf);
+    let expected: Vec<QueryOutcome> = w.queries.iter().map(|q| healthy.query(q)).collect();
+
+    let input = DeclusterInput::from_grid_file(&gf);
+    let ra = DeclusterMethod::Minimax(EdgeWeight::Proximity).assign_replicated(&input, WORKERS, 5);
+    let config = EngineConfig::default()
+        .with_backend(Arc::new(SlotZeroExited))
+        .resilience(|r| r.with_fail_timeout_ms(10_000));
+    let build = || ParallelGridFile::build_replicated(Arc::clone(&gf), &ra, config.clone());
+
+    let started = Instant::now();
+    let sessions = build();
+    let session_out: Vec<QueryOutcome> = w.queries.iter().map(|q| sessions.query(q)).collect();
+    let concurrent = build();
+    let (concurrent_out, _) = concurrent.run_workload_concurrent(&w, 8);
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "bounced sends waited out a reply timeout: {:?}",
+        started.elapsed()
+    );
+
+    assert_identical_answers(&expected, &session_out);
+    assert_identical_answers(&expected, &concurrent_out);
+    for engine in [&sessions, &concurrent] {
+        let stats = engine.stats();
+        assert!(!stats.workers[0].alive, "the bounce must mark slot 0 dead");
+        assert!(
+            stats.retries > 0,
+            "slot 0's requests were never failed over"
+        );
+        assert_eq!(stats.retransmits, 0, "a bounce is not a lost message");
+    }
 }
 
 #[test]

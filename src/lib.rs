@@ -80,9 +80,9 @@ pub mod prelude {
     pub use pargrid_net::{ClientError, FrameError, ProtoError, WireError};
     pub use pargrid_obs::{Histogram, Recorder, SpanKind, TailSummary, TraceSnapshot};
     pub use pargrid_parallel::{
-        DiskParams, DispatchMode, EngineConfig, EngineError, EngineStats, FaultKind, FaultPlan,
-        LatencyConfig, NetParams, ObsConfig, ParallelGridFile, QueryOutcome, QueryPriority,
-        QuerySession, ResilienceConfig, RunStats, StoreError, WorkerFault, WorkerStats,
+        DiskParams, EngineConfig, EngineError, EngineStats, FaultKind, FaultPlan, LatencyConfig,
+        NetParams, ObsConfig, ParallelGridFile, QueryOutcome, QueryPriority, QuerySession,
+        ResilienceConfig, RunStats, StoreError, WorkerFault, WorkerStats,
     };
     pub use pargrid_sim::{evaluate, sweep, EvalStats, QueryWorkload, ThroughputStats};
 }
