@@ -187,7 +187,7 @@ fn assert_frontier_claim(methods: &[DeclusterMethod], mean_gaps: &[Vec<f64>]) {
 /// Wall-clock leg: the drifting-hotspot workload through the real TCP
 /// server, reading the exported gap histogram back off the wire.
 fn serving_leg(params: &Params) -> NamedTable {
-    /// Wall time the dispatcher charges per response block.
+    /// Wall time the server charges per response block.
     const PACE_US_PER_BLOCK: u64 = 100;
     const DISPATCHERS: usize = 2;
     const CLIENTS: usize = 4;

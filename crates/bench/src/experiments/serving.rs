@@ -4,16 +4,16 @@
 //! simulator — this one runs an actual `pargrid-net` server on a loopback
 //! socket and drives it with the open-loop load generator. The bridge
 //! between the two time domains is the server's *pacing* knob: each
-//! dispatcher sleeps `pace_us_per_block ×` a query's `response_blocks`
+//! connection sleeps `pace_us_per_block ×` a query's `response_blocks`
 //! (blocks on the busiest disk — the paper's response-time metric, and
-//! independent of cache state) of wall time after answering it. A
-//! declustering method that halves response blocks literally doubles the
-//! wall-clock capacity of the server, and the throughput knee of each
-//! method lands at a different offered load.
+//! independent of cache state) of wall time after answering it, holding
+//! its admission permit. A declustering method that halves response blocks
+//! literally doubles the wall-clock capacity of the server, and the
+//! throughput knee of each method lands at a different offered load.
 //!
 //! The per-block price is calibrated once, against the *first* method in
 //! the sweep, so that its mean query costs [`TARGET_SERVICE_US`] of wall
-//! time per dispatcher; the same price is then used for every method,
+//! time per permit; the same price is then used for every method,
 //! keeping the wall-time budget bounded while preserving the methods'
 //! relative costs. Offered load sweeps fixed multiples of the first
 //! method's nominal capacity, through the knee and out to 2× overload,
@@ -29,14 +29,15 @@ use pargrid_sim::QueryWorkload;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Calibrated mean wall service time per query per dispatcher.
+/// Calibrated mean wall service time per query per admission permit.
 const TARGET_SERVICE_US: f64 = 2500.0;
-/// Dispatcher threads — the server's parallelism in wall time.
+/// Admission permits (`ServerConfig::dispatchers`) — the server's
+/// parallelism in wall time.
 const DISPATCHERS: usize = 2;
-/// Small admission queue so overload sheds promptly instead of building a
+/// Few admission waiters so overload sheds promptly instead of building a
 /// deep backlog. Must be smaller than [`CLIENTS`]: each load-generator
 /// connection is synchronous, so at most `CLIENTS` requests are ever in
-/// flight, and a queue that seats them all would never overflow.
+/// flight, and a gate that seats them all would never overflow.
 const QUEUE_CAPACITY: usize = 4;
 /// Concurrent load-generator connections.
 const CLIENTS: usize = 8;
@@ -86,7 +87,7 @@ pub fn run(params: &Params) -> Vec<NamedTable> {
 
     // Calibrate pacing on the first method: mean response blocks (blocks
     // on the busiest disk, the paper's response-time metric) over a probe
-    // run, scaled so one dispatcher spends TARGET_SERVICE_US of wall time
+    // run, scaled so one permit holder spends TARGET_SERVICE_US of wall time
     // per mean query *of the first method*. Better methods have fewer
     // response blocks per query, so the same per-block price buys them a
     // genuinely higher wall-clock capacity.

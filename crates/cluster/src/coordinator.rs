@@ -754,7 +754,7 @@ fn demote(shared: &Arc<CoordShared>) {
     start_thin(shared);
 }
 
-/// The leader-side mutation gate (runs on the server's dispatcher
+/// The leader-side mutation gate (runs on the server's connection
 /// threads): append to the log, replicate to every online standby, only
 /// then let the engine apply. For inserts, clear any stale copy first so
 /// retried-indeterminate mutations stay exactly-once.

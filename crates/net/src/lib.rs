@@ -17,10 +17,10 @@
 //!   bounds, finite coordinates, ordered intervals) so wire data can never
 //!   reach a panicking `Rect::new`/`Point::new` assert.
 //! * [`server`] — a multi-threaded server owning an engine handle: one
-//!   reader + one writer thread per connection around a bounded admission
-//!   queue with load shedding, a dispatcher pool running
-//!   [`pargrid_parallel::QuerySession`]s, Prometheus metrics, and graceful
-//!   poison-pill shutdown.
+//!   thread per connection runs each request to completion on its own
+//!   [`pargrid_parallel::QuerySession`] behind a counting admission gate
+//!   with load shedding, with Prometheus metrics and graceful draining
+//!   shutdown.
 //! * [`client`] + [`loadgen`] — a blocking client with connect
 //!   retry/backoff, and an open-loop load generator (schedule-corrected
 //!   sojourn times, wrk2-style) used by the `repro serving` experiment.

@@ -156,7 +156,7 @@ fn client_thread(
     // Phase-stagger the fleet: client `i` leads with offset `i/clients` of
     // one interval, so the aggregate arrival process is evenly spaced at
     // `clients × rate` instead of synchronized bursts of size `clients`
-    // (which would overflow any admission queue smaller than the fleet at
+    // (which would overflow any admission gate smaller than the fleet at
     // every tick, no matter how low the offered load).
     let phase = interval.mul_f64(client_idx as f64 / cfg.clients.max(1) as f64);
     let start = Instant::now();

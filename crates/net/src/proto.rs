@@ -211,7 +211,8 @@ pub enum WireError {
     /// The request could not be understood (bad frame follows a close; bad
     /// payload gets this reply first).
     Malformed(String),
-    /// Admission queue full — shed, retry after the hinted delay.
+    /// Every admission permit taken and the waiting room full — shed,
+    /// retry after the hinted delay.
     Overloaded {
         /// Client should back off at least this long.
         retry_after_ms: u32,

@@ -1,47 +1,53 @@
 //! Multi-threaded TCP server in front of a [`ParallelGridFile`].
 //!
-//! Thread topology (all `std::thread`, blocking I/O):
+//! Thread topology (all `std::thread`, blocking I/O): one accept thread,
+//! and one thread per connection that runs each request to completion —
+//! the paper's one-round coordinator, with no hand-off between threads:
 //!
 //! ```text
-//!   accept thread ──────────── spawns per connection ──┐
-//!   reader (1/conn) ── decode ─┐                       │
-//!                              ▼                       ▼
-//!                   bounded admission queue      writer (1/conn)
-//!                              │                       ▲
-//!   dispatcher pool (N) ── QuerySession ── encode ─────┘
+//!   accept thread ── spawns per connection ──► connection thread (1/conn)
+//!
+//!   read frame → decode → admission gate → QuerySession → encode → write_all
+//!                    │                                                 ▲
+//!                    └── Ping / Stats / Shutdown / Rebalance, ungated ─┘
 //! ```
 //!
-//! Admission control: readers `try_push` onto a bounded queue. A full
-//! queue means the dispatcher pool is saturated — the reader immediately
-//! answers `Overloaded { retry_after_ms }` and drops the request (load is
-//! *shed*, never buffered unboundedly, so sojourn times stay bounded and
-//! the server survives any offered load). Ping/Stats/Shutdown bypass the
-//! queue: control traffic must work precisely when the data path is
-//! saturated.
+//! A connection answers its requests one at a time, in the order they
+//! arrived. Replies carry no request id, so a client that pipelines
+//! matches replies to requests by position.
 //!
-//! Graceful shutdown (poison pill + socket drain): the shutdown flag stops
-//! the accept loop; the queue is closed so dispatchers drain every already
-//! admitted job and exit; the engine joins its workers
-//! ([`ParallelGridFile::shutdown`]); then each connection's read half is
-//! shut down so readers unblock and writers flush any queued replies
-//! before the sockets drop.
+//! Admission control is a counting gate: at most `dispatchers` requests
+//! are inside the engine at once and at most `queue_capacity` more wait
+//! for a permit. Any request beyond that is answered `Overloaded {
+//! retry_after_ms }` at once (load is *shed*, never buffered unboundedly,
+//! so sojourn times stay bounded and the server survives any offered
+//! load). Queries and mutations pass the gate; Ping/Stats/Shutdown/
+//! Rebalance bypass it, because control traffic must work precisely when
+//! the data path is saturated.
+//!
+//! Graceful shutdown, in drain order: the shutdown flag stops the accept
+//! loop (woken from its blocking `accept` by one connection of the
+//! server's own) and the accept thread is joined; the gate closes (new
+//! requests are refused, waiters still get through); each connection's
+//! read half is shut down and its thread joined — it finishes the request
+//! it holds, writes that reply and then sees EOF; last, the engine joins
+//! its workers ([`ParallelGridFile::shutdown`]).
 
-use std::collections::VecDeque;
-use std::io::{self, IoSlice, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::collections::HashMap;
+use std::io::{self, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use pargrid_geom::{Point, Rect};
 use pargrid_gridfile::Record;
 use pargrid_obs::{names, AtomicHistogram, PromWriter};
-use pargrid_parallel::{ParallelGridFile, RebalanceOp};
+use pargrid_parallel::{ParallelGridFile, QuerySession, RebalanceOp};
 
 use crate::cluster_proto::MetaOp;
-use crate::frame::{read_frame, FrameError};
+use crate::frame::{read_frame, Frame, FrameError};
 use crate::proto::{
     MutationAck, RebalanceCmd, RebalanceSummary, RecordsReply, Request, Response, WireError,
 };
@@ -77,20 +83,22 @@ impl std::fmt::Debug for ClusterHooks {
 /// Tunables for [`Server::start`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Admission-queue capacity; requests beyond it are shed.
+    /// Requests that may wait for an admission permit; a query or mutation
+    /// arriving while this many already wait is shed with `Overloaded`.
     pub queue_capacity: usize,
-    /// Dispatcher threads, each owning a private `QuerySession`.
+    /// Requests served at once: admission permits, each letting one
+    /// connection's query or mutation into the engine.
     pub dispatchers: usize,
     /// Retry hint sent with `Overloaded` replies, milliseconds.
     pub retry_after_ms: u32,
-    /// Wall-clock service pacing: after answering a query the dispatcher
+    /// Wall-clock service pacing: after answering a query the connection
     /// sleeps `pace_us_per_block ×` the query's `response_blocks`
-    /// microseconds. Zero disables pacing. `response_blocks` — blocks on
-    /// the busiest disk — is the paper's response-time metric and is
-    /// independent of cache state, so pacing on it ties real serving
-    /// capacity directly to declustering quality: a method that halves
-    /// response blocks doubles the server's wall-clock throughput in the
-    /// `repro serving` experiment.
+    /// microseconds while holding its permit. Zero disables pacing.
+    /// `response_blocks` — blocks on the busiest disk — is the paper's
+    /// response-time metric and is independent of cache state, so pacing
+    /// on it ties real serving capacity directly to declustering quality:
+    /// a method that halves response blocks doubles the server's
+    /// wall-clock throughput in the `repro serving` experiment.
     pub pace_us_per_block: u64,
     /// Whether a wire `Shutdown` request is honored (CI and tests) or
     /// refused as malformed (default off would complicate the smoke job;
@@ -118,9 +126,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// What a dispatcher does with an admitted job. Mutations ride the same
-/// admission queue as queries, so overload sheds them with the same
-/// `Overloaded` back-pressure instead of buffering writes unboundedly.
+/// What a connection does once admitted. Mutations pass the same gate as
+/// queries, so overload sheds them with the same `Overloaded`
+/// back-pressure instead of buffering writes unboundedly.
 enum Work {
     /// An already-validated query rectangle.
     Query(Rect),
@@ -130,80 +138,83 @@ enum Work {
     Delete(u64, Point),
 }
 
-/// One admitted request: already validated, stamped with its arrival
-/// time, carrying the channel back to its connection's writer.
-struct Job {
-    work: Work,
-    enqueued: Instant,
-    reply: mpsc::Sender<Vec<u8>>,
-}
-
 #[derive(Default)]
-struct QueueInner {
-    jobs: VecDeque<Job>,
+struct GateState {
+    busy: usize,
+    waiting: usize,
     closed: bool,
     hwm: usize,
 }
 
-/// Hand-rolled bounded MPMC queue (`Mutex` + `Condvar`); `compat`
-/// crossbeam has no bounded channel and admission control needs an exact
-/// capacity check.
-struct AdmissionQueue {
-    inner: Mutex<QueueInner>,
-    nonempty: Condvar,
+/// Admission as a counting gate: at most `permits` callers inside at once,
+/// at most `capacity` more blocked waiting for a permit, and everyone
+/// beyond that refused. A hand-rolled `Mutex` + `Condvar` because the shed
+/// rule needs an exact count of waiters.
+struct Gate {
+    state: Mutex<GateState>,
+    freed: Condvar,
+    permits: usize,
     capacity: usize,
 }
 
-impl AdmissionQueue {
-    fn new(capacity: usize) -> Self {
-        AdmissionQueue {
-            inner: Mutex::new(QueueInner::default()),
-            nonempty: Condvar::new(),
+/// One caller's place inside the gate; dropping it admits a waiter.
+struct Permit<'a>(&'a Gate);
+
+impl Gate {
+    fn new(permits: usize, capacity: usize) -> Self {
+        Gate {
+            state: Mutex::new(GateState::default()),
+            freed: Condvar::new(),
+            permits: permits.max(1),
             capacity: capacity.max(1),
         }
     }
 
-    /// Non-blocking admit; `Err` hands the job back (full or closed) so
-    /// the reader sheds it.
-    #[allow(clippy::result_large_err)]
-    fn try_push(&self, job: Job) -> Result<(), Job> {
-        let mut q = self.inner.lock().expect("admission queue");
-        if q.closed || q.jobs.len() >= self.capacity {
-            return Err(job);
+    /// Blocks until a permit is free. `None` sheds the caller: the gate is
+    /// closed, or every permit is taken and `capacity` callers already
+    /// wait. Callers that were waiting when the gate closed still enter.
+    fn enter(&self) -> Option<Permit<'_>> {
+        let mut s = self.state.lock().expect("admission gate");
+        if s.closed || (s.busy >= self.permits && s.waiting >= self.capacity) {
+            return None;
         }
-        q.jobs.push_back(job);
-        q.hwm = q.hwm.max(q.jobs.len());
-        drop(q);
-        self.nonempty.notify_one();
-        Ok(())
-    }
-
-    /// Blocks for the next job; `None` once closed *and* drained, so every
-    /// admitted request is answered before dispatchers exit.
-    fn pop(&self) -> Option<Job> {
-        let mut q = self.inner.lock().expect("admission queue");
-        loop {
-            if let Some(job) = q.jobs.pop_front() {
-                return Some(job);
-            }
-            if q.closed {
-                return None;
-            }
-            q = self.nonempty.wait(q).expect("admission queue");
+        if s.busy >= self.permits {
+            s.waiting += 1;
+            s.hwm = s.hwm.max(s.waiting);
+            s = self
+                .freed
+                .wait_while(s, |s| s.busy >= self.permits)
+                .expect("admission gate");
+            s.waiting -= 1;
         }
+        s.busy += 1;
+        Some(Permit(self))
     }
 
     fn close(&self) {
-        self.inner.lock().expect("admission queue").closed = true;
-        self.nonempty.notify_all();
+        self.state.lock().expect("admission gate").closed = true;
     }
 
+    /// Callers waiting for a permit now.
     fn depth(&self) -> usize {
-        self.inner.lock().expect("admission queue").jobs.len()
+        self.state.lock().expect("admission gate").waiting
     }
 
+    /// Most callers ever waiting at once.
     fn hwm(&self) -> usize {
-        self.inner.lock().expect("admission queue").hwm
+        self.state.lock().expect("admission gate").hwm
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        // Every update under this lock is a single counter step, so a
+        // poisoned guard still holds consistent counts; `Drop` must not
+        // panic.
+        let mut s = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+        s.busy -= 1;
+        drop(s);
+        self.0.freed.notify_one();
     }
 }
 
@@ -227,18 +238,31 @@ struct NetMetrics {
 
 struct Inner {
     engine: Arc<ParallelGridFile>,
-    queue: AdmissionQueue,
+    gate: Gate,
     metrics: NetMetrics,
     config: ServerConfig,
     local_addr: SocketAddr,
     shutdown_requested: AtomicBool,
-    conns: Mutex<Vec<TcpStream>>,
-    io_handles: Mutex<Vec<JoinHandle<()>>>,
+    /// Open connections by id: a clone of the socket, so [`Server::join`]
+    /// can shut its read half, and the thread serving it. A connection
+    /// removes its own entry when its thread ends, so a long-running
+    /// server holds no descriptor or handle for a closed connection.
+    conns: Mutex<HashMap<u64, (TcpStream, JoinHandle<()>)>>,
 }
 
 impl Inner {
     fn request_shutdown(&self) {
         self.shutdown_requested.store(true, Ordering::SeqCst);
+        // The accept thread blocks in `accept`; a connection of our own
+        // wakes it to see the flag.
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
     }
 
     fn metrics_prom(&self) -> String {
@@ -281,13 +305,13 @@ impl Inner {
         );
         pw.gauge(
             names::NET_QUEUE_DEPTH,
-            "Admission-queue depth now.",
-            self.queue.depth() as f64,
+            "Requests waiting for an admission permit now.",
+            self.gate.depth() as f64,
         );
         pw.gauge(
             names::NET_QUEUE_HWM,
-            "Admission-queue high-water mark.",
-            self.queue.hwm() as f64,
+            "Most requests ever waiting for an admission permit at once.",
+            self.gate.hwm() as f64,
         );
         pw.counter(
             names::NET_BYTES_IN_TOTAL,
@@ -301,7 +325,7 @@ impl Inner {
         );
         pw.histogram(
             names::NET_SOJOURN_US,
-            "Enqueue-to-reply sojourn time (wall microseconds).",
+            "Gate-entry-to-encoded-reply sojourn time (wall microseconds).",
             &m.sojourn_us.snapshot(),
         );
         pw.histogram(
@@ -356,16 +380,17 @@ impl Inner {
     }
 }
 
-/// A running server. Dropping it without calling [`Server::shutdown`]
-/// leaks the background threads until process exit; the CLI and tests
-/// always shut down explicitly.
+/// A running server. Each connection's replies come back in the order its
+/// requests were sent, so a client may write several requests before
+/// reading and match replies by position. Dropping it without calling
+/// [`Server::shutdown`] leaks the background threads until process exit;
+/// the CLI and tests always shut down explicitly.
 pub struct Server {
     inner: Arc<Inner>,
     accept: Option<JoinHandle<()>>,
-    dispatchers: Vec<JoinHandle<()>>,
 }
 
-/// `TcpStream` wrapper that counts bytes as the reader pulls frames.
+/// `TcpStream` wrapper that counts bytes as the connection pulls frames.
 struct CountingReader<'a> {
     stream: &'a TcpStream,
     bytes: &'a AtomicU64,
@@ -380,37 +405,24 @@ impl Read for CountingReader<'_> {
 }
 
 impl Server {
-    /// Binds `addr` (use port 0 for an ephemeral port), spawns the
-    /// dispatcher pool and accept thread, and returns immediately.
+    /// Binds `addr` (use port 0 for an ephemeral port), spawns the accept
+    /// thread, and returns immediately.
     pub fn start(
         engine: Arc<ParallelGridFile>,
         addr: impl ToSocketAddrs,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let inner = Arc::new(Inner {
-            queue: AdmissionQueue::new(config.queue_capacity),
+            gate: Gate::new(config.dispatchers, config.queue_capacity),
             metrics: NetMetrics::default(),
             local_addr,
             shutdown_requested: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
-            io_handles: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             engine,
             config,
         });
-
-        let mut dispatchers = Vec::new();
-        for d in 0..inner.config.dispatchers.max(1) {
-            let inner = Arc::clone(&inner);
-            dispatchers.push(
-                thread::Builder::new()
-                    .name(format!("pargrid-dispatch-{d}"))
-                    .spawn(move || dispatcher_loop(&inner))
-                    .expect("spawn dispatcher"),
-            );
-        }
 
         let accept = {
             let inner = Arc::clone(&inner);
@@ -423,7 +435,6 @@ impl Server {
         Ok(Server {
             inner,
             accept: Some(accept),
-            dispatchers,
         })
     }
 
@@ -446,31 +457,32 @@ impl Server {
 
     /// Blocks until shutdown is requested — by [`Server::request_shutdown`]
     /// or a wire `Shutdown` — then tears everything down in drain order:
-    /// close the admission queue, join dispatchers (every admitted job is
-    /// answered), join the engine's workers, unblock readers, flush
-    /// writers. Returns the final metrics document.
+    /// join the accept thread, close the admission gate, shut the read
+    /// half of every open connection and join its thread (each finishes
+    /// and answers the request it holds), then join the engine's workers.
+    /// Returns the final metrics document.
     pub fn join(mut self) -> String {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        self.inner.queue.close();
-        for h in self.dispatchers.drain(..) {
+        self.inner.gate.close();
+        // Taken out of the table first: a connection thread locks it to
+        // deregister on its way out.
+        let conns: Vec<(TcpStream, JoinHandle<()>)> = self
+            .inner
+            .conns
+            .lock()
+            .expect("connection table")
+            .drain()
+            .map(|(_, conn)| conn)
+            .collect();
+        for (stream, _) in &conns {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        for (_, h) in conns {
             let _ = h.join();
         }
         self.inner.engine.shutdown();
-        // Shut the *read* half of every connection: blocked readers see
-        // EOF and exit, dropping their reply senders, which lets writers
-        // drain queued replies (the write half is still open) and exit.
-        for conn in self.inner.conns.lock().expect("conn list").drain(..) {
-            let _ = conn.shutdown(Shutdown::Read);
-        }
-        let handles: Vec<_> = {
-            let mut g = self.inner.io_handles.lock().expect("io handles");
-            g.drain(..).collect()
-        };
-        for h in handles {
-            let _ = h.join();
-        }
         self.inner.metrics_prom()
     }
 
@@ -481,275 +493,200 @@ impl Server {
     }
 }
 
+/// Blocks in `accept`, so a new connection is served the moment it
+/// arrives; [`Inner::request_shutdown`] connects once to wake it.
 fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
-    while !inner.shutdown_requested.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if inner.shutdown_requested.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
-                let _ = stream.set_nonblocking(false);
                 let _ = stream.set_nodelay(true);
                 spawn_connection(stream, inner);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
+            // Out of descriptors, or the peer reset before the accept:
+            // back off instead of spinning.
             Err(_) => thread::sleep(Duration::from_millis(5)),
         }
     }
 }
 
 fn spawn_connection(stream: TcpStream, inner: &Arc<Inner>) {
-    inner
+    let id = inner
         .metrics
         .connections_total
         .fetch_add(1, Ordering::Relaxed);
+    let Ok(track) = stream.try_clone() else {
+        return;
+    };
     inner
         .metrics
         .connections_active
         .fetch_add(1, Ordering::Relaxed);
-
-    let write_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            inner
-                .metrics
-                .connections_active
-                .fetch_sub(1, Ordering::Relaxed);
-            return;
-        }
-    };
-    if let Ok(track) = stream.try_clone() {
-        inner.conns.lock().expect("conn list").push(track);
-    }
-
-    let (reply_tx, reply_rx) = mpsc::channel::<Vec<u8>>();
-
-    let writer = {
+    // Spawned while holding the table lock the thread takes to deregister,
+    // so a connection that closes at once cannot deregister before it is
+    // registered.
+    let mut conns = inner.conns.lock().expect("connection table");
+    let handle = {
         let inner = Arc::clone(inner);
         thread::Builder::new()
-            .name("pargrid-conn-writer".into())
-            .spawn(move || writer_loop(write_stream, &reply_rx, &inner))
-            .expect("spawn writer")
-    };
-    let reader = {
-        let inner = Arc::clone(inner);
-        thread::Builder::new()
-            .name("pargrid-conn-reader".into())
+            .name("pargrid-conn".into())
             .spawn(move || {
-                reader_loop(&stream, &reply_tx, &inner);
-                drop(reply_tx); // writer drains then exits
+                serve_connection(&stream, &inner);
                 inner
                     .metrics
                     .connections_active
                     .fetch_sub(1, Ordering::Relaxed);
+                inner.conns.lock().expect("connection table").remove(&id);
             })
-            .expect("spawn reader")
+            .expect("spawn connection")
     };
-
-    let mut g = inner.io_handles.lock().expect("io handles");
-    g.push(reader);
-    g.push(writer);
+    conns.insert(id, (track, handle));
 }
 
-/// How many queued frames one vectored write may coalesce. Sixteen covers
-/// any realistic reply burst while keeping the `IoSlice` array on the stack.
-const WRITE_BATCH: usize = 16;
-
-/// Writes every byte of `frames` with as few syscalls as the kernel allows:
-/// one `writev` over the whole batch, advancing manually across partial
-/// writes (a short write mid-batch must not re-send or drop bytes).
-fn write_batch(stream: &mut TcpStream, frames: &[Vec<u8>]) -> io::Result<()> {
-    // (frame index, offset into that frame) of the first unwritten byte.
-    let (mut fi, mut off) = (0usize, 0usize);
-    while fi < frames.len() {
-        let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(frames.len() - fi);
-        slices.push(IoSlice::new(&frames[fi][off..]));
-        for f in &frames[fi + 1..] {
-            slices.push(IoSlice::new(f));
-        }
-        let mut n = match stream.write_vectored(&slices) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        while n > 0 {
-            let rest = frames[fi].len() - off;
-            if n < rest {
-                off += n;
-                n = 0;
-            } else {
-                n -= rest;
-                fi += 1;
-                off = 0;
-            }
-        }
-    }
-    stream.flush()
-}
-
-fn writer_loop(mut stream: TcpStream, rx: &mpsc::Receiver<Vec<u8>>, inner: &Arc<Inner>) {
-    let mut batch: Vec<Vec<u8>> = Vec::with_capacity(WRITE_BATCH);
-    while let Ok(bytes) = rx.recv() {
-        // Coalesce every reply already queued behind this one into a single
-        // vectored write — under load the writer makes one syscall per
-        // burst instead of one write + flush per frame.
-        batch.clear();
-        batch.push(bytes);
-        while batch.len() < WRITE_BATCH {
-            match rx.try_recv() {
-                Ok(more) => batch.push(more),
-                Err(_) => break,
-            }
-        }
-        if write_batch(&mut stream, &batch).is_err() {
-            break;
-        }
-        let out: u64 = batch.iter().map(|b| b.len() as u64).sum();
-        inner.metrics.bytes_out.fetch_add(out, Ordering::Relaxed);
-    }
-    let _ = stream.shutdown(Shutdown::Write);
-}
-
-/// Sends a response down the connection's writer channel, encoded straight
-/// into its single wire buffer ([`Response::encode_frame`]). A response
-/// too large to frame (over `MAX_PAYLOAD`) degrades to a typed error
-/// reply instead of silently truncating its length header.
-fn send_response(reply: &mpsc::Sender<Vec<u8>>, resp: &Response) {
-    let bytes = match resp.encode_frame() {
+/// Encodes a response straight into its single wire buffer
+/// ([`Response::encode_frame`]). A response too large to frame (over
+/// `MAX_PAYLOAD`) degrades to a typed error reply instead of silently
+/// truncating its length header.
+fn encode(resp: &Response) -> Vec<u8> {
+    match resp.encode_frame() {
         Ok(b) => b,
         Err(e) => Response::Error(WireError::Incomplete(format!("response unsendable: {e}")))
             .encode_frame()
             .expect("error reply is tiny"),
-    };
-    let _ = reply.send(bytes);
+    }
 }
 
-fn reader_loop(stream: &TcpStream, reply: &mpsc::Sender<Vec<u8>>, inner: &Arc<Inner>) {
+fn malformed(inner: &Inner, e: impl ToString) -> Vec<u8> {
+    inner
+        .metrics
+        .malformed_total
+        .fetch_add(1, Ordering::Relaxed);
+    encode(&Response::Error(WireError::Malformed(e.to_string())))
+}
+
+/// The connection's whole life: read a frame, answer it, write the reply,
+/// repeat — until the peer closes, a write fails, or the frame stream
+/// cannot be trusted any more.
+fn serve_connection(stream: &TcpStream, inner: &Inner) {
+    let mut session = inner.engine.session();
     let mut counting = CountingReader {
         stream,
         bytes: &inner.metrics.bytes_in,
     };
     loop {
-        let frame = match read_frame(&mut counting) {
-            Ok(f) => f,
-            Err(FrameError::Closed) | Err(FrameError::Io(_)) => return,
-            Err(e) => {
-                // Framing is broken; one typed reply, then hang up — we
-                // can no longer find frame boundaries on this stream.
-                inner
-                    .metrics
-                    .malformed_total
-                    .fetch_add(1, Ordering::Relaxed);
-                send_response(reply, &Response::Error(WireError::Malformed(e.to_string())));
-                return;
-            }
+        let (reply, hang_up) = match read_frame(&mut counting) {
+            Ok(frame) => answer(&frame, &mut session, inner),
+            Err(FrameError::Closed) | Err(FrameError::Io(_)) => break,
+            // Framing is broken; one typed reply, then hang up — frame
+            // boundaries can no longer be found on this stream.
+            Err(e) => (malformed(inner, e), true),
         };
-        let request = match Request::decode(frame.msg_type, &frame.payload) {
-            Ok(r) => r,
-            Err(e) => {
-                // Frame boundaries are intact, only this payload is bad —
-                // reply and keep the connection.
-                inner
-                    .metrics
-                    .malformed_total
-                    .fetch_add(1, Ordering::Relaxed);
-                send_response(reply, &Response::Error(WireError::Malformed(e.to_string())));
-                continue;
-            }
-        };
-        inner.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
-        match request {
-            Request::Ping { token } => send_response(reply, &Response::Pong { token }),
-            Request::Stats => {
-                send_response(reply, &Response::StatsText(inner.metrics_prom()));
-            }
-            Request::Shutdown => {
-                if inner.config.allow_remote_shutdown {
-                    send_response(reply, &Response::ShutdownAck);
-                    inner.request_shutdown();
-                    return;
-                }
-                send_response(
-                    reply,
-                    &Response::Error(WireError::Malformed("remote shutdown not permitted".into())),
-                );
-            }
-            Request::Rebalance { cmd, dry_run } => {
-                // Control path, like Shutdown: runs inline on the reader
-                // thread, bypassing the admission queue, so a resize works
-                // precisely when the data path is saturated. The engine
-                // serializes it against mutations internally; queries keep
-                // flowing throughout.
-                if !inner.config.allow_remote_rebalance {
-                    send_response(
-                        reply,
-                        &Response::Error(WireError::Malformed(
-                            "remote rebalance not permitted".into(),
-                        )),
-                    );
-                    continue;
-                }
-                let op = match cmd {
-                    RebalanceCmd::AddWorkers(k) => RebalanceOp::AddWorkers(k as usize),
-                    RebalanceCmd::RemoveWorker(w) => RebalanceOp::RemoveWorker(w as usize),
-                };
-                match inner.engine.rebalance(op, dry_run) {
-                    Ok(rep) => {
-                        inner
-                            .metrics
-                            .rebalance_total
-                            .fetch_add(1, Ordering::Relaxed);
-                        send_response(
-                            reply,
-                            &Response::Rebalance(RebalanceSummary {
-                                applied: rep.applied,
-                                moves: rep.moves as u32,
-                                moved_bytes: rep.moved_bytes,
-                                full_moves: rep.full_moves as u32,
-                                active_workers: rep.active_workers as u32,
-                                predicted_objective: rep.predicted_objective,
-                                baseline_objective: rep.baseline_objective,
-                            }),
-                        );
-                    }
-                    Err(e) => send_response(
-                        reply,
-                        &Response::Error(WireError::MutationFailed(e.to_string())),
-                    ),
-                }
-            }
-            req @ (Request::RangeQuery { .. } | Request::PartialMatch { .. }) => {
-                let domain = inner.engine.domain();
-                let rect = match req.to_rect(domain) {
-                    Ok(Some(rect)) => rect,
-                    Ok(None) => unreachable!("query requests always map to a rect"),
-                    Err(e) => {
-                        inner
-                            .metrics
-                            .malformed_total
-                            .fetch_add(1, Ordering::Relaxed);
-                        send_response(reply, &Response::Error(e));
-                        continue;
-                    }
-                };
-                admit(inner, reply, Work::Query(rect));
-            }
-            Request::Insert { id, key } => match checked_point(inner, &key) {
-                Ok(p) => admit(inner, reply, Work::Insert(Record::new(id, p))),
-                Err(e) => send_response(reply, &Response::Error(e)),
-            },
-            Request::Delete { id, key } => match checked_point(inner, &key) {
-                Ok(p) => admit(inner, reply, Work::Delete(id, p)),
-                Err(e) => send_response(reply, &Response::Error(e)),
-            },
+        if write_reply(stream, inner, &reply).is_err() || hang_up {
+            break;
         }
+    }
+    let _ = session.close();
+}
+
+fn write_reply(mut stream: &TcpStream, inner: &Inner, bytes: &[u8]) -> io::Result<()> {
+    stream.write_all(bytes)?;
+    inner
+        .metrics
+        .bytes_out
+        .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+    Ok(())
+}
+
+/// Answers one frame: the encoded reply, and whether to hang up after
+/// writing it.
+fn answer(frame: &Frame, session: &mut QuerySession<'_>, inner: &Inner) -> (Vec<u8>, bool) {
+    let request = match Request::decode(frame.msg_type, &frame.payload) {
+        Ok(r) => r,
+        // Frame boundaries are intact, only this payload is bad — reply
+        // and keep the connection.
+        Err(e) => return (malformed(inner, e), false),
+    };
+    inner.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
+    let now = |resp: Response| (encode(&resp), false);
+    let work = match request {
+        Request::Ping { token } => return now(Response::Pong { token }),
+        Request::Stats => return now(Response::StatsText(inner.metrics_prom())),
+        Request::Shutdown if inner.config.allow_remote_shutdown => {
+            inner.request_shutdown();
+            return (encode(&Response::ShutdownAck), true);
+        }
+        Request::Shutdown => {
+            return now(Response::Error(WireError::Malformed(
+                "remote shutdown not permitted".into(),
+            )))
+        }
+        Request::Rebalance { cmd, dry_run } => return now(rebalance(inner, cmd, dry_run)),
+        req @ (Request::RangeQuery { .. } | Request::PartialMatch { .. }) => {
+            match req.to_rect(inner.engine.domain()) {
+                Ok(Some(rect)) => Work::Query(rect),
+                Ok(None) => unreachable!("query requests always map to a rect"),
+                Err(e) => {
+                    inner
+                        .metrics
+                        .malformed_total
+                        .fetch_add(1, Ordering::Relaxed);
+                    return now(Response::Error(e));
+                }
+            }
+        }
+        Request::Insert { id, key } => match checked_point(inner, &key) {
+            Ok(p) => Work::Insert(Record::new(id, p)),
+            Err(e) => return now(Response::Error(e)),
+        },
+        Request::Delete { id, key } => match checked_point(inner, &key) {
+            Ok(p) => Work::Delete(id, p),
+            Err(e) => return now(Response::Error(e)),
+        },
+    };
+    (admit(inner, session, work), false)
+}
+
+/// Control path, like Shutdown: runs inline on the connection thread,
+/// bypassing the admission gate, so a resize works precisely when the data
+/// path is saturated. The engine serializes it against mutations
+/// internally; queries keep flowing throughout.
+fn rebalance(inner: &Inner, cmd: RebalanceCmd, dry_run: bool) -> Response {
+    if !inner.config.allow_remote_rebalance {
+        return Response::Error(WireError::Malformed(
+            "remote rebalance not permitted".into(),
+        ));
+    }
+    let op = match cmd {
+        RebalanceCmd::AddWorkers(k) => RebalanceOp::AddWorkers(k as usize),
+        RebalanceCmd::RemoveWorker(w) => RebalanceOp::RemoveWorker(w as usize),
+    };
+    match inner.engine.rebalance(op, dry_run) {
+        Ok(rep) => {
+            inner
+                .metrics
+                .rebalance_total
+                .fetch_add(1, Ordering::Relaxed);
+            Response::Rebalance(RebalanceSummary {
+                applied: rep.applied,
+                moves: rep.moves as u32,
+                moved_bytes: rep.moved_bytes,
+                full_moves: rep.full_moves as u32,
+                active_workers: rep.active_workers as u32,
+                predicted_objective: rep.predicted_objective,
+                baseline_objective: rep.baseline_objective,
+            })
+        }
+        Err(e) => Response::Error(WireError::MutationFailed(e.to_string())),
     }
 }
 
 /// Validates a mutation key against the file's dimensionality (decode
 /// already guaranteed finite coordinates and `1..=MAX_DIM`), so hostile
 /// wire data can never reach the engine's dimension assert.
-fn checked_point(inner: &Arc<Inner>, key: &[f64]) -> Result<Point, WireError> {
+fn checked_point(inner: &Inner, key: &[f64]) -> Result<Point, WireError> {
     let dim = inner.engine.domain().dim();
     if key.len() != dim {
         inner
@@ -764,84 +701,74 @@ fn checked_point(inner: &Arc<Inner>, key: &[f64]) -> Result<Point, WireError> {
     Ok(Point::new(key))
 }
 
-/// Pushes validated work through admission control, shedding with
-/// `Overloaded` when the queue is full — the same back-pressure for
-/// queries and mutations.
-fn admit(inner: &Arc<Inner>, reply: &mpsc::Sender<Vec<u8>>, work: Work) {
-    let job = Job {
-        work,
-        enqueued: Instant::now(),
-        reply: reply.clone(),
-    };
-    if inner.queue.try_push(job).is_err() {
+/// Runs validated work under an admission permit and returns its encoded
+/// reply, or sheds it with `Overloaded` when the gate refuses — the same
+/// back-pressure for queries and mutations. The permit is held until the
+/// reply is encoded, pacing sleep included.
+fn admit(inner: &Inner, session: &mut QuerySession<'_>, work: Work) -> Vec<u8> {
+    let entered = Instant::now();
+    let Some(_permit) = inner.gate.enter() else {
         inner.metrics.shed_total.fetch_add(1, Ordering::Relaxed);
-        send_response(
-            reply,
-            &Response::Error(WireError::Overloaded {
-                retry_after_ms: inner.config.retry_after_ms,
-            }),
-        );
-    }
+        return encode(&Response::Error(WireError::Overloaded {
+            retry_after_ms: inner.config.retry_after_ms,
+        }));
+    };
+    let reply = encode(&execute(inner, session, work));
+    let sojourn = entered.elapsed().as_micros().min(u64::MAX as u128) as u64;
+    inner.metrics.sojourn_us.record(sojourn);
+    reply
 }
 
-fn dispatcher_loop(inner: &Arc<Inner>) {
-    let mut session = inner.engine.session();
-    while let Some(job) = inner.queue.pop() {
-        let resp = match job.work {
-            Work::Query(rect) => {
-                let outcome = session.query(&rect);
-                let pace_us = inner.config.pace_us_per_block * outcome.response_blocks.max(1);
-                if pace_us > 0 {
-                    thread::sleep(Duration::from_micros(pace_us));
-                }
-                if outcome.incomplete {
-                    Response::Error(WireError::Incomplete(format!(
-                        "{} of {} engine workers alive",
-                        inner.engine.live_workers(),
-                        inner.engine.n_workers(),
-                    )))
-                } else {
-                    inner.metrics.served_total.fetch_add(1, Ordering::Relaxed);
-                    // Distance from the frontier oracle's per-query bound:
-                    // no layout can serve total_blocks on M live workers
-                    // with fewer than ceil(total/M) on the busiest one.
-                    let live = inner.engine.live_workers().max(1) as u64;
-                    let bound = outcome.total_blocks.div_ceil(live);
-                    inner
-                        .metrics
-                        .gap_blocks
-                        .record(outcome.response_blocks.saturating_sub(bound));
-                    Response::Records(RecordsReply {
-                        incomplete: outcome.incomplete,
-                        elapsed_us: outcome.elapsed_us,
-                        comm_us: outcome.comm_us,
-                        response_blocks: outcome.response_blocks,
-                        total_blocks: outcome.total_blocks,
-                        cache_hits: outcome.cache_hits,
-                        records: outcome.records,
-                    })
-                }
+fn execute(inner: &Inner, session: &mut QuerySession<'_>, work: Work) -> Response {
+    match work {
+        Work::Query(rect) => {
+            let outcome = session.query(&rect);
+            let pace_us = inner.config.pace_us_per_block * outcome.response_blocks.max(1);
+            if pace_us > 0 {
+                thread::sleep(Duration::from_micros(pace_us));
             }
-            Work::Insert(rec) => match gate_mutation(inner, || MetaOp::Insert {
-                id: rec.id,
-                key: rec.point.coords().to_vec(),
-            }) {
-                Err(e) => Response::Error(e),
-                Ok(()) => mutation_response(inner, inner.engine.insert(rec)),
-            },
-            Work::Delete(id, p) => match gate_mutation(inner, || MetaOp::Delete {
-                id,
-                key: p.coords().to_vec(),
-            }) {
-                Err(e) => Response::Error(e),
-                Ok(()) => mutation_response(inner, inner.engine.delete(id, &p)),
-            },
-        };
-        let sojourn = job.enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        inner.metrics.sojourn_us.record(sojourn);
-        send_response(&job.reply, &resp);
+            if outcome.incomplete {
+                return Response::Error(WireError::Incomplete(format!(
+                    "{} of {} engine workers alive",
+                    inner.engine.live_workers(),
+                    inner.engine.n_workers(),
+                )));
+            }
+            inner.metrics.served_total.fetch_add(1, Ordering::Relaxed);
+            // Distance from the frontier oracle's per-query bound: no
+            // layout can serve total_blocks on M live workers with fewer
+            // than ceil(total/M) on the busiest one.
+            let live = inner.engine.live_workers().max(1) as u64;
+            let bound = outcome.total_blocks.div_ceil(live);
+            inner
+                .metrics
+                .gap_blocks
+                .record(outcome.response_blocks.saturating_sub(bound));
+            Response::Records(RecordsReply {
+                incomplete: outcome.incomplete,
+                elapsed_us: outcome.elapsed_us,
+                comm_us: outcome.comm_us,
+                response_blocks: outcome.response_blocks,
+                total_blocks: outcome.total_blocks,
+                cache_hits: outcome.cache_hits,
+                records: outcome.records,
+            })
+        }
+        Work::Insert(rec) => match gate_mutation(inner, || MetaOp::Insert {
+            id: rec.id,
+            key: rec.point.coords().to_vec(),
+        }) {
+            Err(e) => Response::Error(e),
+            Ok(()) => mutation_response(inner, inner.engine.insert(rec)),
+        },
+        Work::Delete(id, p) => match gate_mutation(inner, || MetaOp::Delete {
+            id,
+            key: p.coords().to_vec(),
+        }) {
+            Err(e) => Response::Error(e),
+            Ok(()) => mutation_response(inner, inner.engine.delete(id, &p)),
+        },
     }
-    let _ = session.close();
 }
 
 /// Runs the cluster mutation gate, if installed. A gated mutation that
@@ -849,7 +776,7 @@ fn dispatcher_loop(inner: &Arc<Inner>) {
 /// engine — in cluster mode `MutationFailed` therefore means
 /// *indeterminate*, not "nothing changed" (documented on
 /// [`WireError::MutationFailed`]).
-fn gate_mutation(inner: &Arc<Inner>, op: impl FnOnce() -> MetaOp) -> Result<(), WireError> {
+fn gate_mutation(inner: &Inner, op: impl FnOnce() -> MetaOp) -> Result<(), WireError> {
     match &inner.config.cluster {
         Some(hooks) => (hooks.mutation_gate)(&op()),
         None => Ok(()),
@@ -859,7 +786,7 @@ fn gate_mutation(inner: &Arc<Inner>, op: impl FnOnce() -> MetaOp) -> Result<(), 
 /// Folds the engine's mutation result into a wire response. The
 /// write-ahead discipline means an `Err` guarantees nothing changed.
 fn mutation_response(
-    inner: &Arc<Inner>,
+    inner: &Inner,
     result: Result<pargrid_parallel::MutationOutcome, pargrid_parallel::EngineError>,
 ) -> Response {
     match result {
@@ -876,5 +803,55 @@ fn mutation_response(
             })
         }
         Err(e) => Response::Error(WireError::MutationFailed(e.to_string())),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Spins until another thread has parked on the gate: the interleaving
+    /// is forced by the gate's own count, not by a sleep.
+    fn until_waiting(gate: &Gate, n: usize) {
+        while gate.depth() != n {
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn gate_admits_one_parks_one_and_sheds_the_next() {
+        let gate = Gate::new(1, 1);
+        thread::scope(|s| {
+            let first = gate.enter().expect("a free permit admits at once");
+            let second = s.spawn(|| gate.enter().is_some());
+            until_waiting(&gate, 1);
+            assert!(gate.enter().is_none(), "a full waiting room sheds");
+            drop(first);
+            assert!(
+                second.join().expect("waiter thread"),
+                "dropping the permit admits the waiter"
+            );
+        });
+        assert_eq!(gate.depth(), 0);
+        assert_eq!(gate.hwm(), 1);
+        assert!(gate.enter().is_some(), "every permit came back");
+    }
+
+    #[test]
+    fn closed_gate_refuses_newcomers_but_admits_its_waiters() {
+        let gate = Gate::new(1, 1);
+        thread::scope(|s| {
+            let first = gate.enter().expect("an open gate admits");
+            let waiter = s.spawn(|| gate.enter().is_some());
+            until_waiting(&gate, 1);
+            gate.close();
+            assert!(gate.enter().is_none(), "a closed gate refuses newcomers");
+            drop(first);
+            assert!(
+                waiter.join().expect("waiter thread"),
+                "a caller already waiting when the gate closed still enters"
+            );
+        });
+        assert!(gate.enter().is_none(), "a closed gate stays closed");
     }
 }

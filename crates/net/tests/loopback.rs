@@ -244,6 +244,93 @@ fn wire_shutdown_is_acknowledged_and_drains() {
 }
 
 #[test]
+fn pipelined_replies_come_back_in_request_order() {
+    use pargrid_net::proto::Request;
+    use pargrid_net::{read_frame, write_frame};
+
+    let (_gf, engine) = build_engine(4);
+    // Two requests may be served at once and the whole-domain query is
+    // paced far longer than the small one, so a server that answered them
+    // side by side would finish the second first.
+    let server = Server::start(
+        Arc::clone(&engine),
+        "127.0.0.1:0",
+        ServerConfig {
+            dispatchers: 2,
+            pace_us_per_block: 2000,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let queries = [
+        Rect::new2(0.0, 0.0, 100.0, 100.0),
+        Rect::new2(25.0, 25.0, 75.0, 75.0),
+    ];
+
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    for q in &queries {
+        let (msg_type, payload) = Request::RangeQuery {
+            lo: q.lo().coords().to_vec(),
+            hi: q.hi().coords().to_vec(),
+        }
+        .encode();
+        write_frame(&mut raw, msg_type, &payload).expect("write request");
+    }
+    for (k, q) in queries.iter().enumerate() {
+        let frame = read_frame(&mut raw).expect("reply frame");
+        let reply = match Response::decode(frame.msg_type, &frame.payload).expect("decode") {
+            Response::Records(r) => r,
+            other => panic!("reply {k}: {other:?}"),
+        };
+        assert_eq!(
+            record_bytes(&reply.records),
+            record_bytes(&engine.query(q).records),
+            "reply {k} does not answer request {k}"
+        );
+    }
+
+    server.shutdown();
+}
+
+#[test]
+fn query_in_flight_at_shutdown_is_answered_before_the_engine_stops() {
+    let (_gf, engine) = build_engine(4);
+    let whole = Rect::new2(0.0, 0.0, 100.0, 100.0);
+    let expected = record_bytes(&engine.query(&whole).records);
+    let server = Server::start(
+        Arc::clone(&engine),
+        "127.0.0.1:0",
+        ServerConfig {
+            pace_us_per_block: 10_000,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let addr = server.local_addr();
+    let planned_before = engine.stats().queries;
+
+    let client = thread::spawn(move || {
+        Client::connect(addr)
+            .expect("connect")
+            .range_query(&[0.0, 0.0], &[100.0, 100.0])
+    });
+    // The engine counts a query when it plans it, after the gate let it
+    // in; from then on it is in flight until its paced reply is written.
+    while engine.stats().queries == planned_before {
+        thread::yield_now();
+    }
+    server.shutdown();
+
+    let reply = client
+        .join()
+        .expect("client thread")
+        .expect("the in-flight query gets its Records reply");
+    assert!(!reply.incomplete);
+    assert_eq!(record_bytes(&reply.records), expected);
+    assert!(engine.is_shut_down());
+}
+
+#[test]
 fn malformed_frame_gets_typed_error_then_close() {
     use std::io::{Read, Write};
 

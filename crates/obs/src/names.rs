@@ -26,11 +26,12 @@ pub const NET_SHED_TOTAL: &str = "pargrid_net_shed_total";
 /// Frames rejected as malformed — bad magic, CRC, version, length, or
 /// payload (counter).
 pub const NET_MALFORMED_TOTAL: &str = "pargrid_net_malformed_total";
-/// Admission-queue depth at this instant (gauge).
+/// Requests waiting for an admission permit at this instant (gauge).
 pub const NET_QUEUE_DEPTH: &str = "pargrid_net_queue_depth";
-/// High-water mark of the admission queue since start (gauge).
+/// Most requests ever waiting for an admission permit at once, since
+/// start (gauge).
 pub const NET_QUEUE_HWM: &str = "pargrid_net_queue_depth_hwm";
-/// End-to-end sojourn time: enqueue to reply written (histogram,
+/// Server sojourn time: admission-gate entry to encoded reply (histogram,
 /// microseconds of wall clock).
 pub const NET_SOJOURN_US: &str = "pargrid_net_sojourn_us";
 /// Bytes read off client sockets (counter).

@@ -53,6 +53,7 @@ fn usage() -> ExitCode {
          pargrid worker --listen H:P [--disks N] [--state FILE]\n  \
          pargrid query --addr H:P --range LO..HI[,...] | --keys V|*[,...] | --insert ID,C[,...] | --delete ID,C[,...] | --ping | --stats | --shutdown\n  \
          pargrid rebalance --addr H:P --add-workers K | --remove-worker I [--dry-run]\n\n  \
+         serve: each connection answers its requests in order; up to --dispatchers K requests run at once (default 4) and --queue N more may wait (default 64); the rest are shed\n  \
          methods: {}",
         DeclusterMethod::names().join(" ")
     );
@@ -584,7 +585,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
     )
     .map_err(|e| format!("cannot bind {addr}: {e}"))?;
     println!(
-        "serving {path} ({} over {disks} disks{}{}) — {dispatchers} dispatchers, queue {queue}",
+        "serving {path} ({} over {disks} disks{}{}) — {dispatchers} requests at once, {queue} may wait",
         method.label(),
         if replicate { ", replicated" } else { "" },
         if standby > 0 {

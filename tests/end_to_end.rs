@@ -195,3 +195,66 @@ fn facade_concurrent_service_is_deterministic() {
     // The concurrent schedule actually batches.
     assert!(throughput.mean_batch() > 1.0);
 }
+
+/// The engine behind the wire server: a query over TCP gets the engine's
+/// own answer, pipelined queries come back in request order (the first is
+/// paced far longer than the second, so answering them side by side would
+/// swap them), and shutdown stops the engine.
+#[test]
+fn served_engine_answers_in_request_order_and_shuts_down() {
+    use pargrid::net::proto::{Request, Response};
+    use pargrid::net::{read_frame, write_frame, Client, Server, ServerConfig};
+
+    let ds = pargrid::datagen::hot2d(4);
+    let grid = Arc::new(ds.build_grid_file());
+    let input = DeclusterInput::from_grid_file(&grid);
+    let assignment = DeclusterMethod::Minimax(EdgeWeight::Proximity).assign(&input, 4, 1);
+    let engine = Arc::new(ParallelGridFile::build(
+        grid,
+        &assignment,
+        EngineConfig::default(),
+    ));
+    let server = Server::start(
+        Arc::clone(&engine),
+        "127.0.0.1:0",
+        ServerConfig {
+            dispatchers: 2,
+            pace_us_per_block: 1000,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let ids = |records: &[Record]| records.iter().map(|r| r.id).collect::<Vec<_>>();
+    let small = QueryWorkload::square(&ds.domain, 0.05, 1, 9).queries[0];
+
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let reply = client
+        .range_query(small.lo().coords(), small.hi().coords())
+        .expect("range query");
+    assert_eq!(ids(&reply.records), ids(&engine.query(&small).records));
+
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    let pipelined = [ds.domain, small];
+    for q in &pipelined {
+        let (msg_type, payload) = Request::RangeQuery {
+            lo: q.lo().coords().to_vec(),
+            hi: q.hi().coords().to_vec(),
+        }
+        .encode();
+        write_frame(&mut raw, msg_type, &payload).expect("write request");
+    }
+    for (k, q) in pipelined.iter().enumerate() {
+        let frame = read_frame(&mut raw).expect("reply frame");
+        match Response::decode(frame.msg_type, &frame.payload).expect("decode") {
+            Response::Records(r) => assert_eq!(
+                ids(&r.records),
+                ids(&engine.query(q).records),
+                "reply {k} does not answer request {k}"
+            ),
+            other => panic!("reply {k}: {other:?}"),
+        }
+    }
+
+    server.shutdown();
+    assert!(engine.is_shut_down());
+}
