@@ -2,17 +2,15 @@
 //!
 //! Every benchmark here is named in the repo-root trajectory file and
 //! guarded by the CI `bench-smoke` job (`benchgate` fails the build on
-//! any regression past 10% of the committed baseline). Two of the groups
-//! are before/after pairs, kept so the difference stays visible and
-//! regressions stay loud:
+//! any regression past 10% of the committed baseline). One group is a
+//! before/after pair, kept so the difference stays visible and
+//! regressions stay loud: `frame_encode/zero_copy` vs `frame_encode/copy`
+//! — response framing via [`pargrid_net::FrameBuilder`] (payload
+//! serialized straight into the frame buffer) vs the encode-then-copy
+//! path.
 //!
-//! * `frame_encode/zero_copy` vs `frame_encode/copy` — response framing
-//!   via [`pargrid_net::FrameBuilder`] (payload serialized straight into
-//!   the frame buffer) vs the encode-then-copy path.
-//! * `store_read/pooled` vs `store_read/alloc` — file-backed block reads
-//!   through the recycled buffer pool vs an owned `Vec` per read.
-//!
-//! The rest are single-sided trajectory points: the coordinator → worker
+//! The rest are single-sided trajectory points: `store_read/alloc` (one
+//! file-backed block read into an owned `Vec`), the coordinator → worker
 //! transport, alone (`dispatch/channel`, a 256-message burst) and under a
 //! whole query (`query_e2e/channel`), `elevator/read_batch` (worker
 //! disk-batch throughput),
@@ -210,7 +208,7 @@ fn bench_reply_merge(c: &mut Criterion) {
     group.finish();
 }
 
-/// File-backed block reads: pooled `BlockBuf` vs an owned `Vec` per read.
+/// File-backed block reads into an owned `Vec`.
 fn bench_store_read(c: &mut Criterion) {
     const BLOCKS: u32 = 256;
     const BLOCK_BYTES: usize = 4_096;
@@ -226,14 +224,6 @@ fn bench_store_read(c: &mut Criterion) {
     let mut group = c.benchmark_group("store_read");
     group.sample_size(300);
     group.throughput(Throughput::Bytes(BLOCK_BYTES as u64));
-    let mut i = 0u32;
-    group.bench_function("pooled", |b| {
-        b.iter(|| {
-            let blk = i % BLOCKS;
-            i += 1;
-            black_box(store.read_block(blk).expect("read").len())
-        })
-    });
     let mut i = 0u32;
     group.bench_function("alloc", |b| {
         b.iter(|| {

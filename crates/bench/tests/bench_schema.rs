@@ -16,7 +16,6 @@ const REQUIRED: &[&str] = &[
     "frame_decode/records",
     "frame_decode/records_7k",
     "reply_merge/8x900",
-    "store_read/pooled",
     "store_read/alloc",
     "crc32/4k",
     "crc32/256k",

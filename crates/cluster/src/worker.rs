@@ -39,8 +39,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use pargrid_gridfile::codec::{err, seal, unseal, Cur, DecodeError, Wire};
+use pargrid_gridfile::persist::write_durably;
 use pargrid_net::cluster_proto::{ClusterRequest, ClusterResponse, WireReply};
 use pargrid_net::frame::{read_frame, write_frame, FrameError};
+use pargrid_net::server::wake_accept;
 use pargrid_parallel::disk::DiskParams;
 use pargrid_parallel::message::QueryPriority;
 use pargrid_parallel::worker::WorkerState;
@@ -166,7 +169,6 @@ impl WorkerServer {
     pub fn start(addr: impl ToSocketAddrs, cfg: WorkerConfig) -> std::io::Result<WorkerServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let mut plane = Plane {
             slots: HashMap::new(),
             epoch: 0,
@@ -231,6 +233,7 @@ impl WorkerServer {
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept.take() {
+            wake_accept(self.local_addr);
             let _ = h.join();
         }
     }
@@ -249,17 +252,20 @@ impl Drop for WorkerServer {
     }
 }
 
+/// Blocks in `accept`, so an idle worker's accept thread sleeps until a
+/// connection arrives; [`WorkerServer::shutdown`] connects once to wake it.
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let shared = Arc::clone(&shared);
                 let _ = thread::Builder::new()
                     .name("pargrid-worker-conn".into())
                     .spawn(move || conn_loop(stream, shared));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
             }
             Err(_) => break,
         }
@@ -594,10 +600,13 @@ const STATE_VERSION: u16 = 1;
 /// + crc32.
 const STATE_LEN: usize = 4 + 2 + 5 * 8 + 1 + 8 + 4 + 4;
 
+/// The voter-state file, encoded with the workspace codec and sealed by
+/// its CRC-32 trailer. The vote is always present on disk: flag 1 means
+/// `Some`, anything else `None`.
 fn encode_state(plane: &Plane) -> Vec<u8> {
     let mut b = Vec::with_capacity(STATE_LEN);
     b.extend_from_slice(&STATE_MAGIC);
-    b.extend_from_slice(&STATE_VERSION.to_le_bytes());
+    STATE_VERSION.put(&mut b);
     for v in [
         plane.epoch,
         plane.term,
@@ -605,71 +614,47 @@ fn encode_state(plane: &Plane) -> Vec<u8> {
         plane.commit_seen,
         plane.commit_term,
     ] {
-        b.extend_from_slice(&v.to_le_bytes());
+        v.put(&mut b);
     }
-    match plane.voted {
-        Some((t, c)) => {
-            b.push(1);
-            b.extend_from_slice(&t.to_le_bytes());
-            b.extend_from_slice(&c.to_le_bytes());
-        }
-        None => {
-            b.push(0);
-            b.extend_from_slice(&0u64.to_le_bytes());
-            b.extend_from_slice(&0u32.to_le_bytes());
-        }
-    }
-    let crc = pargrid_gridfile::crc32(&b);
-    b.extend_from_slice(&crc.to_le_bytes());
+    let (term, candidate) = plane.voted.unwrap_or_default();
+    plane.voted.is_some().put(&mut b);
+    term.put(&mut b);
+    candidate.put(&mut b);
+    seal(&mut b);
     b
 }
 
-/// Durably writes the voter state: tmp file, fsync, rename — a crash
-/// mid-write leaves the previous state intact, never a torn one.
+/// Durably writes the voter state ([`write_durably`]) — a crash mid-write
+/// leaves the previous state intact, never a torn one.
 fn save_state(path: &Path, plane: &Plane) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&encode_state(plane))?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    write_durably(path, &encode_state(plane))
 }
 
 /// Loads persisted voter state into `plane`; returns whether anything
 /// valid was restored. A missing, short, corrupt, or version-skewed
 /// file restores nothing (the caller then falls back to the vote grace).
 fn load_state(path: &Path, plane: &mut Plane) -> bool {
-    let Ok(b) = std::fs::read(path) else {
-        return false;
-    };
-    if b.len() != STATE_LEN || b[0..4] != STATE_MAGIC {
-        return false;
+    std::fs::read(path).is_ok_and(|b| decode_state(&b, plane).is_ok())
+}
+
+/// Restores `plane` from a voter-state file, or leaves it untouched.
+fn decode_state(b: &[u8], plane: &mut Plane) -> Result<(), DecodeError> {
+    let mut c = Cur::new(unseal(b)?);
+    if c.take(4)? != STATE_MAGIC || c.get::<u16>()? != STATE_VERSION {
+        return Err(err("not a voter state of this version"));
     }
-    if u16::from_le_bytes([b[4], b[5]]) != STATE_VERSION {
-        return false;
-    }
-    let body = &b[..STATE_LEN - 4];
-    let crc = u32::from_le_bytes(b[STATE_LEN - 4..].try_into().expect("crc slice"));
-    if pargrid_gridfile::crc32(body) != crc {
-        return false;
-    }
-    let u64_at = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().expect("u64 slice"));
-    plane.epoch = u64_at(6);
-    plane.term = u64_at(14);
-    plane.leader_term_seen = u64_at(22);
-    plane.commit_seen = u64_at(30);
-    plane.commit_term = u64_at(38);
-    plane.voted = if b[46] == 1 {
-        Some((
-            u64_at(47),
-            u32::from_le_bytes(b[55..59].try_into().expect("u32 slice")),
-        ))
-    } else {
-        None
-    };
-    true
+    let watermarks: [u64; 5] = [c.get()?, c.get()?, c.get()?, c.get()?, c.get()?];
+    let (flag, vote) = (c.get::<u8>()?, (c.get()?, c.get()?));
+    c.done()?;
+    [
+        plane.epoch,
+        plane.term,
+        plane.leader_term_seen,
+        plane.commit_seen,
+        plane.commit_term,
+    ] = watermarks;
+    plane.voted = (flag == 1).then_some(vote);
+    Ok(())
 }
 
 /// Persists the plane if a state path is configured; `true` means the
@@ -727,5 +712,107 @@ mod tests {
         expected.extend_from_slice(&0x6D8C_A96Fu32.to_le_bytes());
         assert_eq!(encode_state(&plane), expected);
         assert_eq!(expected.len(), STATE_LEN);
+    }
+
+    /// Which files restore voter state, and to what, pinned over a seeded
+    /// corpus from the loader as it was before it moved onto the shared
+    /// codec: two valid files, every truncation, every single-bit flip with
+    /// and without its CRC re-sealed (so flips reach the magic, version and
+    /// vote-flag checks), and 2,000 arbitrary files, half of them sealed
+    /// state-sized bodies. Each verdict — nothing restored, or the restored
+    /// state re-encoded — is folded with its index into an FNV-1a digest.
+    #[test]
+    fn voter_state_load_verdicts_are_pinned() {
+        let plane = |voted| Plane {
+            slots: HashMap::new(),
+            epoch: 7,
+            term: 9,
+            voted,
+            commit_seen: 1234,
+            commit_term: 6,
+            leader_term_seen: 8,
+        };
+        let reseal = |b: &mut Vec<u8>| {
+            let n = b.len();
+            let crc = pargrid_gridfile::crc32(&b[..n - 4]);
+            b[n - 4..].copy_from_slice(&crc.to_le_bytes());
+        };
+        let mut inputs: Vec<Vec<u8>> = Vec::new();
+        for valid in [
+            encode_state(&plane(Some((9, 3)))),
+            encode_state(&plane(None)),
+        ] {
+            inputs.push(valid.clone());
+            for cut in 0..valid.len() {
+                inputs.push(valid[..cut].to_vec());
+            }
+            for bit in 0..8 * valid.len() {
+                let mut flipped = valid.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                inputs.push(flipped.clone());
+                if bit < 8 * (valid.len() - 4) {
+                    reseal(&mut flipped);
+                    inputs.push(flipped);
+                }
+            }
+        }
+        let mut s = 0xC0DE_0201u64;
+        let mut next = || {
+            s = splitmix(s);
+            s
+        };
+        for i in 0..2_000 {
+            let r = next();
+            if i % 2 == 0 {
+                inputs.push((0..r % 80).map(|_| next() as u8).collect());
+                continue;
+            }
+            let mut b: Vec<u8> = (0..STATE_LEN).map(|_| next() as u8).collect();
+            if r % 4 != 0 {
+                b[..6].copy_from_slice(b"PGVS\x01\x00");
+            }
+            b[46] = ((r >> 8) % 3) as u8;
+            reseal(&mut b);
+            inputs.push(b);
+        }
+
+        let dir =
+            std::env::temp_dir().join(format!("pargrid-vote-verdicts-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = dir.join("voter.state");
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let mut restored = 0;
+        for (i, bytes) in inputs.iter().enumerate() {
+            std::fs::write(&path, bytes).expect("write state");
+            let mut p = Plane {
+                slots: HashMap::new(),
+                epoch: 0,
+                term: 0,
+                voted: None,
+                commit_seen: 0,
+                commit_term: 0,
+                leader_term_seen: 0,
+            };
+            eat(&(i as u64).to_le_bytes());
+            if load_state(&path, &mut p) {
+                restored += 1;
+                eat(&[1]);
+                eat(&encode_state(&p));
+            } else {
+                eat(&[0]);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        println!("voter state: ({h:#018x}, {restored})");
+        assert_eq!(
+            (h, restored),
+            (0x4235_d5a4_e3a6_8b97, 1585),
+            "voter-state load verdicts moved"
+        );
     }
 }

@@ -9,10 +9,11 @@
 //! state = checkpoint image  ⊕  surviving WAL prefix
 //! ```
 //!
-//! [`DurableGridFile::checkpoint`] persists the current file via the PR 4
-//! CRC-trailered [`persist`](crate::persist) format (write to a temporary
-//! file, then atomically rename over `checkpoint.pgf`) and only then resets
-//! the log, so a crash at any point leaves either the old
+//! [`DurableGridFile::checkpoint`] persists the current file via the
+//! CRC-trailered [`persist`](crate::persist) format
+//! ([`persist::write_durably`](crate::persist::write_durably): a synced
+//! temporary file renamed over `checkpoint.pgf`, directory synced) and only
+//! then resets the log, so a crash at any point leaves either the old
 //! checkpoint + full WAL or the new checkpoint + (possibly stale but
 //! harmless) WAL. Replaying an already-checkpointed insert is prevented by
 //! the reset; a torn WAL tail is dropped by [`Wal::recover`].
@@ -102,18 +103,16 @@ impl DurableGridFile {
 
     /// Persists the current state as the new checkpoint and resets the WAL.
     ///
-    /// The image is written to a temporary sibling and atomically renamed
-    /// over [`CHECKPOINT_FILE`]; only after the rename succeeds is the log
-    /// truncated, so a crash anywhere in between recovers correctly (at
+    /// The image is written durably ([`GridFile::save`]: a synced temporary
+    /// sibling renamed over [`CHECKPOINT_FILE`], directory synced); only
+    /// after that succeeds is the log truncated, so a crash anywhere in between recovers correctly (at
     /// worst it replays ops already contained in the new image onto the
     /// *new* image — prevented because reset happens before returning; a
     /// crash between rename and reset replays onto the new image, which is
     /// why recovery applies WAL ops with plain `insert`/`delete`:
     /// re-inserting an existing `(id, point)` pair is filtered below).
     pub fn checkpoint(&mut self) -> Result<(), PersistError> {
-        let tmp = self.dir.join("checkpoint.pgf.tmp");
-        self.gf.save(&tmp)?;
-        fs::rename(&tmp, self.dir.join(CHECKPOINT_FILE))?;
+        self.gf.save(self.dir.join(CHECKPOINT_FILE))?;
         self.wal.reset()?;
         self.ops_since_checkpoint = 0;
         Ok(())

@@ -45,6 +45,7 @@
 
 pub mod cartesian;
 pub mod checksum;
+pub mod codec;
 pub mod directory;
 pub mod durable;
 pub mod file;

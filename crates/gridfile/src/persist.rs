@@ -1,4 +1,5 @@
-//! Grid-file persistence: a compact, versioned binary image.
+//! Grid-file persistence: a compact, versioned binary image, encoded with
+//! [`crate::codec`].
 //!
 //! The paper's simulator "reads in the dataset and declusters it to separate
 //! files corresponding to every disk"; for that (and for any real
@@ -26,7 +27,11 @@
 //! structurally-validated counts — is rejected as
 //! [`PersistError::Corrupt`]. Images written before the footer existed
 //! (flags 0) still load.
+//!
+//! Files are replaced through [`write_durably`], so a crash or power loss
+//! leaves the old image or the new one, never a torn or empty one.
 
+use crate::codec::{seal, unseal, Cur, DecodeError, Wire};
 use crate::directory::Directory;
 use crate::file::{Bucket, GridConfig, GridFile};
 use crate::record::Record;
@@ -34,6 +39,7 @@ use crate::region::CellRegion;
 use crate::scale::LinearScale;
 use pargrid_geom::{Point, Rect, MAX_DIM};
 use std::fmt;
+use std::io::Write;
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"PGF1";
@@ -71,65 +77,33 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+impl From<DecodeError> for PersistError {
+    fn from(e: DecodeError) -> Self {
+        PersistError::Corrupt(e.0)
+    }
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
-        if self.pos + n > self.buf.len() {
-            return Err(PersistError::Corrupt(format!(
-                "truncated at offset {} (wanted {n} bytes of {})",
-                self.pos,
-                self.buf.len()
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+/// Replaces the file at `path` with `bytes` so that a crash at any point
+/// leaves either the old file or the new one, whole: write a sibling
+/// `.tmp` file, `sync_all` it, rename it over `path`, then fsync the
+/// directory so the rename itself survives a power loss.
+pub fn write_durably(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut f = std::fs::File::create(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    drop(f);
+    std::fs::rename(&tmp, path)?;
+    #[cfg(unix)]
+    {
+        let dir = match path.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(dir)?.sync_all()?;
     }
-
-    fn u16(&mut self) -> Result<u16, PersistError> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    fn u32(&mut self) -> Result<u32, PersistError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, PersistError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64, PersistError> {
-        Ok(f64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Validates an untrusted element count before any allocation: the
-    /// remaining bytes must be able to hold `count` elements of
-    /// `elem_bytes`. Prevents corrupted counts from triggering huge
-    /// `Vec::with_capacity` calls.
-    fn check_count(&self, count: usize, elem_bytes: usize, what: &str) -> Result<(), PersistError> {
-        let remaining = self.buf.len() - self.pos;
-        if count
-            .checked_mul(elem_bytes)
-            .is_none_or(|need| need > remaining)
-        {
-            return Err(PersistError::Corrupt(format!(
-                "{what} count {count} exceeds remaining {remaining} bytes"
-            )));
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 impl GridFile {
@@ -138,40 +112,31 @@ impl GridFile {
         let d = self.dim();
         let mut out = Vec::with_capacity(64 + self.len() as usize * (8 + 8 * d));
         out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&(d as u16).to_le_bytes());
-        out.extend_from_slice(&FLAG_CRC32.to_le_bytes());
-        out.extend_from_slice(&(self.config.page_bytes as u32).to_le_bytes());
-        out.extend_from_slice(&(self.config.payload_bytes as u32).to_le_bytes());
-        out.extend_from_slice(&self.n_records.to_le_bytes());
+        (d as u16).put(&mut out);
+        FLAG_CRC32.put(&mut out);
+        (self.config.page_bytes as u32).put(&mut out);
+        (self.config.payload_bytes as u32).put(&mut out);
+        self.n_records.put(&mut out);
         for k in 0..d {
-            out.extend_from_slice(&self.config.domain.lo().get(k).to_le_bytes());
-            out.extend_from_slice(&self.config.domain.hi().get(k).to_le_bytes());
+            self.config.domain.lo().get(k).put(&mut out);
+            self.config.domain.hi().get(k).put(&mut out);
         }
         for scale in &self.scales {
-            out.extend_from_slice(&(scale.cuts().len() as u32).to_le_bytes());
-            for &c in scale.cuts() {
-                out.extend_from_slice(&c.to_le_bytes());
-            }
+            (scale.cuts().len() as u32).put(&mut out);
+            f64::put_all(scale.cuts(), &mut out);
         }
         let live: Vec<&Bucket> = self.buckets.iter().filter(|b| b.alive).collect();
-        out.extend_from_slice(&(live.len() as u32).to_le_bytes());
+        (live.len() as u32).put(&mut out);
         for b in live {
-            for k in 0..d {
-                out.extend_from_slice(&b.region.lo()[k].to_le_bytes());
-            }
-            for k in 0..d {
-                out.extend_from_slice(&b.region.hi()[k].to_le_bytes());
-            }
-            out.extend_from_slice(&(b.records.len() as u32).to_le_bytes());
+            u32::put_all(b.region.lo(), &mut out);
+            u32::put_all(b.region.hi(), &mut out);
+            (b.records.len() as u32).put(&mut out);
             for r in &b.records {
-                out.extend_from_slice(&r.id.to_le_bytes());
-                for k in 0..d {
-                    out.extend_from_slice(&r.point.get(k).to_le_bytes());
-                }
+                r.id.put(&mut out);
+                f64::put_all(r.point.coords(), &mut out);
             }
         }
-        let crc = crate::checksum::crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
+        seal(&mut out);
         out
     }
 
@@ -181,43 +146,37 @@ impl GridFile {
         // The CRC footer is verified (and stripped) before any structural
         // parsing, so a flipped byte anywhere — header, scales, records or
         // the footer itself — is caught first.
-        let mut body = bytes;
-        if bytes.len() >= 8 && &bytes[..4] == MAGIC {
-            let flags = u16::from_le_bytes([bytes[6], bytes[7]]);
-            if flags & FLAG_CRC32 != 0 {
-                if bytes.len() < 12 {
-                    return Err(PersistError::Corrupt("truncated before CRC footer".into()));
-                }
-                let split = bytes.len() - 4;
-                let stored = u32::from_le_bytes(bytes[split..].try_into().expect("4 footer bytes"));
-                let computed = crate::checksum::crc32(&bytes[..split]);
-                if stored != computed {
-                    return Err(PersistError::Corrupt(format!(
-                        "payload checksum mismatch: stored {stored:08x}, computed {computed:08x}"
-                    )));
-                }
-                body = &bytes[..split];
+        let mut head = Cur::new(bytes);
+        let sealed = head.take(4) == Ok(&MAGIC[..])
+            && head.take(2).is_ok()
+            && head.get::<u16>().is_ok_and(|flags| flags & FLAG_CRC32 != 0);
+        let bytes = match sealed {
+            true if bytes.len() < 12 => {
+                return Err(PersistError::Corrupt("truncated before CRC footer".into()))
             }
-        }
-        let bytes = body;
-        let mut r = Reader { buf: bytes, pos: 0 };
-        if r.take(4)? != MAGIC {
+            true => unseal(bytes)?,
+            false => bytes,
+        };
+        let mut c = Cur::new(bytes);
+        if c.take(4)? != MAGIC {
             return Err(PersistError::Corrupt("bad magic".into()));
         }
-        let dim = r.u16()? as usize;
+        let dim = c.get::<u16>()? as usize;
         if !(1..=MAX_DIM).contains(&dim) {
             return Err(PersistError::Corrupt(format!("bad dimension {dim}")));
         }
-        let _flags = r.u16()?;
-        let page_bytes = r.u32()? as usize;
-        let payload_bytes = r.u32()? as usize;
-        let n_records = r.u64()?;
+        let _flags: u16 = c.get()?;
+        let page_bytes = c.get::<u32>()? as usize;
+        let payload_bytes = c.get::<u32>()? as usize;
+        let n_records: u64 = c.get()?;
 
+        // Raw bits, not the finite-only `f64` decode: an image's domain
+        // and records are checked below, as they always were.
         let mut lo = [0.0; MAX_DIM];
         let mut hi = [0.0; MAX_DIM];
         for k in 0..dim {
-            lo[k] = r.f64()?;
-            hi[k] = r.f64()?;
+            lo[k] = f64::from_bits(c.get()?);
+            hi[k] = f64::from_bits(c.get()?);
             if lo[k] >= hi[k] || lo[k].is_nan() || hi[k].is_nan() {
                 return Err(PersistError::Corrupt(format!("bad domain on dim {k}")));
             }
@@ -228,40 +187,38 @@ impl GridFile {
 
         let mut scales = Vec::with_capacity(dim);
         for k in 0..dim {
-            let n_cuts = r.u32()? as usize;
-            r.check_count(n_cuts, 8, "cut")?;
+            let n_cuts = c.count(8)?;
             let mut cuts = Vec::with_capacity(n_cuts);
             let mut prev = f64::NEG_INFINITY;
             for _ in 0..n_cuts {
-                let c = r.f64()?;
-                if !(c > prev && c > lo[k] && c < hi[k]) {
+                let x = f64::from_bits(c.get()?);
+                if !(x > prev && x > lo[k] && x < hi[k]) {
                     return Err(PersistError::Corrupt(format!(
-                        "scale {k}: cut {c} out of order or range"
+                        "scale {k}: cut {x} out of order or range"
                     )));
                 }
-                prev = c;
-                cuts.push(c);
+                prev = x;
+                cuts.push(x);
             }
             scales.push(LinearScale::with_cuts(lo[k], hi[k], cuts));
         }
         let sizes: Vec<u32> = scales.iter().map(|s| s.n_cells() as u32).collect();
 
-        let n_buckets = r.u32()? as usize;
+        // Each bucket needs at least its region corners + record count.
+        let n_buckets = c.count(8 * dim + 4)?;
         if n_buckets == 0 {
             return Err(PersistError::Corrupt("no buckets".into()));
         }
-        // Each bucket needs at least its region corners + record count.
-        r.check_count(n_buckets, 8 * dim + 4, "bucket")?;
         let mut buckets = Vec::with_capacity(n_buckets);
         let mut total_records = 0u64;
         for bi in 0..n_buckets {
             let mut rlo = [0u32; MAX_DIM];
             let mut rhi = [0u32; MAX_DIM];
             for slot in rlo.iter_mut().take(dim) {
-                *slot = r.u32()?;
+                *slot = c.get()?;
             }
             for slot in rhi.iter_mut().take(dim) {
-                *slot = r.u32()?;
+                *slot = c.get()?;
             }
             for k in 0..dim {
                 if rlo[k] > rhi[k] || rhi[k] >= sizes[k] {
@@ -271,14 +228,13 @@ impl GridFile {
                 }
             }
             let region = CellRegion::new(&rlo[..dim], &rhi[..dim]);
-            let n = r.u32()? as usize;
-            r.check_count(n, 8 + 8 * dim, "record")?;
+            let n = c.count(8 + 8 * dim)?;
             let mut records = Vec::with_capacity(n);
             for _ in 0..n {
-                let id = r.u64()?;
+                let id = c.get()?;
                 let mut coords = [0.0; MAX_DIM];
                 for slot in coords.iter_mut().take(dim) {
-                    *slot = r.f64()?;
+                    *slot = f64::from_bits(c.get()?);
                 }
                 records.push(Record::new(id, Point::new(&coords[..dim])));
             }
@@ -289,12 +245,7 @@ impl GridFile {
                 alive: true,
             });
         }
-        if r.pos != bytes.len() {
-            return Err(PersistError::Corrupt(format!(
-                "{} trailing bytes",
-                bytes.len() - r.pos
-            )));
-        }
+        c.done()?;
         if total_records != n_records {
             return Err(PersistError::Corrupt(format!(
                 "header claims {n_records} records, buckets hold {total_records}"
@@ -345,14 +296,15 @@ impl GridFile {
         Ok(gf)
     }
 
-    /// Saves the binary image to a file.
+    /// Saves the binary image to a file through [`write_durably`]: once
+    /// this returns, the image survives a crash or power loss.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), PersistError> {
         if let Some(parent) = path.as_ref().parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        std::fs::write(path, self.to_bytes())?;
+        write_durably(path.as_ref(), &self.to_bytes())?;
         Ok(())
     }
 
@@ -540,5 +492,23 @@ mod tests {
         let back = GridFile::from_bytes(&gf.to_bytes()).expect("roundtrip");
         back.check_invariants();
         assert_eq!(back.len(), 300);
+    }
+
+    #[test]
+    fn durable_replace_leaves_the_whole_new_file_and_no_temp() {
+        let dir =
+            std::env::temp_dir().join(format!("pargrid_durable_write_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.bin");
+        write_durably(&path, b"old contents, longer than the new").unwrap();
+        write_durably(&path, b"new").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"new");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["state.bin"], "no temp file remains");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -8,9 +8,10 @@
 //!
 //! ## Record framing
 //!
-//! Each record reuses the CRC-32 footer discipline of the persist format
-//! (PR 4): the checksum covers everything before it, so a flipped byte
-//! anywhere in the record is caught before the operation is applied.
+//! Each record is a `u32` length, then the op tag and its record in the
+//! codec's keyed layout ([`crate::codec`]), sealed by a CRC-32 over
+//! everything before it, so a flipped byte anywhere in the record is
+//! caught before the operation is applied.
 //!
 //! ```text
 //! +---------+--------+------------------+-----------+
@@ -35,7 +36,7 @@
 //! call it before truncating, deployments that must survive power loss call
 //! it per batch.
 
-use crate::checksum::crc32;
+use crate::codec::{err, put_keyed, seal, unseal, Cur, DecodeError, Wire};
 use crate::record::Record;
 use pargrid_geom::{Point, MAX_DIM};
 use std::fs::{File, OpenOptions};
@@ -70,53 +71,62 @@ impl WalOp {
     /// Encodes the op as one framed WAL record (length header, op tag,
     /// payload, CRC-32 footer).
     pub fn encode(&self) -> Vec<u8> {
-        let (op, id, point) = match self {
-            WalOp::Insert(r) => (OP_INSERT, r.id, &r.point),
-            WalOp::Delete { id, point } => (OP_DELETE, *id, point),
-        };
-        let dim = point.dim();
-        let len = (1 + 8 + 2 + 8 * dim) as u32;
-        let mut out = Vec::with_capacity(4 + len as usize + 4);
-        out.extend_from_slice(&len.to_le_bytes());
-        out.push(op);
-        out.extend_from_slice(&id.to_le_bytes());
-        out.extend_from_slice(&(dim as u16).to_le_bytes());
-        for k in 0..dim {
-            out.extend_from_slice(&point.get(k).to_le_bytes());
-        }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
+        let mut out = Vec::with_capacity(8 + MAX_RECORD_LEN as usize);
+        out.extend_from_slice(&[0; 4]);
+        self.put(&mut out);
+        let len = (out.len() - 4) as u32;
+        out[..4].copy_from_slice(&len.to_le_bytes());
+        seal(&mut out);
         out
     }
+}
 
-    /// Decodes the body (op tag + payload, no length header or CRC) of one
-    /// record. `None` on any structural problem — unknown op, bad dim,
-    /// non-finite coordinate, trailing bytes.
-    fn decode_body(body: &[u8]) -> Option<WalOp> {
-        let (&op, rest) = body.split_first()?;
-        if rest.len() < 10 {
-            return None;
-        }
-        let id = u64::from_le_bytes(rest[0..8].try_into().ok()?);
-        let dim = u16::from_le_bytes(rest[8..10].try_into().ok()?) as usize;
-        if dim == 0 || dim > MAX_DIM || rest.len() != 10 + 8 * dim {
-            return None;
-        }
-        let mut coords = [0.0f64; MAX_DIM];
-        for (k, slot) in coords[..dim].iter_mut().enumerate() {
-            let at = 10 + 8 * k;
-            *slot = f64::from_le_bytes(rest[at..at + 8].try_into().ok()?);
-            if !slot.is_finite() {
-                return None;
+/// The record body: op tag, then the keyed layout.
+impl Wire for WalOp {
+    const MIN_BYTES: usize = 19;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            WalOp::Insert(r) => {
+                OP_INSERT.put(out);
+                r.put(out);
+            }
+            WalOp::Delete { id, point } => {
+                OP_DELETE.put(out);
+                put_keyed(out, *id, point.coords());
             }
         }
-        let point = Point::new(&coords[..dim]);
+    }
+
+    fn take(c: &mut Cur<'_>) -> Result<Self, DecodeError> {
+        let op = c.get::<u8>()?;
+        let r: Record = c.get()?;
         match op {
-            OP_INSERT => Some(WalOp::Insert(Record::new(id, point))),
-            OP_DELETE => Some(WalOp::Delete { id, point }),
-            _ => None,
+            OP_INSERT => Ok(WalOp::Insert(r)),
+            OP_DELETE => Ok(WalOp::Delete {
+                id: r.id,
+                point: r.point,
+            }),
+            t => Err(err(format!("unknown op tag {t}"))),
         }
     }
+}
+
+/// Decodes the record at the start of `rest` and returns it with its
+/// length in bytes. Fails on a record that is incomplete, oversized,
+/// corrupt, or structurally invalid.
+fn next_record(rest: &[u8]) -> Result<(WalOp, usize), DecodeError> {
+    let len = Cur::new(rest).get::<u32>()?;
+    if len == 0 || len > MAX_RECORD_LEN {
+        return Err(err(format!("record length {len} out of range")));
+    }
+    let record = rest
+        .get(..8 + len as usize)
+        .ok_or_else(|| err("torn record"))?;
+    let mut c = Cur::new(&unseal(record)?[4..]);
+    let op = c.get()?;
+    c.done()?;
+    Ok((op, record.len()))
 }
 
 /// Outcome of replaying a log file: the decodable prefix of operations and
@@ -157,26 +167,10 @@ impl Wal {
             Err(e) => return Err(e),
         }
         let mut replay = Replay::default();
-        let mut at = 0usize;
-        while bytes.len() - at >= 4 {
-            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-            if len == 0 || len > MAX_RECORD_LEN {
-                break;
-            }
-            let total = 4 + len as usize + 4;
-            if bytes.len() - at < total {
-                break;
-            }
-            let frame = &bytes[at..at + total];
-            let stored = u32::from_le_bytes(frame[total - 4..].try_into().expect("4 bytes"));
-            if crc32(&frame[..total - 4]) != stored {
-                break;
-            }
-            let Some(op) = WalOp::decode_body(&frame[4..total - 4]) else {
-                break;
-            };
+        let mut at = 0;
+        while let Ok((op, len)) = next_record(&bytes[at..]) {
             replay.ops.push(op);
-            at += total;
+            at += len;
         }
         replay.valid_bytes = at as u64;
         replay.torn = at < bytes.len();

@@ -3,10 +3,11 @@
 //!
 //! Same transport as the client plane ([`crate::frame`]: length-prefixed,
 //! CRC-32-trailered, versioned), disjoint message-type space (requests
-//! `0x20..`, responses `0xA0..`), same total-decoding discipline: hostile
-//! bytes can only fail into a typed [`ProtoError`], never panic, and every
-//! decoder rejects trailing bytes, non-finite coordinates, and length
-//! prefixes that exceed the payload.
+//! `0x20..`, responses `0xA0..`), same codec (`pargrid_gridfile::codec`,
+//! one `put` / `take` per field) and so the same total-decoding
+//! discipline: hostile bytes can only fail into a typed [`ProtoError`],
+//! never panic, and every decoder rejects trailing bytes, non-finite
+//! coordinates, and length prefixes that exceed the payload.
 //!
 //! Three conversations share this plane:
 //!
@@ -28,12 +29,13 @@
 //!   vote, so a two-coordinator cluster keeps an electing majority when
 //!   one of them dies).
 
-use pargrid_geom::{Point, Rect, MAX_DIM};
+use pargrid_geom::Rect;
+use pargrid_gridfile::codec::{
+    err, put_keyed, put_records, records_wire_len, take_records, Cur, DecodeError, Wire,
+};
 use pargrid_gridfile::Record;
 
-use crate::proto::{
-    checked_dim, err, put_records, records_wire_len, take_records, Cur, ProtoError,
-};
+use crate::proto::ProtoError;
 
 // Request type bytes (worker/election plane).
 const REQ_WORKER_JOIN: u8 = 0x20;
@@ -96,58 +98,45 @@ const OP_INSERT: u8 = 1;
 const OP_DELETE: u8 = 2;
 const OP_REBALANCE: u8 = 3;
 
-impl MetaOp {
-    fn encode_into(&self, p: &mut Vec<u8>) {
+/// Tag byte, then the tag's fields; inserts and deletes carry the keyed
+/// layout.
+impl Wire for MetaOp {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, p: &mut Vec<u8>) {
         match self {
-            MetaOp::Noop => p.push(OP_NOOP),
+            MetaOp::Noop => OP_NOOP.put(p),
             MetaOp::Insert { id, key } => {
-                p.push(OP_INSERT);
-                encode_id_key(p, *id, key);
+                OP_INSERT.put(p);
+                put_keyed(p, *id, key);
             }
             MetaOp::Delete { id, key } => {
-                p.push(OP_DELETE);
-                encode_id_key(p, *id, key);
+                OP_DELETE.put(p);
+                put_keyed(p, *id, key);
             }
             MetaOp::Rebalance { epoch } => {
-                p.push(OP_REBALANCE);
-                p.extend_from_slice(&epoch.to_le_bytes());
+                OP_REBALANCE.put(p);
+                epoch.put(p);
             }
         }
     }
 
-    fn decode(c: &mut Cur<'_>) -> Result<MetaOp, ProtoError> {
-        Ok(match c.u8()? {
+    fn take(c: &mut Cur<'_>) -> Result<MetaOp, DecodeError> {
+        Ok(match c.get::<u8>()? {
             OP_NOOP => MetaOp::Noop,
-            OP_INSERT => {
-                let (id, key) = decode_id_key(c)?;
-                MetaOp::Insert { id, key }
+            tag @ (OP_INSERT | OP_DELETE) => {
+                let Record { id, point } = c.get()?;
+                let key = point.coords().to_vec();
+                if tag == OP_INSERT {
+                    MetaOp::Insert { id, key }
+                } else {
+                    MetaOp::Delete { id, key }
+                }
             }
-            OP_DELETE => {
-                let (id, key) = decode_id_key(c)?;
-                MetaOp::Delete { id, key }
-            }
-            OP_REBALANCE => MetaOp::Rebalance { epoch: c.u64()? },
+            OP_REBALANCE => MetaOp::Rebalance { epoch: c.get()? },
             t => return Err(err(format!("unknown meta op tag {t}"))),
         })
     }
-}
-
-fn encode_id_key(p: &mut Vec<u8>, id: u64, key: &[f64]) {
-    p.extend_from_slice(&id.to_le_bytes());
-    p.extend_from_slice(&(key.len() as u16).to_le_bytes());
-    for v in key {
-        p.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn decode_id_key(c: &mut Cur<'_>) -> Result<(u64, Vec<f64>), ProtoError> {
-    let id = c.u64()?;
-    let d = checked_dim(c.u16()?)?;
-    let mut key = Vec::with_capacity(d);
-    for _ in 0..d {
-        key.push(c.finite_f64("meta key coordinate")?);
-    }
-    Ok((id, key))
 }
 
 /// A worker's answer to one [`ClusterRequest::Dispatch`] — the wire form
@@ -363,18 +352,18 @@ impl ClusterRequest {
     /// Message type byte + payload for this request.
     pub fn encode(&self) -> (u8, Vec<u8>) {
         let mut p = Vec::new();
-        match self {
+        let t = match self {
             ClusterRequest::WorkerJoin {
                 slot,
                 epoch,
                 payload_bytes,
                 seen_seq_window,
             } => {
-                p.extend_from_slice(&slot.to_le_bytes());
-                p.extend_from_slice(&epoch.to_le_bytes());
-                p.extend_from_slice(&payload_bytes.to_le_bytes());
-                p.extend_from_slice(&seen_seq_window.to_le_bytes());
-                (REQ_WORKER_JOIN, p)
+                slot.put(&mut p);
+                epoch.put(&mut p);
+                payload_bytes.put(&mut p);
+                seen_seq_window.put(&mut p);
+                REQ_WORKER_JOIN
             }
             ClusterRequest::Dispatch {
                 epoch,
@@ -385,55 +374,39 @@ impl ClusterRequest {
                 blocks,
             } => {
                 p.reserve(37 + 16 * rect.dim() + 4 * blocks.len());
-                p.extend_from_slice(&epoch.to_le_bytes());
-                p.extend_from_slice(&query_id.to_le_bytes());
-                p.extend_from_slice(&seq.to_le_bytes());
-                p.push(*priority);
-                p.extend_from_slice(&(rect.dim() as u16).to_le_bytes());
-                for i in 0..rect.dim() {
-                    p.extend_from_slice(&rect.lo().get(i).to_le_bytes());
-                    p.extend_from_slice(&rect.hi().get(i).to_le_bytes());
-                }
-                p.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
-                for b in blocks {
-                    p.extend_from_slice(&b.to_le_bytes());
-                }
-                (REQ_DISPATCH, p)
+                epoch.put(&mut p);
+                query_id.put(&mut p);
+                seq.put(&mut p);
+                priority.put(&mut p);
+                rect.put(&mut p);
+                blocks.put(&mut p);
+                REQ_DISPATCH
             }
             ClusterRequest::WriteBlocks { epoch, blocks } => {
-                let bytes: usize = blocks.iter().map(|(_, b)| 8 + b.len()).sum();
-                p.reserve(12 + bytes);
-                p.extend_from_slice(&epoch.to_le_bytes());
-                p.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
-                for (id, bytes) in blocks {
-                    p.extend_from_slice(&id.to_le_bytes());
-                    p.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                    p.extend_from_slice(bytes);
-                }
-                (REQ_WRITE_BLOCKS, p)
+                p.reserve(12 + blocks.iter().map(|(_, b)| 8 + b.len()).sum::<usize>());
+                epoch.put(&mut p);
+                blocks.put(&mut p);
+                REQ_WRITE_BLOCKS
             }
             ClusterRequest::FetchBlocks { epoch, blocks } => {
-                p.extend_from_slice(&epoch.to_le_bytes());
-                p.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
-                for b in blocks {
-                    p.extend_from_slice(&b.to_le_bytes());
-                }
-                (REQ_FETCH_BLOCKS, p)
+                epoch.put(&mut p);
+                blocks.put(&mut p);
+                REQ_FETCH_BLOCKS
             }
             ClusterRequest::Heartbeat {
                 term,
                 epoch,
                 commit,
             } => {
-                p.extend_from_slice(&term.to_le_bytes());
-                p.extend_from_slice(&epoch.to_le_bytes());
-                p.extend_from_slice(&commit.to_le_bytes());
-                (REQ_HEARTBEAT, p)
+                term.put(&mut p);
+                epoch.put(&mut p);
+                commit.put(&mut p);
+                REQ_HEARTBEAT
             }
             ClusterRequest::LeaseGrant { epoch, ttl_ms } => {
-                p.extend_from_slice(&epoch.to_le_bytes());
-                p.extend_from_slice(&ttl_ms.to_le_bytes());
-                (REQ_LEASE_GRANT, p)
+                epoch.put(&mut p);
+                ttl_ms.put(&mut p);
+                REQ_LEASE_GRANT
             }
             ClusterRequest::VoteRequest {
                 term,
@@ -441,11 +414,11 @@ impl ClusterRequest {
                 log_len,
                 last_log_term,
             } => {
-                p.extend_from_slice(&term.to_le_bytes());
-                p.extend_from_slice(&candidate.to_le_bytes());
-                p.extend_from_slice(&log_len.to_le_bytes());
-                p.extend_from_slice(&last_log_term.to_le_bytes());
-                (REQ_VOTE, p)
+                term.put(&mut p);
+                candidate.put(&mut p);
+                log_len.put(&mut p);
+                last_log_term.put(&mut p);
+                REQ_VOTE
             }
             ClusterRequest::MetaAppend {
                 term,
@@ -454,17 +427,15 @@ impl ClusterRequest {
                 start_index,
                 ops,
             } => {
-                p.extend_from_slice(&term.to_le_bytes());
-                p.extend_from_slice(&leader.to_le_bytes());
-                p.extend_from_slice(&commit.to_le_bytes());
-                p.extend_from_slice(&start_index.to_le_bytes());
-                p.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-                for op in ops {
-                    op.encode_into(&mut p);
-                }
-                (REQ_META_APPEND, p)
+                term.put(&mut p);
+                leader.put(&mut p);
+                commit.put(&mut p);
+                start_index.put(&mut p);
+                ops.put(&mut p);
+                REQ_META_APPEND
             }
-        }
+        };
+        (t, p)
     }
 
     /// Decodes a request payload. Total: hostile bytes fail typed, never
@@ -473,109 +444,52 @@ impl ClusterRequest {
         let mut c = Cur::new(payload);
         let req = match msg_type {
             REQ_WORKER_JOIN => ClusterRequest::WorkerJoin {
-                slot: c.u32()?,
-                epoch: c.u64()?,
-                payload_bytes: c.u32()?,
-                seen_seq_window: c.u32()?,
+                slot: c.get()?,
+                epoch: c.get()?,
+                payload_bytes: c.get()?,
+                seen_seq_window: c.get()?,
             },
-            REQ_DISPATCH => {
-                let epoch = c.u64()?;
-                let query_id = c.u64()?;
-                let seq = c.u64()?;
-                let priority = c.u8()?;
-                if priority > PRIORITY_BATCH {
-                    return Err(err(format!("bad priority byte {priority}")));
-                }
-                let d = checked_dim(c.u16()?)?;
-                let mut lo = [0.0; MAX_DIM];
-                let mut hi = [0.0; MAX_DIM];
-                for i in 0..d {
-                    lo[i] = c.finite_f64("rect lo coordinate")?;
-                    hi[i] = c.finite_f64("rect hi coordinate")?;
-                    if lo[i] > hi[i] {
-                        return Err(err(format!("rect interval {i} inverted")));
-                    }
-                }
-                let n = c.u32()? as usize;
-                if n > c.remaining() / 4 {
-                    return Err(err(format!("block count {n} exceeds payload")));
-                }
-                let mut blocks = Vec::with_capacity(n);
-                for _ in 0..n {
-                    blocks.push(c.u32()?);
-                }
-                ClusterRequest::Dispatch {
-                    epoch,
-                    query_id,
-                    seq,
-                    priority,
-                    rect: Rect::new(Point::new(&lo[..d]), Point::new(&hi[..d])),
-                    blocks,
-                }
-            }
-            REQ_WRITE_BLOCKS => {
-                let epoch = c.u64()?;
-                let n = c.u32()? as usize;
-                if n > c.remaining() / 8 {
-                    return Err(err(format!("write count {n} exceeds payload")));
-                }
-                let mut blocks = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let id = c.u32()?;
-                    let len = c.u32()? as usize;
-                    blocks.push((id, c.take(len)?.to_vec()));
-                }
-                ClusterRequest::WriteBlocks { epoch, blocks }
-            }
-            REQ_FETCH_BLOCKS => {
-                let epoch = c.u64()?;
-                let n = c.u32()? as usize;
-                if n > c.remaining() / 4 {
-                    return Err(err(format!("fetch count {n} exceeds payload")));
-                }
-                let mut blocks = Vec::with_capacity(n);
-                for _ in 0..n {
-                    blocks.push(c.u32()?);
-                }
-                ClusterRequest::FetchBlocks { epoch, blocks }
-            }
+            REQ_DISPATCH => ClusterRequest::Dispatch {
+                epoch: c.get()?,
+                query_id: c.get()?,
+                seq: c.get()?,
+                priority: match c.get::<u8>()? {
+                    p @ (PRIORITY_INTERACTIVE | PRIORITY_BATCH) => p,
+                    p => return Err(err(format!("bad priority byte {p}"))),
+                },
+                rect: c.get()?,
+                blocks: c.get()?,
+            },
+            REQ_WRITE_BLOCKS => ClusterRequest::WriteBlocks {
+                epoch: c.get()?,
+                blocks: c.get()?,
+            },
+            REQ_FETCH_BLOCKS => ClusterRequest::FetchBlocks {
+                epoch: c.get()?,
+                blocks: c.get()?,
+            },
             REQ_HEARTBEAT => ClusterRequest::Heartbeat {
-                term: c.u64()?,
-                epoch: c.u64()?,
-                commit: c.u64()?,
+                term: c.get()?,
+                epoch: c.get()?,
+                commit: c.get()?,
             },
             REQ_LEASE_GRANT => ClusterRequest::LeaseGrant {
-                epoch: c.u64()?,
-                ttl_ms: c.u32()?,
+                epoch: c.get()?,
+                ttl_ms: c.get()?,
             },
             REQ_VOTE => ClusterRequest::VoteRequest {
-                term: c.u64()?,
-                candidate: c.u32()?,
-                log_len: c.u64()?,
-                last_log_term: c.u64()?,
+                term: c.get()?,
+                candidate: c.get()?,
+                log_len: c.get()?,
+                last_log_term: c.get()?,
             },
-            REQ_META_APPEND => {
-                let term = c.u64()?;
-                let leader = c.u32()?;
-                let commit = c.u64()?;
-                let start_index = c.u64()?;
-                let n = c.u32()? as usize;
-                // A meta op is at least 1 byte (Noop).
-                if n > c.remaining() {
-                    return Err(err(format!("op count {n} exceeds payload")));
-                }
-                let mut ops = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ops.push(MetaOp::decode(&mut c)?);
-                }
-                ClusterRequest::MetaAppend {
-                    term,
-                    leader,
-                    commit,
-                    start_index,
-                    ops,
-                }
-            }
+            REQ_META_APPEND => ClusterRequest::MetaAppend {
+                term: c.get()?,
+                leader: c.get()?,
+                commit: c.get()?,
+                start_index: c.get()?,
+                ops: c.get()?,
+            },
             t => return Err(err(format!("unknown cluster request type {t:#04x}"))),
         };
         c.done()?;
@@ -587,16 +501,16 @@ impl ClusterResponse {
     /// Message type byte + payload for this response.
     pub fn encode(&self) -> (u8, Vec<u8>) {
         let mut p = Vec::new();
-        match self {
+        let t = match self {
             ClusterResponse::Welcome {
                 slot,
                 epoch,
                 blocks_held,
             } => {
-                p.extend_from_slice(&slot.to_le_bytes());
-                p.extend_from_slice(&epoch.to_le_bytes());
-                p.extend_from_slice(&blocks_held.to_le_bytes());
-                (RESP_WELCOME, p)
+                slot.put(&mut p);
+                epoch.put(&mut p);
+                blocks_held.put(&mut p);
+                RESP_WELCOME
             }
             ClusterResponse::WorkerReply(r) => {
                 p.reserve(
@@ -604,31 +518,21 @@ impl ClusterResponse {
                         + r.error.as_ref().map_or(0, |m| 4 + m.len())
                         + records_wire_len(&r.records),
                 );
-                p.extend_from_slice(&r.query_id.to_le_bytes());
-                p.extend_from_slice(&r.seq.to_le_bytes());
-                p.extend_from_slice(&r.worker.to_le_bytes());
+                r.query_id.put(&mut p);
+                r.seq.put(&mut p);
+                r.worker.put(&mut p);
                 for v in [r.blocks_requested, r.cache_hits, r.disk_us, r.cpu_us] {
-                    p.extend_from_slice(&v.to_le_bytes());
+                    v.put(&mut p);
                 }
-                p.extend_from_slice(&(r.corrupt_blocks.len() as u32).to_le_bytes());
-                for b in &r.corrupt_blocks {
-                    p.extend_from_slice(&b.to_le_bytes());
-                }
-                match &r.error {
-                    None => p.push(0),
-                    Some(msg) => {
-                        p.push(1);
-                        p.extend_from_slice(&(msg.len() as u32).to_le_bytes());
-                        p.extend_from_slice(msg.as_bytes());
-                    }
-                }
+                r.corrupt_blocks.put(&mut p);
+                r.error.put(&mut p);
                 put_records(&mut p, &r.records);
-                (RESP_WORKER_REPLY, p)
+                RESP_WORKER_REPLY
             }
             ClusterResponse::BlocksAck { epoch, written } => {
-                p.extend_from_slice(&epoch.to_le_bytes());
-                p.extend_from_slice(&written.to_le_bytes());
-                (RESP_BLOCKS_ACK, p)
+                epoch.put(&mut p);
+                written.put(&mut p);
+                RESP_BLOCKS_ACK
             }
             ClusterResponse::RawBlocks { worker, blocks } => {
                 let bytes: usize = blocks
@@ -636,52 +540,41 @@ impl ClusterResponse {
                     .map(|(_, b)| 9 + b.as_ref().map_or(0, Vec::len))
                     .sum();
                 p.reserve(8 + bytes);
-                p.extend_from_slice(&worker.to_le_bytes());
-                p.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
-                for (id, bytes) in blocks {
-                    p.extend_from_slice(&id.to_le_bytes());
-                    match bytes {
-                        None => p.push(0),
-                        Some(b) => {
-                            p.push(1);
-                            p.extend_from_slice(&(b.len() as u32).to_le_bytes());
-                            p.extend_from_slice(b);
-                        }
-                    }
-                }
-                (RESP_RAW_BLOCKS, p)
+                worker.put(&mut p);
+                blocks.put(&mut p);
+                RESP_RAW_BLOCKS
             }
             ClusterResponse::HeartbeatAck { term, epoch } => {
-                p.extend_from_slice(&term.to_le_bytes());
-                p.extend_from_slice(&epoch.to_le_bytes());
-                (RESP_HEARTBEAT_ACK, p)
+                term.put(&mut p);
+                epoch.put(&mut p);
+                RESP_HEARTBEAT_ACK
             }
             ClusterResponse::LeaseAck { granted, epoch } => {
-                p.push(*granted as u8);
-                p.extend_from_slice(&epoch.to_le_bytes());
-                (RESP_LEASE_ACK, p)
+                granted.put(&mut p);
+                epoch.put(&mut p);
+                RESP_LEASE_ACK
             }
             ClusterResponse::VoteReply { term, granted } => {
-                p.extend_from_slice(&term.to_le_bytes());
-                p.push(*granted as u8);
-                (RESP_VOTE_REPLY, p)
+                term.put(&mut p);
+                granted.put(&mut p);
+                RESP_VOTE_REPLY
             }
             ClusterResponse::MetaAck { term, ok, log_len } => {
-                p.extend_from_slice(&term.to_le_bytes());
-                p.push(*ok as u8);
-                p.extend_from_slice(&log_len.to_le_bytes());
-                (RESP_META_ACK, p)
+                term.put(&mut p);
+                ok.put(&mut p);
+                log_len.put(&mut p);
+                RESP_META_ACK
             }
             ClusterResponse::Fenced { epoch } => {
-                p.extend_from_slice(&epoch.to_le_bytes());
-                (RESP_FENCED, p)
+                epoch.put(&mut p);
+                RESP_FENCED
             }
             ClusterResponse::ClusterErr(msg) => {
-                p.extend_from_slice(&(msg.len() as u32).to_le_bytes());
-                p.extend_from_slice(msg.as_bytes());
-                (RESP_CLUSTER_ERR, p)
+                msg.put(&mut p);
+                RESP_CLUSTER_ERR
             }
-        }
+        };
+        (t, p)
     }
 
     /// Decodes a response payload. Total, like [`ClusterRequest::decode`].
@@ -689,113 +582,49 @@ impl ClusterResponse {
         let mut c = Cur::new(payload);
         let resp = match msg_type {
             RESP_WELCOME => ClusterResponse::Welcome {
-                slot: c.u32()?,
-                epoch: c.u64()?,
-                blocks_held: c.u32()?,
+                slot: c.get()?,
+                epoch: c.get()?,
+                blocks_held: c.get()?,
             },
-            RESP_WORKER_REPLY => {
-                let query_id = c.u64()?;
-                let seq = c.u64()?;
-                let worker = c.u32()?;
-                let blocks_requested = c.u64()?;
-                let cache_hits = c.u64()?;
-                let disk_us = c.u64()?;
-                let cpu_us = c.u64()?;
-                let nc = c.u32()? as usize;
-                if nc > c.remaining() / 4 {
-                    return Err(err(format!("corrupt-block count {nc} exceeds payload")));
-                }
-                let mut corrupt_blocks = Vec::with_capacity(nc);
-                for _ in 0..nc {
-                    corrupt_blocks.push(c.u32()?);
-                }
-                let error = match c.u8()? {
-                    0 => None,
-                    1 => {
-                        let n = c.u32()? as usize;
-                        let bytes = c.take(n)?;
-                        Some(
-                            std::str::from_utf8(bytes)
-                                .map_err(|_| err("error text is not utf-8"))?
-                                .to_string(),
-                        )
-                    }
-                    t => return Err(err(format!("bad error flag {t}"))),
-                };
-                let records = take_records(&mut c)?;
-                ClusterResponse::WorkerReply(WireReply {
-                    query_id,
-                    seq,
-                    worker,
-                    blocks_requested,
-                    cache_hits,
-                    disk_us,
-                    cpu_us,
-                    corrupt_blocks,
-                    error,
-                    records,
-                })
-            }
+            RESP_WORKER_REPLY => ClusterResponse::WorkerReply(WireReply {
+                query_id: c.get()?,
+                seq: c.get()?,
+                worker: c.get()?,
+                blocks_requested: c.get()?,
+                cache_hits: c.get()?,
+                disk_us: c.get()?,
+                cpu_us: c.get()?,
+                corrupt_blocks: c.get()?,
+                error: c.get()?,
+                records: take_records(&mut c)?,
+            }),
             RESP_BLOCKS_ACK => ClusterResponse::BlocksAck {
-                epoch: c.u64()?,
-                written: c.u32()?,
+                epoch: c.get()?,
+                written: c.get()?,
             },
-            RESP_RAW_BLOCKS => {
-                let worker = c.u32()?;
-                let n = c.u32()? as usize;
-                // 5 bytes is the smallest entry (id + absent flag).
-                if n > c.remaining() / 5 {
-                    return Err(err(format!("raw-block count {n} exceeds payload")));
-                }
-                let mut blocks = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let id = c.u32()?;
-                    let bytes = match c.u8()? {
-                        0 => None,
-                        1 => {
-                            let len = c.u32()? as usize;
-                            Some(c.take(len)?.to_vec())
-                        }
-                        t => return Err(err(format!("bad presence flag {t}"))),
-                    };
-                    blocks.push((id, bytes));
-                }
-                ClusterResponse::RawBlocks { worker, blocks }
-            }
+            RESP_RAW_BLOCKS => ClusterResponse::RawBlocks {
+                worker: c.get()?,
+                blocks: c.get()?,
+            },
             RESP_HEARTBEAT_ACK => ClusterResponse::HeartbeatAck {
-                term: c.u64()?,
-                epoch: c.u64()?,
+                term: c.get()?,
+                epoch: c.get()?,
             },
             RESP_LEASE_ACK => ClusterResponse::LeaseAck {
-                granted: decode_bool(&mut c, "granted flag")?,
-                epoch: c.u64()?,
+                granted: c.get()?,
+                epoch: c.get()?,
             },
-            RESP_VOTE_REPLY => {
-                let term = c.u64()?;
-                ClusterResponse::VoteReply {
-                    term,
-                    granted: decode_bool(&mut c, "granted flag")?,
-                }
-            }
-            RESP_META_ACK => {
-                let term = c.u64()?;
-                let ok = decode_bool(&mut c, "ok flag")?;
-                ClusterResponse::MetaAck {
-                    term,
-                    ok,
-                    log_len: c.u64()?,
-                }
-            }
-            RESP_FENCED => ClusterResponse::Fenced { epoch: c.u64()? },
-            RESP_CLUSTER_ERR => {
-                let n = c.u32()? as usize;
-                let bytes = c.take(n)?;
-                ClusterResponse::ClusterErr(
-                    std::str::from_utf8(bytes)
-                        .map_err(|_| err("cluster error text is not utf-8"))?
-                        .to_string(),
-                )
-            }
+            RESP_VOTE_REPLY => ClusterResponse::VoteReply {
+                term: c.get()?,
+                granted: c.get()?,
+            },
+            RESP_META_ACK => ClusterResponse::MetaAck {
+                term: c.get()?,
+                ok: c.get()?,
+                log_len: c.get()?,
+            },
+            RESP_FENCED => ClusterResponse::Fenced { epoch: c.get()? },
+            RESP_CLUSTER_ERR => ClusterResponse::ClusterErr(c.get()?),
             t => return Err(err(format!("unknown cluster response type {t:#04x}"))),
         };
         c.done()?;
@@ -803,13 +632,8 @@ impl ClusterResponse {
     }
 }
 
-fn decode_bool(c: &mut Cur<'_>, what: &str) -> Result<bool, ProtoError> {
-    match c.u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        t => Err(err(format!("bad {what} {t}"))),
-    }
-}
+#[cfg(test)]
+use pargrid_geom::Point;
 
 #[cfg(test)]
 mod tests {

@@ -18,8 +18,9 @@
 //! and never an allocation larger than [`MAX_PAYLOAD`].
 //!
 //! The checksum is the workspace's one CRC-32 kernel
-//! (`pargrid_gridfile::checksum`). The encoder sums the finished wire
-//! buffer in place; the decoder streams the header and then the payload
+//! (`pargrid_gridfile::checksum`). The encoder seals the finished wire
+//! buffer in place with the codec's [`seal`] (`pargrid_gridfile::codec`,
+//! the trailer every stored and sent format shares); the decoder streams the header and then the payload
 //! through a [`Crc32`] where they landed — no second buffer is assembled
 //! just to be summed. The decoder's payload buffer grows with the bytes
 //! that actually arrive (64 KiB reserved up front), so a length prefix
@@ -28,7 +29,8 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use pargrid_gridfile::{crc32, Crc32};
+use pargrid_gridfile::codec::seal;
+use pargrid_gridfile::Crc32;
 
 /// First two bytes of every frame.
 pub const MAGIC: [u8; 2] = [b'P', b'G'];
@@ -206,8 +208,7 @@ impl FrameBuilder {
         self.buf[2] = PROTOCOL_VERSION;
         self.buf[3] = msg_type;
         self.buf[4..8].copy_from_slice(&(payload_len as u32).to_le_bytes());
-        let crc = crc32(&self.buf);
-        self.buf.extend_from_slice(&crc.to_le_bytes());
+        seal(&mut self.buf);
         Ok(self.buf)
     }
 }
@@ -298,6 +299,9 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
     }
     Ok(Frame { msg_type, payload })
 }
+
+#[cfg(test)]
+use pargrid_gridfile::crc32;
 
 #[cfg(test)]
 mod tests {

@@ -1,8 +1,9 @@
 //! Typed requests and replies on top of [`crate::frame`].
 //!
 //! Message type bytes: requests are `0x01..=0x08`, responses set the high
-//! bit (`0x81..=0x87`). Payload encodings are fixed little-endian layouts
-//! described on each variant. Decoding is strict — trailing bytes, short
+//! bit (`0x81..=0x87`). Payloads are encoded with the workspace codec
+//! (`pargrid_gridfile::codec`), one `put` / `take` per field, in the
+//! layouts described on each variant. Decoding is strict — trailing bytes, short
 //! payloads, non-finite coordinates, unordered intervals, and out-of-range
 //! dimensionalities are all typed errors, because the geometry types the
 //! server builds from these payloads (`Rect::new`, `Point::new`) assert on
@@ -10,7 +11,11 @@
 
 use std::fmt;
 
-use pargrid_geom::{Point, Rect, MAX_DIM};
+use pargrid_geom::{Point, Rect};
+use pargrid_gridfile::codec::{
+    checked_dim, err, put_keyed, put_records, put_rect, put_str, records_wire_len, take_records,
+    Cur, Wire,
+};
 use pargrid_gridfile::Record;
 
 /// Request: range query. Payload: `dim u16`, then `dim × (lo f64, hi f64)`.
@@ -256,227 +261,49 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// Payload decode failure: the frame was intact (magic/CRC passed) but its
-/// contents violate the protocol.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ProtoError(pub String);
-
-impl fmt::Display for ProtoError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for ProtoError {}
-
-pub(crate) fn err(msg: impl Into<String>) -> ProtoError {
-    ProtoError(msg.into())
-}
-
-/// Little-endian cursor over a payload; every read is bounds-checked.
-/// Shared with [`crate::cluster_proto`], the worker/election plane.
-pub(crate) struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Cur { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed — the bound hostile length prefixes are
-    /// checked against before any allocation.
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| err("length overflow"))?;
-        if end > self.buf.len() {
-            return Err(err(format!(
-                "payload too short: wanted {n} more bytes at offset {}",
-                self.pos
-            )));
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16, ProtoError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, ProtoError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn finite_f64(&mut self, what: &str) -> Result<f64, ProtoError> {
-        let v = self.f64()?;
-        if !v.is_finite() {
-            return Err(err(format!("{what} is not finite")));
-        }
-        Ok(v)
-    }
-
-    pub(crate) fn done(&self) -> Result<(), ProtoError> {
-        if self.pos != self.buf.len() {
-            return Err(err(format!(
-                "{} trailing bytes after message",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// `1..=MAX_DIM`, the range `Point::new`/`Rect::new` accept without
-/// asserting.
-pub(crate) fn checked_dim(dim: u16) -> Result<usize, ProtoError> {
-    let d = dim as usize;
-    if d == 0 || d > MAX_DIM {
-        return Err(err(format!("dimension {d} outside 1..={MAX_DIM}")));
-    }
-    Ok(d)
-}
-
-/// Shared payload of `Insert`/`Delete`: `id u64, dim u16, dim × f64`.
-fn encode_keyed(id: u64, key: &[f64]) -> Vec<u8> {
-    let mut p = Vec::with_capacity(10 + key.len() * 8);
-    p.extend_from_slice(&id.to_le_bytes());
-    p.extend_from_slice(&(key.len() as u16).to_le_bytes());
-    for v in key {
-        p.extend_from_slice(&v.to_le_bytes());
-    }
-    p
-}
-
-fn decode_keyed(c: &mut Cur<'_>) -> Result<(u64, Vec<f64>), ProtoError> {
-    let id = c.u64()?;
-    let d = checked_dim(c.u16()?)?;
-    let mut key = Vec::with_capacity(d);
-    for _ in 0..d {
-        key.push(c.finite_f64("mutation key coordinate")?);
-    }
-    Ok((id, key))
-}
-
-/// Exact encoded size of a records section: `n u32`, then per record
-/// `id u64`, `dim u16`, `dim × coord f64`.
-pub(crate) fn records_wire_len(records: &[Record]) -> usize {
-    4 + records
-        .iter()
-        .map(|r| 10 + 8 * r.point.dim())
-        .sum::<usize>()
-}
-
-/// Appends a records section (layout on [`records_wire_len`]) to `p` — the
-/// one encoder under both `RESP_RECORDS` and the cluster plane's worker
-/// reply.
-pub(crate) fn put_records(p: &mut Vec<u8>, records: &[Record]) {
-    p.extend_from_slice(&(records.len() as u32).to_le_bytes());
-    for rec in records {
-        p.extend_from_slice(&rec.id.to_le_bytes());
-        let coords = rec.point.coords();
-        p.extend_from_slice(&(coords.len() as u16).to_le_bytes());
-        for c in coords {
-            p.extend_from_slice(&c.to_le_bytes());
-        }
-    }
-}
-
-/// Decodes a records section — the one decoder under both planes. Total:
-/// a count the payload cannot hold, a short record, a dimension outside
-/// `1..=MAX_DIM` and a non-finite coordinate are all typed errors.
-///
-/// A reply carries thousands of records, so the loop asks the cursor for
-/// bytes twice per record — the fixed `id, dim` head, then all `dim`
-/// coordinates as one slice — instead of once per field, and hands the
-/// zero-padded array it filled straight to [`Point::from_padded`].
-pub(crate) fn take_records(c: &mut Cur<'_>) -> Result<Vec<Record>, ProtoError> {
-    let n = c.u32()? as usize;
-    // 14 bytes is under the smallest possible record (1-D: 18); a hostile
-    // count can't make us allocate more than the payload holds.
-    if n > c.remaining() / 14 {
-        return Err(err(format!("record count {n} exceeds payload")));
-    }
-    let mut records = Vec::with_capacity(n);
-    for _ in 0..n {
-        let head = c.take(10)?;
-        let id = u64::from_le_bytes(head[..8].try_into().unwrap());
-        let d = checked_dim(u16::from_le_bytes([head[8], head[9]]))?;
-        let mut coords = [0.0; MAX_DIM];
-        for (slot, raw) in coords.iter_mut().zip(c.take(8 * d)?.chunks_exact(8)) {
-            let v = f64::from_le_bytes(raw.try_into().unwrap());
-            if !v.is_finite() {
-                return Err(err("record coordinate is not finite"));
-            }
-            *slot = v;
-        }
-        records.push(Record::new(id, Point::from_padded(coords, d)));
-    }
-    Ok(records)
-}
+/// contents violate the protocol. The codec's one error type.
+pub use pargrid_gridfile::codec::DecodeError as ProtoError;
 
 impl Request {
     /// Message type byte + payload for this request.
     pub fn encode(&self) -> (u8, Vec<u8>) {
-        match self {
+        let mut p = Vec::new();
+        let t = match self {
             Request::RangeQuery { lo, hi } => {
-                let mut p = Vec::with_capacity(2 + lo.len() * 16);
-                p.extend_from_slice(&(lo.len() as u16).to_le_bytes());
-                for (l, h) in lo.iter().zip(hi) {
-                    p.extend_from_slice(&l.to_le_bytes());
-                    p.extend_from_slice(&h.to_le_bytes());
-                }
-                (REQ_RANGE, p)
+                put_rect(&mut p, lo, hi);
+                REQ_RANGE
             }
             Request::PartialMatch { keys } => {
-                let mut p = Vec::with_capacity(2 + keys.len() * 9);
-                p.extend_from_slice(&(keys.len() as u16).to_le_bytes());
-                for k in keys {
-                    match k {
-                        None => p.push(0),
-                        Some(v) => {
-                            p.push(1);
-                            p.extend_from_slice(&v.to_le_bytes());
-                        }
-                    }
-                }
-                (REQ_PARTIAL, p)
+                (keys.len() as u16).put(&mut p);
+                Option::put_all(keys, &mut p);
+                REQ_PARTIAL
             }
-            Request::Ping { token } => (REQ_PING, token.to_le_bytes().to_vec()),
-            Request::Stats => (REQ_STATS, Vec::new()),
-            Request::Shutdown => (REQ_SHUTDOWN, Vec::new()),
-            Request::Insert { id, key } => (REQ_INSERT, encode_keyed(*id, key)),
-            Request::Delete { id, key } => (REQ_DELETE, encode_keyed(*id, key)),
+            Request::Ping { token } => {
+                token.put(&mut p);
+                REQ_PING
+            }
+            Request::Stats => REQ_STATS,
+            Request::Shutdown => REQ_SHUTDOWN,
+            Request::Insert { id, key } => {
+                put_keyed(&mut p, *id, key);
+                REQ_INSERT
+            }
+            Request::Delete { id, key } => {
+                put_keyed(&mut p, *id, key);
+                REQ_DELETE
+            }
             Request::Rebalance { cmd, dry_run } => {
                 let (op, value) = match cmd {
-                    RebalanceCmd::AddWorkers(k) => (1u8, *k),
-                    RebalanceCmd::RemoveWorker(w) => (2u8, *w),
+                    RebalanceCmd::AddWorkers(k) => (1u8, k),
+                    RebalanceCmd::RemoveWorker(w) => (2u8, w),
                 };
-                let mut p = Vec::with_capacity(6);
-                p.push(op);
-                p.extend_from_slice(&value.to_le_bytes());
-                p.push(*dry_run as u8);
-                (REQ_REBALANCE, p)
+                op.put(&mut p);
+                value.put(&mut p);
+                dry_run.put(&mut p);
+                REQ_REBALANCE
             }
-        }
+        };
+        (t, p)
     }
 
     /// Decodes a request payload. Total: every input maps to `Ok` or a
@@ -485,57 +312,40 @@ impl Request {
         let mut c = Cur::new(payload);
         let req = match msg_type {
             REQ_RANGE => {
-                let d = checked_dim(c.u16()?)?;
-                let mut lo = Vec::with_capacity(d);
-                let mut hi = Vec::with_capacity(d);
-                for i in 0..d {
-                    let l = c.finite_f64("range lo")?;
-                    let h = c.finite_f64("range hi")?;
-                    if l > h {
-                        return Err(err(format!("range dim {i}: lo {l} > hi {h}")));
-                    }
-                    lo.push(l);
-                    hi.push(h);
+                let rect: Rect = c.get()?;
+                Request::RangeQuery {
+                    lo: rect.lo().coords().to_vec(),
+                    hi: rect.hi().coords().to_vec(),
                 }
-                Request::RangeQuery { lo, hi }
             }
             REQ_PARTIAL => {
-                let d = checked_dim(c.u16()?)?;
-                let mut keys = Vec::with_capacity(d);
-                for i in 0..d {
-                    match c.u8()? {
-                        0 => keys.push(None),
-                        1 => keys.push(Some(c.finite_f64("partial-match key")?)),
-                        t => return Err(err(format!("key {i}: bad tag {t}"))),
-                    }
+                let d = checked_dim(c.get()?)?;
+                Request::PartialMatch {
+                    keys: Option::take_n(&mut c, d)?,
                 }
-                Request::PartialMatch { keys }
             }
-            REQ_PING => Request::Ping { token: c.u64()? },
+            REQ_PING => Request::Ping { token: c.get()? },
             REQ_STATS => Request::Stats,
             REQ_SHUTDOWN => Request::Shutdown,
-            REQ_INSERT => {
-                let (id, key) = decode_keyed(&mut c)?;
-                Request::Insert { id, key }
-            }
-            REQ_DELETE => {
-                let (id, key) = decode_keyed(&mut c)?;
-                Request::Delete { id, key }
+            REQ_INSERT | REQ_DELETE => {
+                let Record { id, point } = c.get()?;
+                let key = point.coords().to_vec();
+                if msg_type == REQ_INSERT {
+                    Request::Insert { id, key }
+                } else {
+                    Request::Delete { id, key }
+                }
             }
             REQ_REBALANCE => {
-                let op = c.u8()?;
-                let value = c.u32()?;
-                let cmd = match op {
-                    1 => RebalanceCmd::AddWorkers(value),
-                    2 => RebalanceCmd::RemoveWorker(value),
-                    t => return Err(err(format!("bad rebalance op {t}"))),
+                let cmd = match c.get::<(u8, u32)>()? {
+                    (1, value) => RebalanceCmd::AddWorkers(value),
+                    (2, value) => RebalanceCmd::RemoveWorker(value),
+                    (t, _) => return Err(err(format!("bad rebalance op {t}"))),
                 };
-                let dry_run = match c.u8()? {
-                    0 => false,
-                    1 => true,
-                    t => return Err(err(format!("bad dry-run flag {t}"))),
-                };
-                Request::Rebalance { cmd, dry_run }
+                Request::Rebalance {
+                    cmd,
+                    dry_run: c.get()?,
+                }
             }
             t => return Err(err(format!("unknown request type {t:#04x}"))),
         };
@@ -639,7 +449,7 @@ impl Response {
     fn encode_into(&self, p: &mut Vec<u8>) -> u8 {
         match self {
             Response::Records(r) => {
-                p.push(r.incomplete as u8);
+                r.incomplete.put(p);
                 for v in [
                     r.elapsed_us,
                     r.comm_us,
@@ -647,65 +457,50 @@ impl Response {
                     r.total_blocks,
                     r.cache_hits,
                 ] {
-                    p.extend_from_slice(&v.to_le_bytes());
+                    v.put(p);
                 }
                 put_records(p, &r.records);
                 RESP_RECORDS
             }
             Response::Pong { token } => {
-                p.extend_from_slice(&token.to_le_bytes());
+                token.put(p);
                 RESP_PONG
             }
             Response::StatsText(s) => {
-                p.reserve(4 + s.len());
-                p.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                p.extend_from_slice(s.as_bytes());
+                s.put(p);
                 RESP_STATS
             }
             Response::Error(e) => {
-                let msg: &str = match e {
-                    WireError::Malformed(m) => {
-                        p.push(ERR_MALFORMED);
-                        m
-                    }
-                    WireError::Overloaded { retry_after_ms } => {
-                        p.push(ERR_OVERLOADED);
-                        p.extend_from_slice(&retry_after_ms.to_le_bytes());
-                        ""
-                    }
-                    WireError::Incomplete(m) => {
-                        p.push(ERR_INCOMPLETE);
-                        m
-                    }
-                    WireError::MutationFailed(m) => {
-                        p.push(ERR_MUTATION);
-                        m
-                    }
-                    WireError::NotLeader { hint } => {
-                        p.push(ERR_NOT_LEADER);
-                        hint
-                    }
+                let (code, msg) = match e {
+                    WireError::Malformed(m) => (ERR_MALFORMED, m.as_str()),
+                    WireError::Overloaded { .. } => (ERR_OVERLOADED, ""),
+                    WireError::Incomplete(m) => (ERR_INCOMPLETE, m.as_str()),
+                    WireError::MutationFailed(m) => (ERR_MUTATION, m.as_str()),
+                    WireError::NotLeader { hint } => (ERR_NOT_LEADER, hint.as_str()),
                 };
-                p.extend_from_slice(&(msg.len() as u32).to_le_bytes());
-                p.extend_from_slice(msg.as_bytes());
+                code.put(p);
+                if let WireError::Overloaded { retry_after_ms } = e {
+                    retry_after_ms.put(p);
+                }
+                put_str(p, msg);
                 RESP_ERROR
             }
             Response::ShutdownAck => RESP_SHUTDOWN_ACK,
             Response::Mutation(a) => {
-                p.push(a.applied as u8);
-                p.extend_from_slice(&a.rewritten.to_le_bytes());
-                p.extend_from_slice(&a.created.to_le_bytes());
-                p.extend_from_slice(&a.freed.to_le_bytes());
+                a.applied.put(p);
+                a.rewritten.put(p);
+                a.created.put(p);
+                a.freed.put(p);
                 RESP_MUTATION
             }
             Response::Rebalance(r) => {
-                p.push(r.applied as u8);
-                p.extend_from_slice(&r.moves.to_le_bytes());
-                p.extend_from_slice(&r.moved_bytes.to_le_bytes());
-                p.extend_from_slice(&r.full_moves.to_le_bytes());
-                p.extend_from_slice(&r.active_workers.to_le_bytes());
-                p.extend_from_slice(&r.predicted_objective.to_le_bytes());
-                p.extend_from_slice(&r.baseline_objective.to_le_bytes());
+                r.applied.put(p);
+                r.moves.put(p);
+                r.moved_bytes.put(p);
+                r.full_moves.put(p);
+                r.active_workers.put(p);
+                r.predicted_objective.put(p);
+                r.baseline_objective.put(p);
                 RESP_REBALANCE
             }
         }
@@ -715,97 +510,88 @@ impl Response {
     pub fn decode(msg_type: u8, payload: &[u8]) -> Result<Response, ProtoError> {
         let mut c = Cur::new(payload);
         let resp = match msg_type {
-            RESP_RECORDS => {
-                let incomplete = match c.u8()? {
-                    0 => false,
-                    1 => true,
-                    t => return Err(err(format!("bad incomplete flag {t}"))),
-                };
-                let elapsed_us = c.u64()?;
-                let comm_us = c.u64()?;
-                let response_blocks = c.u64()?;
-                let total_blocks = c.u64()?;
-                let cache_hits = c.u64()?;
-                let records = take_records(&mut c)?;
-                Response::Records(RecordsReply {
-                    incomplete,
-                    elapsed_us,
-                    comm_us,
-                    response_blocks,
-                    total_blocks,
-                    cache_hits,
-                    records,
-                })
-            }
-            RESP_PONG => Response::Pong { token: c.u64()? },
-            RESP_STATS => {
-                let n = c.u32()? as usize;
-                let bytes = c.take(n)?;
-                let s = std::str::from_utf8(bytes)
-                    .map_err(|_| err("stats text is not utf-8"))?
-                    .to_string();
-                Response::StatsText(s)
-            }
-            RESP_ERROR => {
-                let code = c.u8()?;
-                let e = match code {
-                    ERR_MALFORMED | ERR_INCOMPLETE | ERR_MUTATION | ERR_NOT_LEADER => {
-                        let n = c.u32()? as usize;
-                        let bytes = c.take(n)?;
-                        let msg = std::str::from_utf8(bytes)
-                            .map_err(|_| err("error text is not utf-8"))?
-                            .to_string();
-                        match code {
-                            ERR_MALFORMED => WireError::Malformed(msg),
-                            ERR_INCOMPLETE => WireError::Incomplete(msg),
-                            ERR_NOT_LEADER => WireError::NotLeader { hint: msg },
-                            _ => WireError::MutationFailed(msg),
-                        }
-                    }
-                    ERR_OVERLOADED => {
-                        let retry_after_ms = c.u32()?;
-                        let n = c.u32()? as usize;
-                        c.take(n)?;
-                        WireError::Overloaded { retry_after_ms }
-                    }
-                    t => return Err(err(format!("unknown error code {t}"))),
-                };
-                Response::Error(e)
-            }
+            RESP_RECORDS => Response::Records(RecordsReply {
+                incomplete: c.get()?,
+                elapsed_us: c.get()?,
+                comm_us: c.get()?,
+                response_blocks: c.get()?,
+                total_blocks: c.get()?,
+                cache_hits: c.get()?,
+                records: take_records(&mut c)?,
+            }),
+            RESP_PONG => Response::Pong { token: c.get()? },
+            RESP_STATS => Response::StatsText(c.get()?),
+            RESP_ERROR => Response::Error(match c.get::<u8>()? {
+                ERR_MALFORMED => WireError::Malformed(c.get()?),
+                ERR_INCOMPLETE => WireError::Incomplete(c.get()?),
+                ERR_MUTATION => WireError::MutationFailed(c.get()?),
+                ERR_NOT_LEADER => WireError::NotLeader { hint: c.get()? },
+                ERR_OVERLOADED => {
+                    let retry_after_ms = c.get()?;
+                    // The message bytes, empty from this encoder, are skipped
+                    // unread.
+                    c.get::<Vec<u8>>()?;
+                    WireError::Overloaded { retry_after_ms }
+                }
+                t => return Err(err(format!("unknown error code {t}"))),
+            }),
             RESP_SHUTDOWN_ACK => Response::ShutdownAck,
-            RESP_MUTATION => {
-                let applied = match c.u8()? {
-                    0 => false,
-                    1 => true,
-                    t => return Err(err(format!("bad applied flag {t}"))),
-                };
-                Response::Mutation(MutationAck {
-                    applied,
-                    rewritten: c.u32()?,
-                    created: c.u32()?,
-                    freed: c.u32()?,
-                })
-            }
-            RESP_REBALANCE => {
-                let applied = match c.u8()? {
-                    0 => false,
-                    1 => true,
-                    t => return Err(err(format!("bad applied flag {t}"))),
-                };
-                Response::Rebalance(RebalanceSummary {
-                    applied,
-                    moves: c.u32()?,
-                    moved_bytes: c.u64()?,
-                    full_moves: c.u32()?,
-                    active_workers: c.u32()?,
-                    predicted_objective: c.finite_f64("predicted objective")?,
-                    baseline_objective: c.finite_f64("baseline objective")?,
-                })
-            }
+            RESP_MUTATION => Response::Mutation(MutationAck {
+                applied: c.get()?,
+                rewritten: c.get()?,
+                created: c.get()?,
+                freed: c.get()?,
+            }),
+            RESP_REBALANCE => Response::Rebalance(RebalanceSummary {
+                applied: c.get()?,
+                moves: c.get()?,
+                moved_bytes: c.get()?,
+                full_moves: c.get()?,
+                active_workers: c.get()?,
+                predicted_objective: c.get()?,
+                baseline_objective: c.get()?,
+            }),
             t => return Err(err(format!("unknown response type {t:#04x}"))),
         };
         c.done()?;
         Ok(resp)
+    }
+}
+
+#[cfg(test)]
+use pargrid_geom::MAX_DIM;
+
+/// The per-field reads the kept reference decoder in the tests above is
+/// written against.
+#[cfg(test)]
+trait FieldReads {
+    fn u8(&mut self) -> Result<u8, ProtoError>;
+    fn u16(&mut self) -> Result<u16, ProtoError>;
+    fn u32(&mut self) -> Result<u32, ProtoError>;
+    fn u64(&mut self) -> Result<u64, ProtoError>;
+    fn finite_f64(&mut self, what: &str) -> Result<f64, ProtoError>;
+}
+
+#[cfg(test)]
+impl FieldReads for Cur<'_> {
+    fn u8(&mut self) -> Result<u8, ProtoError> {
+        self.get()
+    }
+
+    fn u16(&mut self) -> Result<u16, ProtoError> {
+        self.get()
+    }
+
+    fn u32(&mut self) -> Result<u32, ProtoError> {
+        self.get()
+    }
+
+    fn u64(&mut self) -> Result<u64, ProtoError> {
+        self.get()
+    }
+
+    fn finite_f64(&mut self, _what: &str) -> Result<f64, ProtoError> {
+        self.get()
     }
 }
 

@@ -253,16 +253,7 @@ struct Inner {
 impl Inner {
     fn request_shutdown(&self) {
         self.shutdown_requested.store(true, Ordering::SeqCst);
-        // The accept thread blocks in `accept`; a connection of our own
-        // wakes it to see the flag.
-        let mut wake = self.local_addr;
-        if wake.ip().is_unspecified() {
-            wake.set_ip(match wake {
-                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
-                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
-            });
-        }
-        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+        wake_accept(self.local_addr);
     }
 
     fn metrics_prom(&self) -> String {
@@ -491,6 +482,20 @@ impl Server {
         self.inner.request_shutdown();
         self.join()
     }
+}
+
+/// Connects once to the listener bound at `addr`, so an accept thread
+/// blocked on it wakes up and sees its shutdown flag. An unspecified bind
+/// address is reached through loopback.
+pub fn wake_accept(addr: SocketAddr) {
+    let mut wake = addr;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
 }
 
 /// Blocks in `accept`, so a new connection is served the moment it

@@ -1,25 +1,13 @@
-//! A fixed-capacity LRU set with O(1) touch/insert/evict, plus the pooled
-//! block-buffer arena backing the zero-allocation read path.
+//! A fixed-capacity LRU set with O(1) touch/insert/evict.
 //!
 //! [`LruCache`] models each worker's buffer cache of disk pages. Only page
 //! *identity* is cached (hit/miss drives the disk time model); page bytes
 //! stay in the worker's store.
 //!
-//! [`BufferPool`] and [`BlockBuf`] remove the other allocation from the
-//! read path: file-backed stores used to allocate a fresh `Vec` per block
-//! read (and in-memory stores *cloned* every page). With the pool, a
-//! file-backed read recycles a buffer from a free list and hands it back on
-//! drop, and an in-memory read borrows the stored bytes outright
-//! (`benches/hotpath.rs` pins the before/after pair in
-//! `BENCH_hotpath.json`).
-//!
 //! Implementation: an intrusive doubly-linked list over a slab of nodes plus
-//! a key -> slot map. No unsafe code; links are slab indices, and the pool
-//! uses `RefCell` (stores are owned by one worker thread).
+//! a key -> slot map. No unsafe code; links are slab indices.
 
-use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::ops::Deref;
 
 const NIL: u32 = u32::MAX;
 
@@ -149,158 +137,9 @@ impl LruCache {
     }
 }
 
-/// How many spare buffers a [`BufferPool`] retains. Reads are serviced one
-/// block at a time, so steady state needs one buffer; a small cushion
-/// absorbs callers that hold a [`BlockBuf`] across further reads.
-const MAX_POOLED_BUFFERS: usize = 64;
-
-/// A free list of reusable byte buffers for block reads.
-///
-/// Single-threaded by design (each worker owns its store, and the store
-/// owns its pool), hence plain `RefCell`/`Cell` interior mutability behind
-/// `&self` — the read path stays `&self` so one store can serve overlapping
-/// borrows of in-memory blocks.
-#[derive(Debug, Default)]
-pub struct BufferPool {
-    free: RefCell<Vec<Vec<u8>>>,
-    /// Buffers created because the free list was empty.
-    allocations: Cell<u64>,
-    /// Reads served by recycling a pooled buffer.
-    reuses: Cell<u64>,
-}
-
-impl BufferPool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Takes a zeroed buffer of exactly `len` bytes, recycling a pooled
-    /// buffer when one is available.
-    pub fn take(&self, len: usize) -> Vec<u8> {
-        match self.free.borrow_mut().pop() {
-            Some(mut buf) => {
-                self.reuses.set(self.reuses.get() + 1);
-                buf.clear();
-                buf.resize(len, 0);
-                buf
-            }
-            None => {
-                self.allocations.set(self.allocations.get() + 1);
-                vec![0u8; len]
-            }
-        }
-    }
-
-    /// Returns a buffer to the free list (dropped if the pool is full).
-    pub fn put(&self, buf: Vec<u8>) {
-        let mut free = self.free.borrow_mut();
-        if free.len() < MAX_POOLED_BUFFERS {
-            free.push(buf);
-        }
-    }
-
-    /// Buffers created because no pooled buffer was free.
-    pub fn allocations(&self) -> u64 {
-        self.allocations.get()
-    }
-
-    /// Reads served by a recycled buffer instead of a fresh allocation.
-    pub fn reuses(&self) -> u64 {
-        self.reuses.get()
-    }
-}
-
-/// A block's bytes on the read path: either borrowed straight out of an
-/// in-memory store (zero copy) or held in a pooled buffer that returns to
-/// its [`BufferPool`] on drop. Dereferences to `&[u8]`.
-#[derive(Debug)]
-pub enum BlockBuf<'a> {
-    /// Bytes borrowed from the store itself (in-memory backend).
-    Borrowed(&'a [u8]),
-    /// Bytes in a buffer on loan from the store's pool (file backend).
-    Pooled {
-        /// The pool the buffer returns to on drop.
-        pool: &'a BufferPool,
-        /// The buffer itself (`Some` until drop takes it).
-        buf: Option<Vec<u8>>,
-    },
-}
-
-impl BlockBuf<'_> {
-    /// Copies the bytes into an owned `Vec` (the compatibility path for
-    /// callers that outlive the store borrow).
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.deref().to_vec()
-    }
-}
-
-impl Deref for BlockBuf<'_> {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        match self {
-            BlockBuf::Borrowed(bytes) => bytes,
-            BlockBuf::Pooled { buf, .. } => buf.as_deref().expect("buffer present until drop"),
-        }
-    }
-}
-
-impl AsRef<[u8]> for BlockBuf<'_> {
-    fn as_ref(&self) -> &[u8] {
-        self
-    }
-}
-
-impl Drop for BlockBuf<'_> {
-    fn drop(&mut self) {
-        if let BlockBuf::Pooled { pool, buf } = self {
-            if let Some(buf) = buf.take() {
-                pool.put(buf);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pool_recycles_buffers() {
-        let pool = BufferPool::new();
-        let a = pool.take(16);
-        assert_eq!(a.len(), 16);
-        assert_eq!(pool.allocations(), 1);
-        pool.put(a);
-        let b = pool.take(32);
-        assert_eq!(b.len(), 32);
-        assert_eq!(b, vec![0u8; 32], "recycled buffers come back zeroed");
-        assert_eq!(pool.allocations(), 1, "second take reused the buffer");
-        assert_eq!(pool.reuses(), 1);
-    }
-
-    #[test]
-    fn block_buf_returns_to_pool_on_drop() {
-        let pool = BufferPool::new();
-        {
-            let buf = BlockBuf::Pooled {
-                pool: &pool,
-                buf: Some(pool.take(8)),
-            };
-            assert_eq!(buf.len(), 8);
-        }
-        let _again = pool.take(8);
-        assert_eq!(pool.reuses(), 1, "dropped BlockBuf fed the free list");
-        assert_eq!(pool.allocations(), 1);
-    }
-
-    #[test]
-    fn borrowed_block_buf_derefs() {
-        let bytes = [1u8, 2, 3];
-        let buf = BlockBuf::Borrowed(&bytes);
-        assert_eq!(&*buf, &[1, 2, 3]);
-        assert_eq!(buf.to_vec(), vec![1, 2, 3]);
-    }
 
     #[test]
     fn miss_then_hit() {

@@ -1537,8 +1537,9 @@ impl ParallelGridFile {
     }
 
     /// Folds the attached WAL into a fresh checkpoint image: saves the
-    /// current directory next to the WAL (atomically, via a temp file and
-    /// rename), then resets the WAL. Recovery after this point loads the
+    /// current directory next to the WAL (durably: [`GridFile::save`]
+    /// syncs a temp file, renames it and syncs the directory), then resets
+    /// the WAL. Recovery after this point loads the
     /// image and replays an empty log. Returns `Ok(false)` when no WAL is
     /// attached (nothing to checkpoint). Mutations are blocked for the
     /// duration; queries keep flowing.
@@ -1553,10 +1554,9 @@ impl ParallelGridFile {
             .map(std::path::Path::to_path_buf)
             .unwrap_or_default();
         let image = self.catalog.read().expect("engine catalog lock").gf.clone();
-        let tmp = dir.join(format!("{CHECKPOINT_FILE}.tmp"));
-        image.save(&tmp).map_err(EngineError::Checkpoint)?;
-        std::fs::rename(&tmp, dir.join(CHECKPOINT_FILE))
-            .map_err(|e| EngineError::Checkpoint(e.into()))?;
+        image
+            .save(dir.join(CHECKPOINT_FILE))
+            .map_err(EngineError::Checkpoint)?;
         w.reset().map_err(EngineError::Wal)?;
         Ok(true)
     }

@@ -88,7 +88,7 @@ pub mod store;
 pub mod worker;
 
 pub use backend::{InProcessBackend, WorkerBackend};
-pub use cache::{BlockBuf, BufferPool, LruCache};
+pub use cache::LruCache;
 pub use disk::{BlockCost, DiskModel, DiskParams};
 pub use engine::{
     EngineConfig, LatencyConfig, MutationOutcome, NetParams, ObsConfig, ParallelGridFile,

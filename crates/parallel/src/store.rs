@@ -19,17 +19,16 @@
 //! stays unconditional.
 //!
 //! Two read surfaces:
-//! - [`BlockStore::read_block`] — the hot path. Returns a [`BlockBuf`]
-//!   that borrows in-memory blocks outright and serves file-backed blocks
-//!   from a recycled [`BufferPool`] buffer, so steady-state reads allocate
-//!   nothing. Errors are the typed [`StoreError`].
-//! - [`BlockStore::get`] — the legacy owned-`Vec` surface (used by the
+//! - [`BlockStore::read_block`] — the hot path. Borrows in-memory blocks
+//!   outright and reads file-backed blocks into one fresh buffer. Errors
+//!   are the typed [`StoreError`].
+//! - [`BlockStore::get`] — the owned-`Vec` surface (used by the
 //!   scrub/repair path, which ships bytes across threads), kept with its
 //!   original `io::Result` signature.
 
-use crate::cache::{BlockBuf, BufferPool};
 use crate::error::StoreError;
 use pargrid_gridfile::crc32;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -54,14 +53,11 @@ enum Backend {
     },
 }
 
-/// A worker's block store: a backend plus per-block CRC-32 checksums and a
-/// buffer pool for allocation-free file reads.
+/// A worker's block store: a backend plus per-block CRC-32 checksums.
 pub struct BlockStore {
     backend: Backend,
     /// CRC-32 per stored block, checked on every read.
     sums: HashMap<u32, u32>,
-    /// Recycled read buffers (file backend; see [`BlockStore::read_block`]).
-    pool: BufferPool,
 }
 
 impl BlockStore {
@@ -70,7 +66,6 @@ impl BlockStore {
         BlockStore {
             backend: Backend::Memory(HashMap::new()),
             sums: HashMap::new(),
-            pool: BufferPool::new(),
         }
     }
 
@@ -94,7 +89,6 @@ impl BlockStore {
                 n_blocks: 0,
             },
             sums: HashMap::new(),
-            pool: BufferPool::new(),
         })
     }
 
@@ -222,22 +216,20 @@ impl BlockStore {
         }
     }
 
-    /// Reads a block's bytes without copying where possible, verifying the
-    /// checksum. In-memory blocks come back borrowed ([`BlockBuf::Borrowed`]);
-    /// file-backed blocks land in a recycled pool buffer
-    /// ([`BlockBuf::Pooled`]) that returns to the pool when the `BlockBuf`
-    /// drops. A block that does not exist is [`StoreError::NotFound`]; one
+    /// Reads a block's bytes, verifying the checksum. In-memory blocks come
+    /// back borrowed; file-backed blocks come back owned, read straight into
+    /// one buffer. A block that does not exist is [`StoreError::NotFound`]; one
     /// whose bytes no longer match their recorded checksum is
     /// [`StoreError::Corrupt`]. Neither panics, so a worker can answer the
     /// affected request with an error reply and keep serving.
-    pub fn read_block(&self, block: u32) -> Result<BlockBuf<'_>, StoreError> {
+    pub fn read_block(&self, block: u32) -> Result<Cow<'_, [u8]>, StoreError> {
         let buf = match &self.backend {
             Backend::Memory(map) => {
                 let bytes = map
                     .get(&block)
                     .ok_or(StoreError::NotFound { block })?
                     .as_slice();
-                BlockBuf::Borrowed(bytes)
+                Cow::Borrowed(bytes)
             }
             Backend::File {
                 file,
@@ -247,15 +239,10 @@ impl BlockStore {
                 if block >= *n_blocks {
                     return Err(StoreError::NotFound { block });
                 }
-                let mut buf = self.pool.take(*block_bytes);
-                if let Err(e) = read_exact_at(file, &mut buf, block as u64 * *block_bytes as u64) {
-                    self.pool.put(buf);
-                    return Err(StoreError::Io(e));
-                }
-                BlockBuf::Pooled {
-                    pool: &self.pool,
-                    buf: Some(buf),
-                }
+                let mut buf = vec![0; *block_bytes];
+                read_exact_at(file, &mut buf, block as u64 * *block_bytes as u64)
+                    .map_err(StoreError::Io)?;
+                Cow::Owned(buf)
             }
         };
         if let Some(&expected) = self.sums.get(&block) {
@@ -272,20 +259,15 @@ impl BlockStore {
     }
 
     /// Reads a block into an owned `Vec`, verifying its checksum — the
-    /// legacy surface over [`BlockStore::read_block`], kept for callers
-    /// that ship the bytes elsewhere (scrub repair). Errors map through
+    /// surface over [`BlockStore::read_block`] for callers that ship the
+    /// bytes elsewhere (scrub repair). A file-backed block is not copied
+    /// again. Errors map through
     /// [`StoreError`]'s [`io::Error`] conversion (`NotFound` →
     /// `io::ErrorKind::NotFound`, `Corrupt` → `io::ErrorKind::InvalidData`).
     pub fn get(&self, block: u32) -> io::Result<Vec<u8>> {
-        Ok(self.read_block(block).map_err(io::Error::from)?.to_vec())
-    }
-
-    /// Pool telemetry: `(allocations, reuses)` on the file read path. A
-    /// steady-state workload holds `allocations` flat while `reuses` grows —
-    /// asserted by the read-path tests and visible in `BENCH_hotpath.json`'s
-    /// `store_read` pair.
-    pub fn pool_stats(&self) -> (u64, u64) {
-        (self.pool.allocations(), self.pool.reuses())
+        self.read_block(block)
+            .map(Cow::into_owned)
+            .map_err(io::Error::from)
     }
 
     /// Every stored block id, ascending — the enumeration a remote worker
@@ -393,40 +375,15 @@ mod tests {
     }
 
     #[test]
-    fn read_block_borrows_memory_blocks_without_alloc() {
+    fn read_block_borrows_memory_blocks() {
         let mut s = BlockStore::memory();
         s.put(0, vec![1, 2, 3]).expect("put");
-        {
-            let buf = s.read_block(0).expect("read");
-            assert!(matches!(buf, BlockBuf::Borrowed(_)));
-            assert_eq!(&*buf, &[1, 2, 3]);
-        }
-        assert_eq!(s.pool_stats(), (0, 0), "memory reads never touch the pool");
+        let buf = s.read_block(0).expect("read");
+        assert!(matches!(buf, Cow::Borrowed(&[1, 2, 3])));
         assert!(matches!(
             s.read_block(9),
             Err(StoreError::NotFound { block: 9 })
         ));
-    }
-
-    #[test]
-    fn read_block_recycles_file_buffers() {
-        let dir = std::env::temp_dir().join("pargrid_store_pool_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut s = BlockStore::file(dir.join("w.blocks"), 64).expect("create");
-        for i in 0..4u32 {
-            s.put(i, vec![i as u8; 64]).expect("put");
-        }
-        for round in 0..8 {
-            for i in 0..4u32 {
-                let buf = s.read_block(i).expect("read");
-                assert!(matches!(buf, BlockBuf::Pooled { .. }));
-                assert_eq!(&*buf, &vec![i as u8; 64][..], "round {round}");
-            }
-        }
-        let (allocations, reuses) = s.pool_stats();
-        assert_eq!(allocations, 1, "steady state reuses one buffer");
-        assert_eq!(reuses, 31);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

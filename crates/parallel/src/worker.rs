@@ -341,9 +341,8 @@ impl WorkerState {
                     // checksum failure is additionally reported so the
                     // coordinator can scrub the block back to health.
                     //
-                    // `read_block` is the allocation-free path: in-memory
-                    // pages are borrowed, file pages land in a recycled
-                    // pool buffer released when `page` drops. The scan is
+                    // `read_block` borrows in-memory pages and reads file
+                    // pages into one buffer, dropped with `page`. The scan is
                     // fused with the filter: it reads coordinates out of
                     // the verified block and builds records only for hits.
                     match self.store.read_block(b) {
