@@ -14,7 +14,9 @@
 //!   participates as a *voter* in coordinator elections.
 //! * [`backend::RemoteBackend`] — a [`pargrid_parallel::WorkerBackend`]
 //!   whose "worker threads" are proxies speaking TCP to worker
-//!   processes. The engine cannot tell the difference: sequence numbers,
+//!   processes, one proxy and one connection per process, carrying a
+//!   query's reads for every slot that process hosts in one batch. The
+//!   engine cannot tell the difference: sequence numbers,
 //!   dedup, retransmits, replica failover, and hedged reads all work
 //!   unchanged, and a worker whose process dies looks exactly like the
 //!   fail-stop faults the engine already tolerates.

@@ -3,9 +3,13 @@
 //! A worker server is the over-the-wire twin of an engine worker thread.
 //! It holds one [`WorkerState`] per engine slot (a process can host
 //! several slots), built from pages its coordinator uploads with
-//! `WriteBlocks`, and services `Dispatch` frames through the *same*
-//! `service_dispatch` path an in-process worker uses — same elevator
-//! pass, same virtual disks, same seen-seq dedup window.
+//! `WriteBlocks`, and services reads through the *same* `service_dispatch`
+//! path an in-process worker uses — same elevator pass, same virtual
+//! disks, same seen-seq dedup window. A coordinator's proxy holds one
+//! connection per worker process and joins every slot it hosts on it; a
+//! `DispatchBatch` frame carries reads for any of those slots and is
+//! answered with one frame per item, all in one write. A single-slot
+//! `Dispatch` is a one-item batch for the connection's last-joined slot.
 //!
 //! Three behaviors distinguish it from a thread:
 //!
@@ -14,10 +18,11 @@
 //!   `Fenced` — a deposed coordinator cannot read or write anything here.
 //!   A join at a *higher* epoch resets the slot (store, dedup window,
 //!   reply cache): the new leader re-uploads its view of the data.
-//! * **Reply cache.** Retransmitted dispatches (same seq) are answered
-//!   from a bounded cache of encoded replies instead of being
-//!   re-executed, so a proxy that lost a connection mid-round-trip can
-//!   resend safely — the answer comes back once-computed, byte-identical.
+//! * **Reply cache.** Retransmitted dispatches (same seq, alone or inside
+//!   a batch) are answered from a bounded cache of encoded reply frames
+//!   instead of being re-executed, so a proxy that lost a connection
+//!   mid-round-trip can resend safely — the answer comes back
+//!   once-computed and, being the same bytes, byte-identical.
 //! * **Voting.** Workers vote in coordinator elections (one vote per
 //!   term, refusing candidates whose log would lose committed writes),
 //!   which keeps a two-coordinator cluster electable after it loses one.
@@ -30,8 +35,8 @@
 //!   cannot produce a second vote in the same term (two same-term
 //!   leaders would carry the same fencing epoch — unfenceable).
 
-use std::collections::HashMap;
-use std::io::BufWriter;
+use std::collections::{HashMap, VecDeque};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -41,8 +46,8 @@ use std::time::{Duration, Instant};
 
 use pargrid_gridfile::codec::{err, seal, unseal, Cur, DecodeError, Wire};
 use pargrid_gridfile::persist::write_durably;
-use pargrid_net::cluster_proto::{ClusterRequest, ClusterResponse, WireReply};
-use pargrid_net::frame::{read_frame, write_frame, FrameError};
+use pargrid_net::cluster_proto::{BatchItem, ClusterRequest, ClusterResponse, WireReply};
+use pargrid_net::frame::{read_frame, FrameError};
 use pargrid_net::server::wake_accept;
 use pargrid_parallel::disk::DiskParams;
 use pargrid_parallel::message::QueryPriority;
@@ -103,10 +108,11 @@ impl Default for WorkerConfig {
 /// reply cache.
 struct Slot {
     state: WorkerState,
-    /// Encoded replies by seq, FIFO-evicted at the dedup-window size, so
-    /// a retransmit is answered byte-identically without re-execution.
-    replies: HashMap<u64, ClusterResponse>,
-    reply_order: std::collections::VecDeque<u64>,
+    /// Encoded reply frames by seq, FIFO-evicted at the dedup-window
+    /// size, so a retransmit is answered with the same bytes without
+    /// re-execution.
+    replies: HashMap<u64, Vec<u8>>,
+    reply_order: VecDeque<u64>,
     reply_cap: usize,
 }
 
@@ -295,26 +301,30 @@ fn conn_loop(stream: TcpStream, shared: Arc<Shared>) {
         Ok(s) => s,
         Err(_) => return,
     });
-    let mut writer = BufWriter::new(stream);
-    // The slot this connection joined; data-plane frames are routed to it
-    // (each proxy opens one connection per engine slot).
-    let mut bound_slot: Option<u32> = None;
+    // The slots this connection joined, last-joined last: batch items may
+    // name any of them, while `Dispatch`, `WriteBlocks` and `FetchBlocks`
+    // route to the last one (a proxy re-joins to switch).
+    let mut joined: Vec<u32> = Vec::new();
+    // Every answer to one request frame, written with one `write_all`.
+    let mut out = Vec::new();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
+        out.clear();
         let frame = match read_frame(&mut reader) {
             Ok(f) => f,
             Err(FrameError::Closed) => return,
             Err(FrameError::Io(_)) => return,
             Err(_) => {
                 // Malformed frame: answer typed and keep the connection.
-                let (t, p) = ClusterResponse::ClusterErr("malformed frame".into()).encode();
-                if write_frame(&mut writer, t, &p).is_err() {
+                push(
+                    &mut out,
+                    &ClusterResponse::ClusterErr("malformed frame".into()),
+                );
+                if (&stream).write_all(&out).is_err() {
                     return;
                 }
-                use std::io::Write;
-                let _ = writer.flush();
                 continue;
             }
         };
@@ -329,26 +339,132 @@ fn conn_loop(stream: TcpStream, shared: Arc<Shared>) {
                 continue; // dropped on the (virtual) floor
             }
         }
-        let resp = match ClusterRequest::decode(frame.msg_type, &frame.payload) {
-            Ok(req) => handle(&shared, req, &mut bound_slot),
-            Err(e) => ClusterResponse::ClusterErr(format!("bad request: {e}")),
-        };
-        let (t, p) = resp.encode();
-        if write_frame(&mut writer, t, &p).is_err() {
-            return;
+        match ClusterRequest::decode(frame.msg_type, &frame.payload) {
+            Ok(ClusterRequest::Dispatch {
+                epoch,
+                query_id,
+                seq,
+                priority,
+                rect,
+                blocks,
+            }) => match joined.last() {
+                Some(&slot) => {
+                    let item = BatchItem {
+                        slot,
+                        query_id,
+                        seq,
+                        priority,
+                        rect,
+                        blocks,
+                    };
+                    serve_batch(&shared, epoch, &[item], &joined, &mut out);
+                }
+                None => push(
+                    &mut out,
+                    &ClusterResponse::ClusterErr("no slot joined".into()),
+                ),
+            },
+            Ok(ClusterRequest::DispatchBatch { epoch, items }) => {
+                serve_batch(&shared, epoch, &items, &joined, &mut out);
+            }
+            Ok(req) => push(&mut out, &handle(&shared, req, &mut joined)),
+            Err(e) => push(
+                &mut out,
+                &ClusterResponse::ClusterErr(format!("bad request: {e}")),
+            ),
         }
-        use std::io::Write;
-        if writer.flush().is_err() {
+        if (&stream).write_all(&out).is_err() {
             return;
         }
     }
 }
 
-fn handle(
-    shared: &Arc<Shared>,
-    req: ClusterRequest,
-    bound_slot: &mut Option<u32>,
-) -> ClusterResponse {
+/// Appends `resp`'s frame to `out`.
+fn push(out: &mut Vec<u8>, resp: &ClusterResponse) {
+    out.extend_from_slice(&frame_of(resp));
+}
+
+/// `resp` as wire bytes; a reply too large to frame is answered typed.
+fn frame_of(resp: &ClusterResponse) -> Vec<u8> {
+    resp.encode_frame().unwrap_or_else(|e| {
+        ClusterResponse::ClusterErr(format!("reply not sent: {e}"))
+            .encode_frame()
+            .expect("a short error frame")
+    })
+}
+
+/// Answers `items` in order, one frame each, under one plane lock: a
+/// `WorkerReply` (from the reply cache for a seq already answered), or the
+/// item's typed refusal — `Fenced` for a stale epoch, `ClusterErr` for a
+/// slot not joined on this connection or a seq evicted from the cache.
+fn serve_batch(
+    shared: &Shared,
+    epoch: u64,
+    items: &[BatchItem],
+    joined: &[u32],
+    out: &mut Vec<u8>,
+) {
+    let mut plane = shared.plane.lock().unwrap();
+    for item in items {
+        if epoch < plane.epoch {
+            push(out, &ClusterResponse::Fenced { epoch: plane.epoch });
+            continue;
+        }
+        let slot = match plane.slots.get_mut(&item.slot) {
+            Some(slot) if joined.contains(&item.slot) => slot,
+            _ => {
+                let msg = format!("slot {} not joined on this connection", item.slot);
+                push(out, &ClusterResponse::ClusterErr(msg));
+                continue;
+            }
+        };
+        if let Some(cached) = slot.replies.get(&item.seq) {
+            shared.deduped.fetch_add(1, Ordering::Relaxed);
+            out.extend_from_slice(cached);
+            continue;
+        }
+        let prio = if item.priority == 0 {
+            QueryPriority::Interactive
+        } else {
+            QueryPriority::Batch
+        };
+        let Some(reply) =
+            slot.state
+                .service_dispatch(item.query_id, item.seq, &item.blocks, &item.rect, prio)
+        else {
+            // Seen seq but evicted from the reply cache: the proxy
+            // retransmitted something ancient. Refuse loudly rather than
+            // re-executing.
+            let msg = format!("seq {} already serviced", item.seq);
+            push(out, &ClusterResponse::ClusterErr(msg));
+            continue;
+        };
+        shared.executed.fetch_add(1, Ordering::Relaxed);
+        let frame = frame_of(&ClusterResponse::WorkerReply(WireReply {
+            query_id: reply.query_id,
+            seq: reply.seq,
+            worker: reply.worker_id as u32,
+            blocks_requested: reply.blocks_requested,
+            cache_hits: reply.cache_hits,
+            disk_us: reply.disk_us,
+            cpu_us: reply.cpu_us,
+            corrupt_blocks: reply.corrupt_blocks,
+            error: reply.error,
+            records: reply.records,
+        }));
+        out.extend_from_slice(&frame);
+        slot.replies.insert(item.seq, frame);
+        slot.reply_order.push_back(item.seq);
+        while slot.reply_order.len() > slot.reply_cap {
+            if let Some(old) = slot.reply_order.pop_front() {
+                slot.replies.remove(&old);
+            }
+        }
+    }
+}
+
+/// Answers every request but the two dispatch kinds (see [`serve_batch`]).
+fn handle(shared: &Shared, req: ClusterRequest, joined: &mut Vec<u32>) -> ClusterResponse {
     let mut plane = shared.plane.lock().unwrap();
     match req {
         ClusterRequest::WorkerJoin {
@@ -383,75 +499,25 @@ fn handle(
                 )
                 .with_seen_seq_window(seen_seq_window.max(1) as usize),
                 replies: HashMap::new(),
-                reply_order: std::collections::VecDeque::new(),
+                reply_order: VecDeque::new(),
                 reply_cap: seen_seq_window.max(1) as usize,
             });
-            *bound_slot = Some(slot);
+            joined.retain(|&s| s != slot);
+            joined.push(slot);
             ClusterResponse::Welcome {
                 slot,
                 epoch: cur_epoch,
                 blocks_held: entry.state.store.len() as u32,
             }
         }
-        ClusterRequest::Dispatch {
-            epoch,
-            query_id,
-            seq,
-            priority,
-            rect,
-            blocks,
-        } => {
-            if epoch < plane.epoch {
-                return ClusterResponse::Fenced { epoch: plane.epoch };
-            }
-            let Some(slot) = bound_slot.and_then(|id| plane.slots.get_mut(&id)) else {
-                return ClusterResponse::ClusterErr("no slot joined".into());
-            };
-            if let Some(cached) = slot.replies.get(&seq) {
-                shared.deduped.fetch_add(1, Ordering::Relaxed);
-                return cached.clone();
-            }
-            let prio = if priority == 0 {
-                QueryPriority::Interactive
-            } else {
-                QueryPriority::Batch
-            };
-            let Some(reply) = slot
-                .state
-                .service_dispatch(query_id, seq, &blocks, &rect, prio)
-            else {
-                // Seen seq but evicted from the reply cache: the proxy
-                // retransmitted something ancient. Refuse loudly rather
-                // than re-executing.
-                return ClusterResponse::ClusterErr(format!("seq {seq} already serviced"));
-            };
-            shared.executed.fetch_add(1, Ordering::Relaxed);
-            let resp = ClusterResponse::WorkerReply(WireReply {
-                query_id: reply.query_id,
-                seq: reply.seq,
-                worker: reply.worker_id as u32,
-                blocks_requested: reply.blocks_requested,
-                cache_hits: reply.cache_hits,
-                disk_us: reply.disk_us,
-                cpu_us: reply.cpu_us,
-                corrupt_blocks: reply.corrupt_blocks,
-                error: reply.error,
-                records: reply.records,
-            });
-            slot.replies.insert(seq, resp.clone());
-            slot.reply_order.push_back(seq);
-            while slot.reply_order.len() > slot.reply_cap {
-                if let Some(old) = slot.reply_order.pop_front() {
-                    slot.replies.remove(&old);
-                }
-            }
-            resp
+        ClusterRequest::Dispatch { .. } | ClusterRequest::DispatchBatch { .. } => {
+            unreachable!("dispatches are answered by serve_batch")
         }
         ClusterRequest::WriteBlocks { epoch, blocks } => {
             if epoch < plane.epoch {
                 return ClusterResponse::Fenced { epoch: plane.epoch };
             }
-            let Some(slot) = bound_slot.and_then(|id| plane.slots.get_mut(&id)) else {
+            let Some(slot) = joined.last().and_then(|id| plane.slots.get_mut(id)) else {
                 return ClusterResponse::ClusterErr("no slot joined".into());
             };
             let written = blocks.len() as u32;
@@ -465,7 +531,7 @@ fn handle(
             if epoch < plane.epoch {
                 return ClusterResponse::Fenced { epoch: plane.epoch };
             }
-            let Some(slot) = bound_slot.and_then(|id| plane.slots.get(&id)) else {
+            let Some(slot) = joined.last().and_then(|id| plane.slots.get(id)) else {
                 return ClusterResponse::ClusterErr("no slot joined".into());
             };
             let raw = slot.state.fetch_raw_blocks(&blocks);

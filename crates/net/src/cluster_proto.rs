@@ -12,12 +12,13 @@
 //! Three conversations share this plane:
 //!
 //! * **Dispatch** — a coordinator's remote-worker proxy forwards the
-//!   engine's sequenced requests ([`ClusterRequest::Dispatch`],
-//!   [`ClusterRequest::WriteBlocks`], [`ClusterRequest::FetchBlocks`])
-//!   and the worker answers with [`ClusterResponse::WorkerReply`] /
-//!   acks. The `seq` numbers are the engine's PR 4 dispatch sequence
-//!   numbers, unchanged — the worker's dedup window and the proxy's
-//!   retransmits ride them verbatim.
+//!   engine's sequenced requests ([`ClusterRequest::DispatchBatch`] for
+//!   all of one worker process's pending reads at once,
+//!   [`ClusterRequest::Dispatch`], [`ClusterRequest::WriteBlocks`],
+//!   [`ClusterRequest::FetchBlocks`]) and the worker answers with
+//!   [`ClusterResponse::WorkerReply`]s / acks. The `seq` numbers are the
+//!   engine's dispatch sequence numbers, unchanged — the worker's dedup
+//!   window and the proxy's retransmits ride them verbatim.
 //! * **Liveness + leases** — [`ClusterRequest::Heartbeat`] probes,
 //!   [`ClusterRequest::LeaseGrant`] renewals. Every data-plane request
 //!   carries the issuing leader's `epoch` (its election term); a worker
@@ -35,6 +36,7 @@ use pargrid_gridfile::codec::{
 };
 use pargrid_gridfile::Record;
 
+use crate::frame::{FrameBuilder, FrameError};
 use crate::proto::ProtoError;
 
 // Request type bytes (worker/election plane).
@@ -46,6 +48,7 @@ const REQ_HEARTBEAT: u8 = 0x24;
 const REQ_LEASE_GRANT: u8 = 0x25;
 const REQ_VOTE: u8 = 0x26;
 const REQ_META_APPEND: u8 = 0x27;
+const REQ_DISPATCH_BATCH: u8 = 0x29;
 
 // Response type bytes.
 const RESP_WELCOME: u8 = 0xA0;
@@ -139,6 +142,77 @@ impl Wire for MetaOp {
     }
 }
 
+/// One item of a [`ClusterRequest::DispatchBatch`]: the
+/// [`ClusterRequest::Dispatch`] fields, for the named slot.
+#[derive(Clone, Debug, PartialEq)]
+pub struct BatchItem {
+    /// Worker slot the read is for (joined on this connection).
+    pub slot: u32,
+    /// Engine query id.
+    pub query_id: u64,
+    /// Engine-global dispatch sequence number (dedup key).
+    pub seq: u64,
+    /// [`PRIORITY_INTERACTIVE`] or [`PRIORITY_BATCH`].
+    pub priority: u8,
+    /// Query rectangle.
+    pub rect: Rect,
+    /// Block ids to read (slot-local).
+    pub blocks: Vec<u32>,
+}
+
+/// Slot, then exactly the `Dispatch` fields after its epoch.
+impl Wire for BatchItem {
+    const MIN_BYTES: usize = 4 + 8 + 8 + 1 + Rect::MIN_BYTES + 4;
+
+    fn put(&self, p: &mut Vec<u8>) {
+        self.slot.put(p);
+        put_dispatch(
+            p,
+            self.query_id,
+            self.seq,
+            self.priority,
+            &self.rect,
+            &self.blocks,
+        );
+    }
+
+    fn take(c: &mut Cur<'_>) -> Result<BatchItem, DecodeError> {
+        Ok(BatchItem {
+            slot: c.get()?,
+            query_id: c.get()?,
+            seq: c.get()?,
+            priority: take_priority(c)?,
+            rect: c.get()?,
+            blocks: c.get()?,
+        })
+    }
+}
+
+/// The `Dispatch` fields after the epoch, shared with [`BatchItem`].
+fn put_dispatch(
+    p: &mut Vec<u8>,
+    query_id: u64,
+    seq: u64,
+    priority: u8,
+    rect: &Rect,
+    blocks: &[u32],
+) {
+    p.reserve(33 + 16 * rect.dim() + 4 * blocks.len());
+    query_id.put(p);
+    seq.put(p);
+    priority.put(p);
+    rect.put(p);
+    (blocks.len() as u32).put(p);
+    u32::put_all(blocks, p);
+}
+
+fn take_priority(c: &mut Cur<'_>) -> Result<u8, DecodeError> {
+    match c.get::<u8>()? {
+        p @ (PRIORITY_INTERACTIVE | PRIORITY_BATCH) => Ok(p),
+        p => Err(err(format!("bad priority byte {p}"))),
+    }
+}
+
 /// A worker's answer to one [`ClusterRequest::Dispatch`] — the wire form
 /// of the engine's `FromWorker` (minus its in-process reply channel).
 #[derive(Clone, Debug, PartialEq)]
@@ -197,6 +271,17 @@ pub enum ClusterRequest {
         rect: Rect,
         /// Block ids to read (worker-local).
         blocks: Vec<u32>,
+    },
+    /// Several sequenced reads for slots joined on this connection — a
+    /// proxy's whole queue for one worker process in one frame. Answered
+    /// with one response frame per item, in item order: a
+    /// [`ClusterResponse::WorkerReply`], or that item's
+    /// [`ClusterResponse::ClusterErr`] / [`ClusterResponse::Fenced`].
+    DispatchBatch {
+        /// Issuing leader's epoch; every item is fenced if stale.
+        epoch: u64,
+        /// The reads, answered in this order.
+        items: Vec<BatchItem>,
     },
     /// Raw block upload/overwrite (bulk load on join, scrub repair,
     /// mutation pages) — the engine's `ToWorker::WriteRaw` on the wire.
@@ -373,14 +458,14 @@ impl ClusterRequest {
                 rect,
                 blocks,
             } => {
-                p.reserve(37 + 16 * rect.dim() + 4 * blocks.len());
                 epoch.put(&mut p);
-                query_id.put(&mut p);
-                seq.put(&mut p);
-                priority.put(&mut p);
-                rect.put(&mut p);
-                blocks.put(&mut p);
+                put_dispatch(&mut p, *query_id, *seq, *priority, rect, blocks);
                 REQ_DISPATCH
+            }
+            ClusterRequest::DispatchBatch { epoch, items } => {
+                epoch.put(&mut p);
+                items.put(&mut p);
+                REQ_DISPATCH_BATCH
             }
             ClusterRequest::WriteBlocks { epoch, blocks } => {
                 p.reserve(12 + blocks.iter().map(|(_, b)| 8 + b.len()).sum::<usize>());
@@ -453,12 +538,13 @@ impl ClusterRequest {
                 epoch: c.get()?,
                 query_id: c.get()?,
                 seq: c.get()?,
-                priority: match c.get::<u8>()? {
-                    p @ (PRIORITY_INTERACTIVE | PRIORITY_BATCH) => p,
-                    p => return Err(err(format!("bad priority byte {p}"))),
-                },
+                priority: take_priority(&mut c)?,
                 rect: c.get()?,
                 blocks: c.get()?,
+            },
+            REQ_DISPATCH_BATCH => ClusterRequest::DispatchBatch {
+                epoch: c.get()?,
+                items: c.get()?,
             },
             REQ_WRITE_BLOCKS => ClusterRequest::WriteBlocks {
                 epoch: c.get()?,
@@ -501,15 +587,30 @@ impl ClusterResponse {
     /// Message type byte + payload for this response.
     pub fn encode(&self) -> (u8, Vec<u8>) {
         let mut p = Vec::new();
-        let t = match self {
+        let t = self.encode_into(&mut p);
+        (t, p)
+    }
+
+    /// This response as complete wire bytes, its payload serialized straight
+    /// into the frame buffer (one allocation, no payload copy) — what a
+    /// worker writes and keeps in its reply cache.
+    pub fn encode_frame(&self) -> Result<Vec<u8>, FrameError> {
+        let mut b = FrameBuilder::new();
+        let t = self.encode_into(b.payload_mut());
+        b.finish(t)
+    }
+
+    /// Appends this response's payload to `p` and returns its type byte.
+    fn encode_into(&self, p: &mut Vec<u8>) -> u8 {
+        match self {
             ClusterResponse::Welcome {
                 slot,
                 epoch,
                 blocks_held,
             } => {
-                slot.put(&mut p);
-                epoch.put(&mut p);
-                blocks_held.put(&mut p);
+                slot.put(p);
+                epoch.put(p);
+                blocks_held.put(p);
                 RESP_WELCOME
             }
             ClusterResponse::WorkerReply(r) => {
@@ -518,20 +619,20 @@ impl ClusterResponse {
                         + r.error.as_ref().map_or(0, |m| 4 + m.len())
                         + records_wire_len(&r.records),
                 );
-                r.query_id.put(&mut p);
-                r.seq.put(&mut p);
-                r.worker.put(&mut p);
+                r.query_id.put(p);
+                r.seq.put(p);
+                r.worker.put(p);
                 for v in [r.blocks_requested, r.cache_hits, r.disk_us, r.cpu_us] {
-                    v.put(&mut p);
+                    v.put(p);
                 }
-                r.corrupt_blocks.put(&mut p);
-                r.error.put(&mut p);
-                put_records(&mut p, &r.records);
+                r.corrupt_blocks.put(p);
+                r.error.put(p);
+                put_records(p, &r.records);
                 RESP_WORKER_REPLY
             }
             ClusterResponse::BlocksAck { epoch, written } => {
-                epoch.put(&mut p);
-                written.put(&mut p);
+                epoch.put(p);
+                written.put(p);
                 RESP_BLOCKS_ACK
             }
             ClusterResponse::RawBlocks { worker, blocks } => {
@@ -540,41 +641,40 @@ impl ClusterResponse {
                     .map(|(_, b)| 9 + b.as_ref().map_or(0, Vec::len))
                     .sum();
                 p.reserve(8 + bytes);
-                worker.put(&mut p);
-                blocks.put(&mut p);
+                worker.put(p);
+                blocks.put(p);
                 RESP_RAW_BLOCKS
             }
             ClusterResponse::HeartbeatAck { term, epoch } => {
-                term.put(&mut p);
-                epoch.put(&mut p);
+                term.put(p);
+                epoch.put(p);
                 RESP_HEARTBEAT_ACK
             }
             ClusterResponse::LeaseAck { granted, epoch } => {
-                granted.put(&mut p);
-                epoch.put(&mut p);
+                granted.put(p);
+                epoch.put(p);
                 RESP_LEASE_ACK
             }
             ClusterResponse::VoteReply { term, granted } => {
-                term.put(&mut p);
-                granted.put(&mut p);
+                term.put(p);
+                granted.put(p);
                 RESP_VOTE_REPLY
             }
             ClusterResponse::MetaAck { term, ok, log_len } => {
-                term.put(&mut p);
-                ok.put(&mut p);
-                log_len.put(&mut p);
+                term.put(p);
+                ok.put(p);
+                log_len.put(p);
                 RESP_META_ACK
             }
             ClusterResponse::Fenced { epoch } => {
-                epoch.put(&mut p);
+                epoch.put(p);
                 RESP_FENCED
             }
             ClusterResponse::ClusterErr(msg) => {
-                msg.put(&mut p);
+                msg.put(p);
                 RESP_CLUSTER_ERR
             }
-        };
-        (t, p)
+        }
     }
 
     /// Decodes a response payload. Total, like [`ClusterRequest::decode`].
@@ -666,6 +766,27 @@ mod tests {
             priority: PRIORITY_INTERACTIVE,
             rect: Rect::new(Point::new2(0.0, -1.0), Point::new2(10.0, 1.0)),
             blocks: vec![0, 5, 9],
+        });
+        rt_request(ClusterRequest::DispatchBatch {
+            epoch: 7,
+            items: vec![
+                BatchItem {
+                    slot: 1,
+                    query_id: 11,
+                    seq: 99,
+                    priority: PRIORITY_INTERACTIVE,
+                    rect: Rect::new(Point::new2(0.0, -1.0), Point::new2(10.0, 1.0)),
+                    blocks: vec![0, 5, 9],
+                },
+                BatchItem {
+                    slot: 5,
+                    query_id: 11,
+                    seq: 100,
+                    priority: PRIORITY_BATCH,
+                    rect: Rect::new(Point::new2(0.0, 0.0), Point::new2(1.0, 1.0)),
+                    blocks: vec![],
+                },
+            ],
         });
         rt_request(ClusterRequest::WriteBlocks {
             epoch: 7,

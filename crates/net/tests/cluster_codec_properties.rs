@@ -5,8 +5,9 @@
 use proptest::prelude::*;
 
 use pargrid_geom::{Point, Rect};
+use pargrid_gridfile::codec::Wire;
 use pargrid_gridfile::{crc32, Record};
-use pargrid_net::cluster_proto::{ClusterRequest, ClusterResponse, MetaOp, WireReply};
+use pargrid_net::cluster_proto::{BatchItem, ClusterRequest, ClusterResponse, MetaOp, WireReply};
 use pargrid_net::frame::{encode_frame, read_frame, FrameError, PROTOCOL_VERSION, TRAILER_LEN};
 
 fn arb_key() -> impl Strategy<Value = Vec<f64>> {
@@ -78,6 +79,24 @@ fn arb_pages() -> impl Strategy<Value = Vec<(u32, Vec<u8>)>> {
     )
 }
 
+fn arb_batch_item() -> impl Strategy<Value = BatchItem> {
+    (
+        (any::<u32>(), any::<u64>(), any::<u64>(), 0u8..=1),
+        arb_rect(),
+        prop::collection::vec(any::<u32>(), 0..8),
+    )
+        .prop_map(
+            |((slot, query_id, seq, priority), rect, blocks)| BatchItem {
+                slot,
+                query_id,
+                seq,
+                priority,
+                rect,
+                blocks,
+            },
+        )
+}
+
 fn arb_request() -> impl Strategy<Value = ClusterRequest> {
     prop_oneof![
         (any::<u32>(), any::<u64>(), any::<u32>(), any::<u32>()).prop_map(
@@ -103,6 +122,8 @@ fn arb_request() -> impl Strategy<Value = ClusterRequest> {
                     blocks,
                 }
             }),
+        (any::<u64>(), prop::collection::vec(arb_batch_item(), 0..4))
+            .prop_map(|(epoch, items)| ClusterRequest::DispatchBatch { epoch, items }),
         (any::<u64>(), arb_pages())
             .prop_map(|(epoch, blocks)| ClusterRequest::WriteBlocks { epoch, blocks }),
         (any::<u64>(), prop::collection::vec(any::<u32>(), 0..8))
@@ -263,6 +284,27 @@ proptest! {
     ) {
         let _ = ClusterRequest::decode(msg_type, &payload);
         let _ = ClusterResponse::decode(msg_type, &payload);
+    }
+
+    #[test]
+    fn arbitrary_dispatch_batch_payloads_never_panic(
+        epoch in any::<u64>(),
+        count in any::<u32>(),
+        body in prop::collection::vec(any::<u8>(), 0..300usize),
+    ) {
+        // Past the epoch the decoder meets an item count and then items:
+        // garbage there fails typed, and a count the remaining bytes cannot
+        // hold at `BatchItem::MIN_BYTES` apiece is refused before anything
+        // is allocated for it.
+        let mut p = Vec::new();
+        epoch.put(&mut p);
+        count.put(&mut p);
+        p.extend_from_slice(&body);
+        let decoded = ClusterRequest::decode(0x29, &p);
+        if count as usize > body.len() / BatchItem::MIN_BYTES {
+            let e = decoded.expect_err("hostile count");
+            prop_assert!(e.0.contains("exceeds payload"), "{}", e);
+        }
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! The worker-launch seam: how the engine turns a loaded [`WorkerState`]
-//! into a running service loop.
+//! The worker-launch seam: how the engine turns its loaded
+//! [`WorkerState`]s into running service loops.
 //!
 //! The engine builds one `WorkerState` per slot (store loaded, disks
-//! modeled, faults armed) and one channel per slot, then asks a
-//! [`WorkerBackend`] to put a service loop behind the channel's receiving
-//! end. The default [`InProcessBackend`] spawns the worker thread — the
-//! single-node fast path. A remote backend (see the `pargrid-cluster`
-//! crate) instead spawns a *proxy* thread that forwards each
-//! [`crate::message::ToWorker`] over a TCP connection to a worker process
-//! and feeds the wire replies back into the engine's reply channels.
+//! modeled, faults armed) and hands them all to a [`WorkerBackend`], which
+//! chooses the channel layout and returns one sender per slot. The default
+//! [`InProcessBackend`] gives each slot its own channel and worker thread —
+//! the single-node fast path. A remote backend (see the `pargrid-cluster`
+//! crate) gives each *worker process* one channel and one proxy thread,
+//! shared by every slot that process hosts: every message names its slot,
+//! the proxy forwards a query's requests for that host as one batch over
+//! one TCP connection and feeds the wire replies back into the engine's
+//! reply channels.
 //!
 //! Everything above the channel — sequence numbers, retransmit/backoff,
 //! reply matching, dead-flag failure detection, replica failover, hedged
@@ -20,46 +22,50 @@
 use crate::message::ToWorker;
 use crate::stats::WorkerCounters;
 use crate::worker::{run_worker, WorkerState};
-use crossbeam::channel::Receiver;
+use crossbeam::channel::{unbounded, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Launches the service loop for one worker slot.
+/// Launches the service loops behind the engine's worker slots.
 ///
-/// Implementations receive the slot's fully-loaded [`WorkerState`] (the
-/// in-process backend runs it directly; a remote backend uses its store as
-/// the upload source for the worker process) and must consume `inbox`
-/// until every sender is gone or a [`ToWorker::Shutdown`] arrives, then
-/// drop it: the engine's sends start failing exactly then, and fail over.
-/// A backend that detects its worker is gone must set `counters.dead` so
-/// the engine's failure detection and replica failover engage — the same
-/// contract the in-process fail-stop path honors.
+/// `spawn` receives every slot's fully-loaded [`WorkerState`] and counters,
+/// in slot order (the in-process backend runs the states directly; a
+/// remote backend uses their stores as the upload source for its worker
+/// processes). It returns one sender per slot — slots may share a channel,
+/// since every [`ToWorker`] message names its slot — and the join handles
+/// of the threads it started. A service loop consumes its receiver until
+/// every sender is gone or a [`ToWorker::Shutdown`] arrives, then drops it:
+/// the engine's sends to every slot behind that receiver start failing
+/// exactly then, and fail over. A backend that detects a worker is gone
+/// must set that slot's `counters.dead` so the engine's failure detection
+/// and replica failover engage — the same contract the in-process
+/// fail-stop path honors.
 pub trait WorkerBackend: Send + Sync + std::fmt::Debug {
-    /// Spawns the service loop for `slot`, returning its join handle.
-    fn spawn_worker(
+    /// Starts the service loops for `slots` (slot `w` is `slots[w]`).
+    fn spawn(
         &self,
-        slot: usize,
-        state: WorkerState,
-        inbox: Receiver<ToWorker>,
-        counters: Option<Arc<WorkerCounters>>,
-    ) -> JoinHandle<()>;
+        slots: Vec<(WorkerState, Arc<WorkerCounters>)>,
+    ) -> (Vec<Sender<ToWorker>>, Vec<JoinHandle<()>>);
 }
 
-/// The default backend: one OS thread per worker running
+/// The default backend: one channel and one OS thread per slot running
 /// [`WorkerState::run`] in this process — the baseline every remote
 /// deployment is measured against.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct InProcessBackend;
 
 impl WorkerBackend for InProcessBackend {
-    fn spawn_worker(
+    fn spawn(
         &self,
-        _slot: usize,
-        state: WorkerState,
-        inbox: Receiver<ToWorker>,
-        counters: Option<Arc<WorkerCounters>>,
-    ) -> JoinHandle<()> {
-        run_worker(state, inbox, counters)
+        slots: Vec<(WorkerState, Arc<WorkerCounters>)>,
+    ) -> (Vec<Sender<ToWorker>>, Vec<JoinHandle<()>>) {
+        slots
+            .into_iter()
+            .map(|(state, counters)| {
+                let (tx, rx) = unbounded();
+                (tx, run_worker(state, rx, Some(counters)))
+            })
+            .unzip()
     }
 }
 
@@ -67,13 +73,13 @@ impl WorkerBackend for InProcessBackend {
 mod tests {
     use super::*;
     use crate::disk::DiskParams;
-    use crossbeam::channel::unbounded;
 
     #[test]
     fn in_process_backend_spawns_a_joinable_worker() {
         let state = WorkerState::new(0, 0, DiskParams::default());
-        let (tx, rx) = unbounded();
-        let handle = InProcessBackend.spawn_worker(0, state, rx, None);
+        let (senders, handles) =
+            InProcessBackend.spawn(vec![(state, Arc::new(WorkerCounters::default()))]);
+        let (tx, handle) = (&senders[0], handles.into_iter().next().expect("one handle"));
         tx.send(ToWorker::Shutdown).expect("send shutdown");
         handle.join().expect("worker joins");
         // The exited loop dropped its receiver: later sends bounce with

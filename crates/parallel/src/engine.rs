@@ -807,14 +807,13 @@ impl ParallelGridFile {
             .backend
             .clone()
             .unwrap_or_else(|| Arc::new(crate::backend::InProcessBackend));
-        let mut to_workers = Vec::with_capacity(n_workers);
-        let mut handles = Vec::with_capacity(n_workers);
-        for (w, state) in workers.into_iter().enumerate() {
-            let counters = Some(Arc::clone(&shared.workers[w]));
-            let (to_tx, to_rx) = unbounded();
-            handles.push(backend.spawn_worker(w, state, to_rx, counters));
-            to_workers.push(to_tx);
-        }
+        let (to_workers, handles) = backend.spawn(
+            workers
+                .into_iter()
+                .zip(shared.workers.iter().map(Arc::clone))
+                .collect(),
+        );
+        assert_eq!(to_workers.len(), n_workers, "one sender per worker slot");
 
         let record_bytes = gf.config().record_bytes();
         let domain = gf.config().domain;
@@ -1103,6 +1102,7 @@ impl ParallelGridFile {
             self.trace_instant(SpanKind::Retry, query_id, w as u32, bkts.len() as u64);
             let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
             let request = ReadRequest {
+                worker: w,
                 query_id,
                 seq,
                 blocks: blocks.clone(),
@@ -1151,6 +1151,7 @@ impl ParallelGridFile {
             requests.push((
                 w,
                 ReadRequest {
+                    worker: w,
                     query_id,
                     seq,
                     blocks: read.blocks.clone(),
@@ -1275,6 +1276,7 @@ impl ParallelGridFile {
             let (raw_tx, raw_rx) = unbounded();
             if self.to_workers[src]
                 .send(ToWorker::FetchRaw {
+                    worker: src,
                     blocks: fetch,
                     reply: raw_tx,
                 })
@@ -1297,7 +1299,10 @@ impl ParallelGridFile {
             }
             let n = writes.len() as u64;
             if self.to_workers[worker]
-                .send(ToWorker::WriteRaw { blocks: writes })
+                .send(ToWorker::WriteRaw {
+                    worker,
+                    blocks: writes,
+                })
                 .is_ok()
             {
                 repaired += n;
@@ -1461,7 +1466,7 @@ impl ParallelGridFile {
                 continue;
             }
             if self.to_workers[w]
-                .send(ToWorker::WriteRaw { blocks })
+                .send(ToWorker::WriteRaw { worker: w, blocks })
                 .is_err()
             {
                 // Transport gone: the worker is dead. Reads fail over to
@@ -1710,7 +1715,10 @@ impl ParallelGridFile {
             // drains writes first. The source copy's blocks stay orphaned
             // on disk for queries planned before the flip.
             if self.to_workers[to]
-                .send(ToWorker::WriteRaw { blocks: writes })
+                .send(ToWorker::WriteRaw {
+                    worker: to,
+                    blocks: writes,
+                })
                 .is_err()
             {
                 self.shared.workers[to].dead.store(true, Ordering::Relaxed);
@@ -1801,6 +1809,7 @@ impl ParallelGridFile {
                     if let Some((w, blocks)) = self.hedge_target(&o.buckets, reply.worker_id) {
                         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
                         let request = ReadRequest {
+                            worker: w,
                             query_id: reply.query_id,
                             seq,
                             blocks: blocks.clone(),
@@ -1917,6 +1926,7 @@ impl ParallelGridFile {
                                 o.retransmits as u64,
                             );
                             let request = ReadRequest {
+                                worker: o.worker,
                                 query_id: qid,
                                 seq: o.seq,
                                 blocks: o.blocks.clone(),
@@ -2756,6 +2766,7 @@ mod tests {
             for (w, read) in plan {
                 engine.to_workers[w]
                     .send(ToWorker::Process(vec![ReadRequest {
+                        worker: w,
                         query_id: u64::MAX, // never a real pending id
                         seq: u64::MAX,
                         blocks: read.blocks,

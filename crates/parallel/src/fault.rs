@@ -1,7 +1,7 @@
 //! Deterministic worker fault injection.
 //!
 //! A [`FaultPlan`] describes failures to inject into an engine's workers,
-//! wired through [`crate::EngineConfig::faults`]. Fault families:
+//! wired through [`crate::ResilienceConfig::faults`]. Fault families:
 //!
 //! * **fail-stop** ([`FaultKind::DieAfterBlocks`], [`FaultKind::DieAtQuery`])
 //!   — the worker thread marks itself dead in the shared liveness table and

@@ -35,6 +35,9 @@ pub enum QueryPriority {
 /// One query's block requests for one worker.
 #[derive(Clone, Debug)]
 pub struct ReadRequest {
+    /// The worker slot the request is for. A backend that carries several
+    /// slots' traffic on one channel (one per worker process) routes on it.
+    pub worker: usize,
     /// Query sequence number (echoed in the reply).
     pub query_id: u64,
     /// Engine-global dispatch sequence number, echoed in the reply. Unique
@@ -66,6 +69,8 @@ pub enum ToWorker {
     /// blocks. Blocks that are missing or fail their own checksum come back
     /// as `None`.
     FetchRaw {
+        /// The worker slot to read from.
+        worker: usize,
         /// Local block ids to read.
         blocks: Vec<u32>,
         /// Where to send the [`RawBlocks`] reply.
@@ -75,6 +80,8 @@ pub enum ToWorker {
     /// checksums) — the second half of a scrub: healthy replica bytes
     /// replace a corrupted copy.
     WriteRaw {
+        /// The worker slot to write to.
+        worker: usize,
         /// `(local block id, bytes)` pairs to overwrite.
         blocks: Vec<(u32, Vec<u8>)>,
     },

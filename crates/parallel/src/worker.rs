@@ -19,7 +19,7 @@
 use crate::disk::{DiskModel, DiskParams};
 use crate::error::StoreError;
 use crate::fault::FaultKind;
-use crate::message::{FromWorker, QueryPriority, RawBlocks, ToWorker};
+use crate::message::{FromWorker, QueryPriority, RawBlocks, ReadRequest, ToWorker};
 use crate::stats::WorkerCounters;
 use crate::store::BlockStore;
 use crossbeam::channel::Receiver;
@@ -170,7 +170,7 @@ impl WorkerState {
     /// Whether an injected fail-stop triggers for this batch: either the
     /// lifetime block count has been reached, or a request at/past the kill
     /// query number arrived.
-    fn should_die(&self, batch: &[crate::message::ReadRequest]) -> bool {
+    fn should_die(&self, batch: &[ReadRequest]) -> bool {
         self.faults.iter().any(|f| match *f {
             FaultKind::DieAfterBlocks(n) => self.blocks_read_total() >= n,
             FaultKind::DieAtQuery(q) => batch.iter().any(|r| r.query_id >= q),
@@ -459,6 +459,33 @@ impl WorkerState {
             .fetch_max(cache_len, Ordering::Relaxed);
     }
 
+    /// Takes one message off the channel: reads join `batch`, raw reads and
+    /// writes are applied at once. `false` means shut down. Every message
+    /// names this worker's slot (the in-process backend gives each slot its
+    /// own channel).
+    fn accept(&mut self, msg: ToWorker, batch: &mut Vec<ReadRequest>) -> bool {
+        match msg {
+            ToWorker::Process(reqs) => {
+                debug_assert!(reqs.iter().all(|r| r.worker == self.worker_id));
+                batch.extend(reqs);
+            }
+            ToWorker::FetchRaw {
+                worker,
+                blocks,
+                reply,
+            } => {
+                debug_assert_eq!(worker, self.worker_id);
+                let _ = reply.send(self.fetch_raw(&blocks));
+            }
+            ToWorker::WriteRaw { worker, blocks } => {
+                debug_assert_eq!(worker, self.worker_id);
+                self.write_raw(blocks);
+            }
+            ToWorker::Shutdown => return false,
+        }
+        true
+    }
+
     /// The worker's message loop: consumed by [`run_worker`].
     ///
     /// Owns the receiving end of the worker's channel, so on every exit
@@ -477,30 +504,17 @@ impl WorkerState {
         let mut busy_accum: u64 = 0;
         loop {
             let mut batch = Vec::new();
-            let mut shutdown = false;
-            match rx.recv() {
-                Ok(ToWorker::Process(reqs)) => batch.extend(reqs),
-                Ok(ToWorker::FetchRaw { blocks, reply }) => {
-                    let _ = reply.send(self.fetch_raw(&blocks));
-                    continue;
-                }
-                Ok(ToWorker::WriteRaw { blocks }) => {
-                    self.write_raw(blocks);
-                    continue;
-                }
-                Ok(ToWorker::Shutdown) | Err(_) => return,
+            if !rx.recv().is_ok_and(|msg| self.accept(msg, &mut batch)) {
+                return;
             }
+            if batch.is_empty() {
+                continue;
+            }
+            let mut shutdown = false;
             while let Ok(msg) = rx.try_recv() {
-                match msg {
-                    ToWorker::Process(reqs) => batch.extend(reqs),
-                    ToWorker::FetchRaw { blocks, reply } => {
-                        let _ = reply.send(self.fetch_raw(&blocks));
-                    }
-                    ToWorker::WriteRaw { blocks } => self.write_raw(blocks),
-                    ToWorker::Shutdown => {
-                        shutdown = true;
-                        break;
-                    }
+                if !self.accept(msg, &mut batch) {
+                    shutdown = true;
+                    break;
                 }
             }
             // Channel faults before any service: silently discard deliveries
@@ -688,7 +702,6 @@ pub fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::ReadRequest;
     use pargrid_geom::{Point, Rect};
     use pargrid_gridfile::page::encode_page;
     use pargrid_gridfile::Record;
@@ -717,6 +730,7 @@ mod tests {
         reply: &crossbeam::channel::Sender<FromWorker>,
     ) -> ReadRequest {
         ReadRequest {
+            worker: 0,
             query_id: qid,
             seq,
             blocks,
@@ -815,6 +829,7 @@ mod tests {
         let handle = run_worker(state, to_rx, Some(Arc::clone(&counters)));
         to_tx
             .send(ToWorker::Process(vec![ReadRequest {
+                worker: 0,
                 query_id: 3,
                 seq: 3,
                 blocks: vec![0],
@@ -1034,6 +1049,7 @@ mod tests {
         let (raw_tx, raw_rx) = crossbeam::channel::unbounded();
         to_tx
             .send(ToWorker::FetchRaw {
+                worker: 0,
                 blocks: vec![0, 1],
                 reply: raw_tx,
             })
@@ -1045,6 +1061,7 @@ mod tests {
         // Write the pristine bytes back: reads verify again.
         to_tx
             .send(ToWorker::WriteRaw {
+                worker: 0,
                 blocks: vec![(0, pristine)],
             })
             .expect("send");
@@ -1215,6 +1232,7 @@ mod tests {
         let handle = run_worker(worker_with_two_blocks(), to_rx, Some(Arc::clone(&counters)));
         to_tx
             .send(ToWorker::Process(vec![ReadRequest {
+                worker: 0,
                 query_id: 1,
                 seq: 1,
                 blocks: vec![0],

@@ -3,7 +3,7 @@
 //! healthy unreplicated engine, without panicking any session, while the
 //! engine's liveness and failover counters tell the story.
 
-use crossbeam::channel::Receiver;
+use crossbeam::channel::{unbounded, Sender};
 use pargrid_core::{DeclusterInput, DeclusterMethod, EdgeWeight};
 use pargrid_datagen::hot2d;
 use pargrid_gridfile::GridFile;
@@ -155,18 +155,17 @@ fn concurrent_run_with_failure_matches_healthy_run() {
 struct SlotZeroExited;
 
 impl WorkerBackend for SlotZeroExited {
-    fn spawn_worker(
+    fn spawn(
         &self,
-        slot: usize,
-        state: WorkerState,
-        inbox: Receiver<ToWorker>,
-        counters: Option<Arc<WorkerCounters>>,
-    ) -> JoinHandle<()> {
-        if slot == 0 {
-            drop(inbox);
-            return std::thread::spawn(|| {});
-        }
-        InProcessBackend.spawn_worker(slot, state, inbox, counters)
+        mut slots: Vec<(WorkerState, Arc<WorkerCounters>)>,
+    ) -> (Vec<Sender<ToWorker>>, Vec<JoinHandle<()>>) {
+        let rest = slots.split_off(1);
+        let (tx, inbox) = unbounded();
+        drop(inbox);
+        let (mut senders, mut handles) = InProcessBackend.spawn(rest);
+        senders.insert(0, tx);
+        handles.insert(0, std::thread::spawn(|| {}));
+        (senders, handles)
     }
 }
 

@@ -1,13 +1,14 @@
 //! Every byte format the system stores or sends, pinned through public
 //! APIs: a client range-request frame, a `RESP_RECORDS` frame, a cluster
-//! worker reply, a WAL insert and delete record, a persisted grid-file
+//! worker reply, a two-item cluster dispatch batch, a WAL insert and delete
+//! record, a persisted grid-file
 //! image and an encoded disk page. Files and peers written by one build
 //! must stay readable by the next, so none of these bytes may move.
 
 use pargrid::geom::{Point, Rect};
 use pargrid::gridfile::page::encode_page;
 use pargrid::gridfile::{GridConfig, GridFile, Record, WalOp};
-use pargrid::net::cluster_proto::{ClusterResponse, WireReply};
+use pargrid::net::cluster_proto::{BatchItem, ClusterRequest, ClusterResponse, WireReply};
 use pargrid::net::frame::encode_frame;
 use pargrid::net::proto::{RecordsReply, Request, Response};
 
@@ -112,6 +113,46 @@ fn cluster_worker_reply() {
         626164";
     assert_eq!(t, 0xa1);
     assert_eq!(hex(&p), format!("{head}{RECORDS_SECTION}"));
+}
+
+#[test]
+fn cluster_dispatch_batch_frame() {
+    let item = |slot, seq, priority, rect, blocks| BatchItem {
+        slot,
+        query_id: 11,
+        seq,
+        priority,
+        rect,
+        blocks,
+    };
+    let (t, p) = ClusterRequest::DispatchBatch {
+        epoch: 7,
+        items: vec![
+            item(1, 99, 0, Rect::new2(0.0, -1.0, 10.0, 1.0), vec![0, 5]),
+            item(
+                6,
+                100,
+                1,
+                Rect::new(Point::new(&[0.5]), Point::new(&[2.0])),
+                vec![],
+            ),
+        ],
+    }
+    .encode();
+    let frame = encode_frame(t, &p).expect("small frame");
+    // "PG", version 1, type 0x29, len 122; epoch, item count; per item the
+    // slot, then the `Dispatch` fields: query id, seq, priority, the rect
+    // (dim, then lo/hi per dim), the counted block ids; CRC-32.
+    let expected = "5047 01 29 7a000000 \
+        0700000000000000 02000000 \
+        01000000 0b00000000000000 6300000000000000 00 \
+        0200 0000000000000000 0000000000002440 000000000000f0bf 000000000000f03f \
+        02000000 00000000 05000000 \
+        06000000 0b00000000000000 6400000000000000 01 \
+        0100 000000000000e03f 0000000000000040 \
+        00000000 \
+        eeaf49d7";
+    assert_eq!(hex(&frame), expected.replace(' ', ""));
 }
 
 #[test]

@@ -258,3 +258,65 @@ fn served_engine_answers_in_request_order_and_shuts_down() {
     server.shutdown();
     assert!(engine.is_shut_down());
 }
+
+/// The same engine over two worker processes hosting eight slots (four
+/// each, one connection and one proxy per process) answers exactly what
+/// the in-process engine answers, with every read executed once: no
+/// retransmit, so nothing answered from a reply cache.
+#[test]
+fn remote_engine_over_two_worker_processes_matches_in_process() {
+    let ds = pargrid::datagen::hot2d(11);
+    let grid = Arc::new(ds.build_grid_file());
+    let input = DeclusterInput::from_grid_file(&grid);
+    let assignment = DeclusterMethod::Minimax(EdgeWeight::Proximity).assign(&input, 8, 1);
+    let patient = EngineConfig::default().resilience(|r| r.with_fail_timeout_ms(10_000));
+    let local = ParallelGridFile::build(Arc::clone(&grid), &assignment, patient.clone());
+
+    let mut hosts: Vec<WorkerServer> = (0..2)
+        .map(|_| WorkerServer::start("127.0.0.1:0", WorkerConfig::default()).expect("worker"))
+        .collect();
+    let addrs = hosts.iter().map(|h| h.local_addr().to_string()).collect();
+    let backend = Arc::new(RemoteBackend::new(addrs, 1));
+    let remote = ParallelGridFile::build(grid, &assignment, patient.with_backend(backend));
+    assert_eq!(remote.n_workers(), 8);
+
+    // Four concurrent sessions, so one proxy wake-up can carry several
+    // queries' reads for its host.
+    let templates = QueryWorkload::square(&ds.domain, 0.05, 64, 5).queries;
+    let answers: Vec<Vec<(usize, QueryOutcome)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..4)
+            .map(|t| {
+                let (remote, templates) = (&remote, &templates);
+                s.spawn(move || {
+                    let mut session = remote.session();
+                    (t..templates.len())
+                        .step_by(4)
+                        .map(|i| (i, session.query(&templates[i])))
+                        .collect()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (i, out) in answers.into_iter().flatten() {
+        let want = local.query(&templates[i]);
+        assert!(!out.incomplete, "template {i} incomplete over the wire");
+        assert_eq!(out.records, want.records, "template {i}");
+    }
+
+    let dispatched: u64 = local
+        .stats()
+        .workers
+        .iter()
+        .map(|w| w.batched_requests)
+        .sum();
+    let executed: u64 = hosts.iter().map(WorkerServer::executed).sum();
+    let deduped: u64 = hosts.iter().map(WorkerServer::deduped).sum();
+    assert!(dispatched > 64);
+    assert_eq!(executed, dispatched, "each read executed exactly once");
+    assert_eq!(deduped, 0);
+    remote.shutdown();
+    for h in &mut hosts {
+        h.shutdown();
+    }
+}
