@@ -47,7 +47,7 @@ use pargrid_net::frame::{read_frame, write_frame};
 use pargrid_parallel::message::{FromWorker, QueryPriority, RawBlocks, ReadRequest, ToWorker};
 use pargrid_parallel::stats::WorkerCounters;
 use pargrid_parallel::worker::{WorkerState, DEFAULT_SEEN_SEQ_WINDOW};
-use pargrid_parallel::WorkerBackend;
+use pargrid_parallel::{SlotHandle, WorkerBackend};
 
 /// Reconnect attempts before a host is declared dead (each with
 /// jittered exponential backoff; ~2 s worst case at the 30 ms base).
@@ -153,7 +153,7 @@ impl WorkerBackend for RemoteBackend {
     fn spawn(
         &self,
         slots: Vec<(WorkerState, Arc<WorkerCounters>)>,
-    ) -> (Vec<Sender<ToWorker>>, Vec<JoinHandle<()>>) {
+    ) -> (Vec<SlotHandle>, Vec<JoinHandle<()>>) {
         let n_hosts = self.addrs.len();
         let n_slots = slots.len();
         let mut hosted: Vec<Vec<ProxySlot>> = (0..n_hosts).map(|_| Vec::new()).collect();
@@ -193,7 +193,9 @@ impl WorkerBackend for RemoteBackend {
                     .expect("spawn remote-worker proxy thread"),
             );
         }
-        let senders = (0..n_slots).map(|w| inboxes[w % n_hosts].clone()).collect();
+        let senders = (0..n_slots)
+            .map(|w| SlotHandle::channel(inboxes[w % n_hosts].clone()))
+            .collect();
         (senders, handles)
     }
 }

@@ -49,7 +49,14 @@
 //! Coordinator → worker dispatch rides one unbounded channel per worker. A
 //! send to a worker whose loop has exited bounces back as `SendError(msg)`;
 //! the requests it carried fail over to their other copy at once, through
-//! the same fail-over a reply timeout takes.
+//! the same fail-over a reply timeout takes. A session's first dispatch to
+//! a fault-free in-process slot with nothing queued skips the channel: the
+//! session runs the slot's service function itself, after waiting out any
+//! other session's inline service of that slot (see
+//! [`crate::backend::SlotHandle`]). A mutation's or rebalance's block
+//! writes to such a slot are applied the same way, by the writing thread.
+//! Retries, retransmits, hedges, scrub traffic and the concurrent runner's
+//! batches always take the channel.
 //!
 //! Virtual elapsed time of a query = slowest worker's (disk + CPU) time plus
 //! communication time; communication = one broadcast latency plus each
@@ -57,13 +64,14 @@
 //! adapter — which is why the paper's communication column grows with the
 //! query ratio `r` (§ 3.5: "the size of answer sets tends to grow").
 
+use crate::backend::SlotHandle;
 use crate::disk::DiskParams;
 use crate::error::EngineError;
 use crate::fault::FaultPlan;
 use crate::merge::merge_by_id;
 use crate::message::{FromWorker, QueryPriority, ReadRequest, ToWorker};
 use crate::stats::{EngineStats, SharedStats};
-use crate::worker::WorkerState;
+use crate::worker::{Inline, WorkerState};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, SendError, Sender};
 use pargrid_core::{
     place_fresh_bucket, place_fresh_replica, Assignment, DeclusterInput, ReplicatedAssignment,
@@ -436,8 +444,9 @@ impl BucketPlacement {
 /// three change together under one write lock when a mutation splits or
 /// merges buckets; queries plan under the read lock, so a query planned
 /// after [`ParallelGridFile::insert`] returns sees the post-mutation
-/// directory (and, because workers apply `WriteRaw` in FIFO order before
-/// later read batches, the post-mutation bytes).
+/// directory (and, because a mutation's block writes are applied before it
+/// returns or queued in FIFO order ahead of later read batches, the
+/// post-mutation bytes).
 struct Catalog {
     gf: GridFile,
     /// bucket id -> where its copies live.
@@ -654,9 +663,10 @@ pub struct ParallelGridFile {
     domain: Rect,
     net: NetParams,
     record_bytes: usize,
-    /// One channel per worker slot; a send bounces once the slot's loop
-    /// has exited.
-    to_workers: Vec<Sender<ToWorker>>,
+    /// One handle per worker slot: every message goes through its
+    /// counting `send`, which bounces once the slot's loop has exited, and
+    /// an idle in-process slot serves a session's first dispatch inline.
+    slots: Vec<SlotHandle>,
     /// Worker thread handles, drained by [`ParallelGridFile::shutdown`]
     /// (behind a mutex so shutdown works through a shared `&self` — a
     /// long-lived server holds the engine in an `Arc`).
@@ -807,13 +817,13 @@ impl ParallelGridFile {
             .backend
             .clone()
             .unwrap_or_else(|| Arc::new(crate::backend::InProcessBackend));
-        let (to_workers, handles) = backend.spawn(
+        let (slots, handles) = backend.spawn(
             workers
                 .into_iter()
                 .zip(shared.workers.iter().map(Arc::clone))
                 .collect(),
         );
-        assert_eq!(to_workers.len(), n_workers, "one sender per worker slot");
+        assert_eq!(slots.len(), n_workers, "one handle per worker slot");
 
         let record_bytes = gf.config().record_bytes();
         let domain = gf.config().domain;
@@ -831,7 +841,7 @@ impl ParallelGridFile {
             wal: Mutex::new(None),
             domain,
             net: config.net,
-            to_workers,
+            slots,
             handles: std::sync::Mutex::new(handles),
             next_query_id: AtomicU64::new(0),
             next_seq: AtomicU64::new(0),
@@ -851,7 +861,7 @@ impl ParallelGridFile {
 
     /// Number of worker slots (active data workers plus standbys).
     pub fn n_workers(&self) -> usize {
-        self.to_workers.len()
+        self.slots.len()
     }
 
     /// Number of worker slots currently owning data. Starts at the build
@@ -872,7 +882,7 @@ impl ParallelGridFile {
     /// progress is observed through.
     pub fn worker_buckets(&self) -> Vec<usize> {
         let cat = self.catalog.read().expect("engine catalog lock");
-        let mut counts = vec![0usize; self.to_workers.len()];
+        let mut counts = vec![0usize; self.slots.len()];
         for pl in cat.placement.values() {
             counts[pl.primary.0] += 1;
         }
@@ -914,8 +924,8 @@ impl ParallelGridFile {
     /// sessions see their workers disappear and resolve incomplete rather
     /// than hanging.
     pub fn shutdown(&self) -> usize {
-        for tx in &self.to_workers {
-            let _ = tx.send(ToWorker::Shutdown);
+        for slot in &self.slots {
+            let _ = slot.send(ToWorker::Shutdown);
         }
         let handles: Vec<JoinHandle<()>> = {
             let mut guard = self.handles.lock().expect("engine handle mutex");
@@ -1110,7 +1120,7 @@ impl ParallelGridFile {
                 reply: reply_tx.clone(),
                 priority,
             };
-            match self.to_workers[w].send(ToWorker::Process(vec![request])) {
+            match self.slots[w].send(ToWorker::Process(vec![request])) {
                 Ok(()) => p.awaiting.push(Outstanding::new(w, seq, bkts, blocks)),
                 Err(SendError(_)) => {
                     // The replica died too (transport gone). Its buckets are
@@ -1274,7 +1284,7 @@ impl ParallelGridFile {
         let mut repaired = 0u64;
         for (src, (fetch, fix)) in per_source {
             let (raw_tx, raw_rx) = unbounded();
-            if self.to_workers[src]
+            if self.slots[src]
                 .send(ToWorker::FetchRaw {
                     worker: src,
                     blocks: fetch,
@@ -1298,7 +1308,7 @@ impl ParallelGridFile {
                 continue;
             }
             let n = writes.len() as u64;
-            if self.to_workers[worker]
+            if self.slots[worker]
                 .send(ToWorker::WriteRaw {
                     worker,
                     blocks: writes,
@@ -1338,8 +1348,11 @@ impl ParallelGridFile {
     /// of fresh buckets) and rewriting the affected blocks on the workers.
     ///
     /// Consistency: a query *planned after this returns* sees the insert —
-    /// workers apply block writes in FIFO order before any later read
-    /// batch. Queries already in flight may see either side, per block.
+    /// each block write is applied on this thread to a slot with nothing
+    /// queued, or queued behind what is, and workers apply queued writes in
+    /// FIFO order before any later read batch; a slot with a write still
+    /// queued is never served inline.
+    /// Queries already in flight may see either side, per block.
     pub fn insert(&self, record: Record) -> Result<MutationOutcome, EngineError> {
         self.mutate(WalOp::Insert(record))
     }
@@ -1378,8 +1391,8 @@ impl ParallelGridFile {
     /// the record count demands), and created buckets are declustered
     /// incrementally and written fresh.
     fn apply_effect(&self, cat: &mut Catalog, effect: &MutationEffect) -> MutationOutcome {
-        let n_workers = self.to_workers.len();
-        // Per-worker batched writes, flushed as one WriteRaw per worker.
+        let n_workers = self.slots.len();
+        // Per-worker batched writes, flushed as one write per worker.
         let mut writes: Vec<Vec<(u32, Vec<u8>)>> = vec![Vec::new(); n_workers];
 
         for &b in &effect.freed {
@@ -1465,10 +1478,7 @@ impl ParallelGridFile {
             if blocks.is_empty() {
                 continue;
             }
-            if self.to_workers[w]
-                .send(ToWorker::WriteRaw { worker: w, blocks })
-                .is_err()
-            {
+            if self.slots[w].write(w, blocks).is_err() {
                 // Transport gone: the worker is dead. Reads fail over to
                 // the other copy (which did get its write).
                 self.shared.workers[w].dead.store(true, Ordering::Relaxed);
@@ -1576,10 +1586,12 @@ impl ParallelGridFile {
     /// throughout**. Each move re-encodes the bucket's pages from the
     /// coordinator's directory, appends them as fresh blocks on the target
     /// worker, and flips catalog ownership under one short write-lock
-    /// section, with the `WriteRaw` sent *inside* that section — the same
-    /// ordering [`ParallelGridFile::insert`] relies on, so a query planned
-    /// after the flip finds the target's bytes already applied (workers
-    /// drain writes in FIFO order before later reads) while in-flight
+    /// section, with the block write issued *inside* that section — the
+    /// same ordering [`ParallelGridFile::insert`] relies on, so a query
+    /// planned after the flip finds the target's bytes already applied
+    /// (written inline, or queued where workers drain writes in FIFO order
+    /// before later reads, and a slot with a write queued is never served
+    /// inline) while in-flight
     /// queries planned before it keep reading the source's orphaned blocks.
     /// No reply is ever incorrect or incomplete during migration.
     ///
@@ -1597,7 +1609,7 @@ impl ParallelGridFile {
         if self.is_shut_down() {
             return Err(EngineError::SessionClosed);
         }
-        let n_slots = self.to_workers.len();
+        let n_slots = self.slots.len();
         // Snapshot the declustering problem under the read lock; the WAL
         // mutex guarantees no mutation changes it until we are done.
         let (input, primary, secondary, mut target) = {
@@ -1710,17 +1722,13 @@ impl ParallelGridFile {
                 CopyKind::Primary => pl.primary = (to, blocks),
                 CopyKind::Replica => pl.replica = Some((to, blocks)),
             }
-            // Send while still holding the write lock: any query planned
-            // after the flip is dispatched after this write and the worker
-            // drains writes first. The source copy's blocks stay orphaned
-            // on disk for queries planned before the flip.
-            if self.to_workers[to]
-                .send(ToWorker::WriteRaw {
-                    worker: to,
-                    blocks: writes,
-                })
-                .is_err()
-            {
+            // Write while still holding the write lock: any query planned
+            // after the flip is dispatched after this write is applied, or
+            // after it is counted as queued, so that it is neither served
+            // inline nor drained by the worker before the write. The source
+            // copy's blocks stay orphaned on disk for queries planned
+            // before the flip.
+            if self.slots[to].write(to, writes).is_err() {
                 self.shared.workers[to].dead.store(true, Ordering::Relaxed);
             }
             drop(cat);
@@ -1817,10 +1825,7 @@ impl ParallelGridFile {
                             reply: reply_tx.clone(),
                             priority,
                         };
-                        if self.to_workers[w]
-                            .send(ToWorker::Process(vec![request]))
-                            .is_ok()
-                        {
+                        if self.slots[w].send(ToWorker::Process(vec![request])).is_ok() {
                             // The hedge costs one more dispatch message.
                             // The slow primary's answer is held back as the
                             // fallback; the query is charged the faster of
@@ -1934,7 +1939,7 @@ impl ParallelGridFile {
                                 reply: reply_tx.clone(),
                                 priority,
                             };
-                            if self.to_workers[o.worker]
+                            if self.slots[o.worker]
                                 .send(ToWorker::Process(vec![request]))
                                 .is_err()
                             {
@@ -2070,7 +2075,7 @@ impl ParallelGridFile {
                     w as u32,
                     requests.len() as u64,
                 );
-                if let Err(SendError(msg)) = self.to_workers[w].send(ToWorker::Process(requests)) {
+                if let Err(SendError(msg)) = self.slots[w].send(ToWorker::Process(requests)) {
                     self.fail_over_bounced(w, msg, &mut pending, &reply_tx, QueryPriority::Batch);
                 }
             }
@@ -2141,10 +2146,26 @@ impl QuerySession<'_> {
         #[cfg(feature = "obs")]
         let involved = !requests.is_empty();
         let mut pending = HashMap::from([(query_id, p)]);
-        for (w, request) in requests {
-            if let Err(SendError(msg)) = engine.to_workers[w].send(ToWorker::Process(vec![request]))
-            {
+        let mut dispatch = |w: usize, request| {
+            if let Err(SendError(msg)) = engine.slots[w].send(ToWorker::Process(vec![request])) {
                 engine.fail_over_bounced(w, msg, &mut pending, &self.reply_tx, self.priority);
+            }
+        };
+        // An in-process slot free for inline service is served right here;
+        // its reply is already in the session's channel when `collect`
+        // looks. A slot another session is serving is offered again, this
+        // time waiting for it, once every other slot is dispatched.
+        let mut locked = Vec::new();
+        for (w, request) in requests {
+            match engine.slots[w].serve(request, false) {
+                Inline::Done => {}
+                Inline::Locked(request) => locked.push((w, request)),
+                Inline::Channel(request) => dispatch(w, request),
+            }
+        }
+        for (w, request) in locked {
+            if let Inline::Channel(request) = engine.slots[w].serve(request, true) {
+                dispatch(w, request);
             }
         }
         #[cfg(feature = "obs")]
@@ -2764,7 +2785,7 @@ mod tests {
             let (reply_tx, reply_rx) = unbounded();
             let (_buckets, plan, _inc) = engine.plan(&q);
             for (w, read) in plan {
-                engine.to_workers[w]
+                engine.slots[w]
                     .send(ToWorker::Process(vec![ReadRequest {
                         worker: w,
                         query_id: u64::MAX, // never a real pending id
@@ -2785,6 +2806,180 @@ mod tests {
         expected.sort_unstable_by_key(|r| r.id);
         assert_eq!(out.records, expected);
         assert_eq!(engine.stats().live_workers(), 4);
+    }
+
+    /// A whole-domain read of slot 0's block 0, answering to `reply`.
+    fn read_block_zero(seq: u64, reply: &Sender<FromWorker>) -> ReadRequest {
+        ReadRequest {
+            worker: 0,
+            query_id: seq,
+            seq,
+            blocks: vec![0],
+            query: Rect::new2(0.0, 0.0, 100.0, 100.0),
+            reply: reply.clone(),
+            priority: QueryPriority::Interactive,
+        }
+    }
+
+    #[test]
+    fn slot_with_an_unapplied_message_is_not_served_inline() {
+        // No thread consumes this slot's channel, so a message sent to it
+        // stays counted as queued for as long as the test runs.
+        let mut state = WorkerState::new(0, 0, DiskParams::default());
+        let old = [Record::new(1, Point::new2(1.0, 1.0))];
+        state
+            .store
+            .put(0, encode_page(&old, 2, 0, 4096))
+            .expect("put");
+        let (tx, _unconsumed) = unbounded();
+        let slot = SlotHandle::local(tx, crate::worker::LocalSlot::new(state, None));
+        let (reply_tx, reply_rx) = unbounded();
+
+        let ids = |reply: FromWorker| reply.records.iter().map(|r| r.id).collect::<Vec<u64>>();
+        let page = |id: u64| {
+            vec![(
+                0,
+                encode_page(&[Record::new(id, Point::new2(2.0, 2.0))], 2, 0, 4096),
+            )]
+        };
+        let local = slot.local.as_ref().expect("in-process slot");
+
+        // Idle: served on this thread, the reply already waiting.
+        assert!(matches!(
+            slot.serve(read_block_zero(1, &reply_tx), false),
+            Inline::Done
+        ));
+        assert_eq!(ids(reply_rx.try_recv().expect("inline reply")), [1]);
+
+        // Idle: a write is applied on this thread, and the next read sees it.
+        slot.write(0, page(2)).expect("write");
+        assert_eq!(
+            local.queued.load(Ordering::Acquire),
+            0,
+            "nothing was queued"
+        );
+        assert!(matches!(
+            slot.serve(read_block_zero(2, &reply_tx), false),
+            Inline::Done
+        ));
+        assert_eq!(ids(reply_rx.try_recv().expect("inline reply")), [2]);
+
+        // Held by another caller: handed back without waiting and without
+        // a message, then served once the caller is willing to wait.
+        let held = local.state.lock().expect("slot lock");
+        let Inline::Locked(back) = slot.serve(read_block_zero(3, &reply_tx), false) else {
+            panic!("a held lock hands the read back");
+        };
+        drop(held);
+        assert_eq!(local.queued.load(Ordering::Acquire), 0, "nothing was sent");
+        assert!(matches!(slot.serve(back, true), Inline::Done));
+        assert_eq!(ids(reply_rx.try_recv().expect("inline reply")), [2]);
+
+        // A write is sent but not applied: the lock is free, yet neither a
+        // read nor a later write may overtake it, even one willing to wait.
+        slot.send(ToWorker::WriteRaw {
+            worker: 0,
+            blocks: page(4),
+        })
+        .expect("send");
+        assert!(local.state.try_lock().is_ok(), "the lock is free");
+        let Inline::Channel(back) = slot.serve(read_block_zero(5, &reply_tx), true) else {
+            panic!("a queued write keeps the read off the inline path");
+        };
+        assert_eq!(back.seq, 5);
+        slot.write(0, page(6))
+            .expect("write queues behind the first");
+        assert_eq!(
+            local.queued.load(Ordering::Acquire),
+            2,
+            "both writes queued"
+        );
+        assert!(reply_rx.try_recv().is_err(), "nothing was served");
+    }
+
+    #[test]
+    fn insert_then_immediate_read_is_answered_every_time() {
+        // Every insert queues a WriteRaw (bucket splits queue several);
+        // the read right behind it must see the record whether its slot is
+        // served inline or through the channel.
+        let (_gf, engine, _recs) = build_engine(4);
+        let mut session = engine.session();
+        let mut x = 7u64;
+        let mut created = 0;
+        for i in 0..2_000u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let p = Point::new2(
+                ((x >> 16) % 10_000) as f64 / 100.0,
+                ((x >> 40) % 10_000) as f64 / 100.0,
+            );
+            let out = engine.insert(Record::new(50_000 + i, p)).expect("insert");
+            created += out.created_buckets.len();
+            let [px, py] = [p.coords()[0], p.coords()[1]];
+            let q = Rect::new2(px, py, px, py);
+            let got = session.query(&q);
+            assert!(
+                got.records.iter().any(|r| r.id == 50_000 + i),
+                "insert {i} at {p:?} not visible to the next read"
+            );
+        }
+        assert!(created > 0, "the inserts must split buckets");
+    }
+
+    /// Slot 0 keeps its state for inline service, but no thread consumes
+    /// its channel: a read sent there is never answered, so a query that
+    /// gets slot 0's records served them itself.
+    #[derive(Debug, Default)]
+    struct NoThreadOnSlotZero(std::sync::Mutex<Vec<crossbeam::channel::Receiver<ToWorker>>>);
+
+    impl crate::backend::WorkerBackend for NoThreadOnSlotZero {
+        fn spawn(
+            &self,
+            mut slots: Vec<(WorkerState, Arc<crate::stats::WorkerCounters>)>,
+        ) -> (Vec<SlotHandle>, Vec<JoinHandle<()>>) {
+            let rest = slots.split_off(1);
+            let (state, counters) = slots.pop().expect("slot 0");
+            let (tx, rx) = unbounded();
+            self.0.lock().expect("receiver list").push(rx);
+            let (mut handles, threads) = crate::backend::InProcessBackend.spawn(rest);
+            let slot0 = crate::worker::LocalSlot::new(state, Some(counters));
+            handles.insert(0, SlotHandle::local(tx, slot0));
+            (handles, threads)
+        }
+    }
+
+    #[test]
+    fn query_finding_its_slot_locked_serves_the_others_then_waits_for_it() {
+        let (gf, engine, _r) = build_engine_cfg(
+            4,
+            EngineConfig {
+                backend: Some(Arc::new(NoThreadOnSlotZero::default())),
+                ..EngineConfig::default()
+            },
+        );
+        let q = Rect::new2(0.0, 0.0, 100.0, 100.0);
+        let expected = oracle(&gf, &q);
+        assert_eq!(engine.query(&q).records, expected, "all slots inline");
+        let batches = |w: usize| engine.shared.workers[w].batches.load(Ordering::Relaxed);
+        let before: Vec<u64> = (0..4).map(batches).collect();
+        let local = engine.slots[0].local.as_ref().expect("in-process slot");
+        let held = local.state.lock().expect("slot lock");
+        std::thread::scope(|s| {
+            let query = s.spawn(|| engine.query(&q));
+            // The query serves every free slot first, then waits for slot
+            // 0's lock; sent to slot 0's channel, the read would never be
+            // answered.
+            while (1..4).any(|w| batches(w) == before[w]) {
+                std::thread::yield_now();
+            }
+            drop(held);
+            let out = query.join().expect("query thread");
+            assert_eq!(out.records, expected);
+            assert!(!out.incomplete);
+        });
+        assert_eq!(batches(0), before[0] + 1, "slot 0 served once, inline");
+        assert_eq!(local.queued.load(Ordering::Acquire), 0, "nothing sent");
     }
 
     /// Records matching `q`, sorted by id — the fault-free oracle.
@@ -2862,6 +3057,9 @@ mod tests {
         let out = engine.query(&q);
         assert_eq!(out.records, oracle(&gf, &q));
         assert!(!out.incomplete);
+        // Worker 0 may still hold retransmits it has not read. Shutdown
+        // queues behind them, so once it returns every one was deduped.
+        engine.shutdown();
         let stats = engine.stats();
         assert_eq!(stats.live_workers(), 4, "slow is not dead");
         let deduped: u64 = stats.workers.iter().map(|w| w.dup_requests_dropped).sum();

@@ -87,7 +87,7 @@ pub mod stats;
 pub mod store;
 pub mod worker;
 
-pub use backend::{InProcessBackend, WorkerBackend};
+pub use backend::{InProcessBackend, SlotHandle, WorkerBackend};
 pub use cache::LruCache;
 pub use disk::{BlockCost, DiskModel, DiskParams};
 pub use engine::{

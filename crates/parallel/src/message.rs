@@ -62,7 +62,12 @@ pub enum ToWorker {
     /// go through the disks in one elevator (sorted) pass, but virtual time
     /// and cache hits are accounted per request. The worker additionally
     /// drains any further `Process` messages already queued before starting
-    /// the pass, so concurrent sessions batch together naturally.
+    /// the pass, so concurrent sessions batch together naturally. A
+    /// session's first read of a fault-free in-process slot with nothing
+    /// queued never becomes a message: the session serves it itself (see
+    /// [`crate::backend::SlotHandle`]); what reaches the channel is a read
+    /// that found a message queued ahead of it, every retry, retransmit and
+    /// hedge, and the concurrent runner's per-round batches.
     Process(Vec<ReadRequest>),
     /// Read raw block bytes (no decoding, no filtering) for the repair
     /// path: the coordinator fetches a healthy replica's copy of corrupted

@@ -1,14 +1,19 @@
-//! Worker processes: own a local disk array, serve batched block-read
-//! requests, filter records, ship qualifying records back to whichever
-//! session asked.
+//! Workers: own a local disk array, serve batched block-read requests,
+//! filter records, ship qualifying records back to whichever session asked.
 //!
-//! A worker's loop blocks on its queue, then opportunistically drains every
-//! `Process` message already waiting and services the union as **one
-//! elevator batch**: all requests' blocks go through the disks in sorted
-//! order (interactive requests in a first pass, batch requests in a second),
-//! but virtual time and cache hits are attributed to each request
-//! individually, so per-query response-time metrics stay paper-faithful
-//! while concurrent queries share arm movement.
+//! One service function, [`WorkerState::serve`], answers every read batch.
+//! An in-process slot runs it in two places. Its own thread blocks on the
+//! slot's queue, then drains every message already waiting and services
+//! the union as **one elevator batch**: all requests' blocks go through the
+//! disks in sorted order (interactive requests in a first pass, batch
+//! requests in a second), but virtual time and cache hits are attributed
+//! to each request individually, so per-query response-time metrics stay
+//! paper-faithful while concurrent queries share arm movement. And a
+//! session that finds nothing sent to the slot still unapplied and no
+//! fault plan serves its own request on its own thread, waiting out any
+//! other session's inline service of the slot (see [`SlotHandle`]), with
+//! no wake-up of the slot's thread at all. A mutation's block writes reach
+//! such a slot the same way.
 //!
 //! Requests are **idempotent at the worker**: each carries an engine-global
 //! dispatch sequence number, and a worker remembers the seqs it has already
@@ -16,19 +21,20 @@
 //! coordinator retransmits safe — a retransmit of a request whose reply was
 //! merely slow cannot cause the same blocks to be read and returned twice.
 
+use crate::backend::SlotHandle;
 use crate::disk::{DiskModel, DiskParams};
 use crate::error::StoreError;
 use crate::fault::FaultKind;
 use crate::message::{FromWorker, QueryPriority, RawBlocks, ReadRequest, ToWorker};
 use crate::stats::WorkerCounters;
 use crate::store::BlockStore;
-use crossbeam::channel::Receiver;
+use crossbeam::channel::{unbounded, Receiver};
 use pargrid_geom::Rect;
 use pargrid_gridfile::page::{scan_page, HEADER_BYTES};
 use pargrid_gridfile::Record;
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, TryLockError};
 
 /// Virtual CPU cost of decoding and filtering one record, nanoseconds.
 /// (A ~60 MHz POWER2 node touching a 50-byte record: a few hundred ns.)
@@ -82,6 +88,10 @@ pub struct WorkerState {
     seen_seq_window: usize,
     /// Whether the one-shot [`FaultKind::CorruptBlock`] faults have fired.
     corruption_done: bool,
+    /// Cumulative wall busy time, which advances the recorder's global
+    /// virtual clock (fetch_max across workers).
+    #[cfg(feature = "obs")]
+    busy_accum: u64,
     /// Trace recorder (installed by the engine when configured with one).
     #[cfg(feature = "obs")]
     pub recorder: Option<Arc<pargrid_obs::Recorder>>,
@@ -127,6 +137,8 @@ impl WorkerState {
             seen_order: VecDeque::new(),
             seen_seq_window: DEFAULT_SEEN_SEQ_WINDOW,
             corruption_done: false,
+            #[cfg(feature = "obs")]
+            busy_accum: 0,
             #[cfg(feature = "obs")]
             recorder: None,
         }
@@ -232,7 +244,7 @@ impl WorkerState {
 
     /// Services one dispatched request end-to-end, retransmit dedup
     /// included — the public surface a *wire* worker runtime (the
-    /// `pargrid-cluster` worker process) drives instead of [`WorkerState::run`].
+    /// `pargrid-cluster` worker process) drives instead of a slot thread.
     ///
     /// Returns `None` when `seq` is already inside the seen-seq window: the
     /// request was serviced before and must not be re-executed. The caller
@@ -486,217 +498,331 @@ impl WorkerState {
         true
     }
 
-    /// The worker's message loop: consumed by [`run_worker`].
+    /// Services one batch of read requests end to end and sends each its
+    /// reply — the one service function, run by the slot's thread on what it
+    /// drained off its channel and by a session on an idle slot
+    /// ([`LocalSlot::try_serve`]). `false` means an injected fail-stop fired:
+    /// the slot is marked dead and nothing was replied.
     ///
-    /// Owns the receiving end of the worker's channel, so on every exit
-    /// path — shutdown, injected fail-stop, panic — the receiver drops and
-    /// the coordinator's next send bounces with its message, which the
-    /// engine fails over to the replicas.
-    ///
-    /// Each iteration blocks for one message, then drains everything already
-    /// queued into a single batch — the queue depth at that instant *is* the
-    /// batch size, so concurrent sessions coalesce without any coordinator
-    /// involvement. Replies go to each request's own `reply` channel.
-    pub fn run(mut self, rx: Receiver<ToWorker>, counters: Option<Arc<WorkerCounters>>) {
-        // Cumulative wall busy time, used to advance the recorder's global
-        // virtual clock (fetch_max across workers).
-        #[cfg(feature = "obs")]
-        let mut busy_accum: u64 = 0;
-        loop {
-            let mut batch = Vec::new();
-            if !rx.recv().is_ok_and(|msg| self.accept(msg, &mut batch)) {
-                return;
-            }
-            if batch.is_empty() {
+    /// Channel faults act first: deliveries with drop budget left vanish,
+    /// and redeliveries of seqs already serviced are deduped. The survivors
+    /// go through the disks as one elevator pass; replies then carry the
+    /// poison, delay, reorder and duplicate faults.
+    pub fn serve(&mut self, batch: Vec<ReadRequest>, counters: Option<&WorkerCounters>) -> bool {
+        let mut kept = Vec::with_capacity(batch.len());
+        let mut deduped = 0u64;
+        for req in batch {
+            if self.consume_drop(req.query_id) {
                 continue;
             }
-            let mut shutdown = false;
-            while let Ok(msg) = rx.try_recv() {
-                if !self.accept(msg, &mut batch) {
-                    shutdown = true;
-                    break;
-                }
+            if self.seen_seqs.contains(&req.seq) {
+                deduped += 1;
+                continue;
             }
-            // Channel faults before any service: silently discard deliveries
-            // with remaining drop budget (a lost message), and dedup
-            // redeliveries of dispatch seqs already serviced (the
-            // coordinator's retransmit raced a slow reply).
-            let mut kept = Vec::with_capacity(batch.len());
-            let mut deduped = 0u64;
-            for req in batch {
-                if self.consume_drop(req.query_id) {
-                    continue;
-                }
-                if self.seen_seqs.contains(&req.seq) {
-                    deduped += 1;
-                    continue;
-                }
-                kept.push(req);
+            kept.push(req);
+        }
+        let batch = kept;
+        if deduped > 0 {
+            if let Some(c) = counters {
+                c.dup_requests_dropped.fetch_add(deduped, Ordering::Relaxed);
             }
-            let batch = kept;
-            if deduped > 0 {
-                if let Some(c) = &counters {
-                    c.dup_requests_dropped.fetch_add(deduped, Ordering::Relaxed);
-                }
+        }
+        if batch.is_empty() {
+            return true;
+        }
+        // One-shot silent corruption fires before the first real service
+        // pass.
+        self.apply_corruption_faults();
+        // Injected fail-stop: mark dead in the shared liveness table and
+        // stop WITHOUT replying — exactly what a crashed node looks like to
+        // the coordinator, which detects it via its reply timeout (or the
+        // dead flag) and fails the stranded requests over to replicas.
+        if self.should_die(&batch) {
+            if let Some(c) = counters {
+                c.dead.store(true, Ordering::Relaxed);
             }
-            if !batch.is_empty() {
-                // One-shot silent corruption fires before the first real
-                // service pass.
-                self.apply_corruption_faults();
-                // Injected fail-stop: mark dead in the shared liveness
-                // table and exit WITHOUT replying — exactly what a crashed
-                // node looks like to the coordinator, which detects it via
-                // its reply timeout (or the dead flag) and fails the
-                // stranded requests over to replicas.
-                if self.should_die(&batch) {
-                    if let Some(c) = &counters {
-                        c.dead.store(true, Ordering::Relaxed);
-                    }
-                    return;
-                }
-                let specs: Vec<RequestSpec<'_>> = batch
-                    .iter()
-                    .map(|r| RequestSpec {
-                        query_id: r.query_id,
-                        seq: r.seq,
-                        blocks: &r.blocks,
-                        query: &r.query,
-                        priority: r.priority,
-                    })
-                    .collect();
-                let disk_before: Vec<u64> = self.disks.iter().map(DiskModel::busy_us).collect();
-                let mut replies = self.service_batch(&specs);
-                for req in &batch {
-                    self.note_seen(req.seq);
-                }
-                // Poison faults: the request was serviced (time charged),
-                // but the answer is an error — same shape as a bad block.
-                for reply in &mut replies {
-                    if self.is_poisoned(reply.query_id) {
-                        reply.records.clear();
-                        reply.error = Some(format!(
-                            "worker {}: injected poison for query {}",
-                            self.worker_id, reply.query_id
-                        ));
-                    }
-                }
-                // Wall time of the batch: the disks seeked in parallel, so
-                // the node was busy for the slowest disk's share of this
-                // batch, plus all decode/filter CPU.
-                let wall_disk = self
-                    .disks
-                    .iter()
-                    .zip(&disk_before)
-                    .map(|(d, &b)| d.busy_us() - b)
-                    .max()
-                    .unwrap_or(0);
-                let cpu: u64 = replies.iter().map(|r| r.cpu_us).sum();
-                #[cfg(feature = "obs")]
-                if let Some(rec) = &self.recorder {
-                    use pargrid_obs::{Event, SpanKind, NO_ID, NO_QUERY};
-                    // One DiskBatch span per disk that moved, timestamped in
-                    // that disk's own busy clock so each disk renders as a
-                    // gap-free Gantt lane.
-                    let d = self.disks.len();
-                    for (di, &before) in disk_before.iter().enumerate() {
-                        let delta = self.disks[di].busy_us() - before;
-                        if delta > 0 {
-                            rec.record_worker(
-                                self.worker_id,
-                                Event {
-                                    ts_us: before,
-                                    dur_us: delta,
-                                    query_id: NO_QUERY,
-                                    kind: SpanKind::DiskBatch,
-                                    worker: self.worker_id as u32,
-                                    disk: (self.worker_id * d + di) as u32,
-                                    detail: batch.len() as u64,
-                                },
-                            );
-                        }
-                    }
-                    let probes: u64 = replies.iter().map(|r| r.blocks_requested).sum();
-                    let hits: u64 = replies.iter().map(|r| r.cache_hits).sum();
+            return false;
+        }
+        let specs: Vec<RequestSpec<'_>> = batch
+            .iter()
+            .map(|r| RequestSpec {
+                query_id: r.query_id,
+                seq: r.seq,
+                blocks: &r.blocks,
+                query: &r.query,
+                priority: r.priority,
+            })
+            .collect();
+        let disk_before: Vec<u64> = self.disks.iter().map(DiskModel::busy_us).collect();
+        let mut replies = self.service_batch(&specs);
+        for req in &batch {
+            self.note_seen(req.seq);
+        }
+        // Poison faults: the request was serviced (time charged), but the
+        // answer is an error — same shape as a bad block.
+        for reply in &mut replies {
+            if self.is_poisoned(reply.query_id) {
+                reply.records.clear();
+                reply.error = Some(format!(
+                    "worker {}: injected poison for query {}",
+                    self.worker_id, reply.query_id
+                ));
+            }
+        }
+        // Wall time of the batch: the disks seeked in parallel, so the node
+        // was busy for the slowest disk's share of this batch, plus all
+        // decode/filter CPU.
+        let wall_disk = self
+            .disks
+            .iter()
+            .zip(&disk_before)
+            .map(|(d, &b)| d.busy_us() - b)
+            .max()
+            .unwrap_or(0);
+        let cpu: u64 = replies.iter().map(|r| r.cpu_us).sum();
+        #[cfg(feature = "obs")]
+        if let Some(rec) = &self.recorder {
+            use pargrid_obs::{Event, SpanKind, NO_ID, NO_QUERY};
+            // One DiskBatch span per disk that moved, timestamped in that
+            // disk's own busy clock so each disk renders as a gap-free Gantt
+            // lane.
+            let d = self.disks.len();
+            for (di, &before) in disk_before.iter().enumerate() {
+                let delta = self.disks[di].busy_us() - before;
+                if delta > 0 {
                     rec.record_worker(
                         self.worker_id,
                         Event {
-                            ts_us: rec.now(),
-                            dur_us: 0,
+                            ts_us: before,
+                            dur_us: delta,
                             query_id: NO_QUERY,
-                            kind: SpanKind::CacheProbe,
+                            kind: SpanKind::DiskBatch,
                             worker: self.worker_id as u32,
-                            disk: NO_ID,
-                            detail: (hits << 32) | (probes & 0xFFFF_FFFF),
+                            disk: (self.worker_id * d + di) as u32,
+                            detail: batch.len() as u64,
                         },
                     );
-                    rec.batch_wall_us.record(wall_disk + cpu);
-                    busy_accum += wall_disk + cpu;
-                    rec.advance_clock(busy_accum);
-                }
-                if let Some(c) = &counters {
-                    let errors = replies.iter().filter(|r| r.error.is_some()).count() as u64;
-                    self.publish(c, batch.len() as u64, wall_disk + cpu, errors);
-                }
-                // Timing faults on the reply path: hold the whole batch's
-                // replies (a late message), then emit in reversed order if a
-                // reorder fault matches. The coordinator absorbs both via
-                // seq matching and retransmit dedup.
-                let delay_ms = self
-                    .faults
-                    .iter()
-                    .filter_map(|f| match *f {
-                        FaultKind::DelayReply { query, delay_ms }
-                            if batch.iter().any(|r| r.query_id == query) =>
-                        {
-                            Some(delay_ms)
-                        }
-                        _ => None,
-                    })
-                    .max();
-                if let Some(ms) = delay_ms {
-                    std::thread::sleep(std::time::Duration::from_millis(ms));
-                }
-                let reorder = self.faults.iter().any(|f| {
-                    matches!(*f, FaultKind::ReorderReplies(q)
-                        if batch.iter().any(|r| r.query_id >= q))
-                });
-                let mut out: Vec<(usize, FromWorker)> = replies.into_iter().enumerate().collect();
-                if reorder {
-                    out.reverse();
-                }
-                for (idx, reply) in out {
-                    let req = &batch[idx];
-                    // A duplicated-message fault sends the same reply twice;
-                    // the coordinator must merge it exactly once.
-                    let duplicate = self
-                        .faults
-                        .iter()
-                        .any(|f| matches!(*f, FaultKind::DuplicateRequest(q) if q == req.query_id));
-                    if duplicate {
-                        let _ = req.reply.send(reply.clone());
-                    }
-                    // A session may have been dropped mid-flight; that is
-                    // its problem, not the worker's.
-                    let _ = req.reply.send(reply);
                 }
             }
-            if shutdown {
+            let probes: u64 = replies.iter().map(|r| r.blocks_requested).sum();
+            let hits: u64 = replies.iter().map(|r| r.cache_hits).sum();
+            rec.record_worker(
+                self.worker_id,
+                Event {
+                    ts_us: rec.now(),
+                    dur_us: 0,
+                    query_id: NO_QUERY,
+                    kind: SpanKind::CacheProbe,
+                    worker: self.worker_id as u32,
+                    disk: NO_ID,
+                    detail: (hits << 32) | (probes & 0xFFFF_FFFF),
+                },
+            );
+            rec.batch_wall_us.record(wall_disk + cpu);
+            self.busy_accum += wall_disk + cpu;
+            rec.advance_clock(self.busy_accum);
+        }
+        if let Some(c) = counters {
+            let errors = replies.iter().filter(|r| r.error.is_some()).count() as u64;
+            self.publish(c, batch.len() as u64, wall_disk + cpu, errors);
+        }
+        // Timing faults on the reply path: hold the whole batch's replies (a
+        // late message), then emit in reversed order if a reorder fault
+        // matches. The coordinator absorbs both via seq matching and
+        // retransmit dedup.
+        let delay_ms = self
+            .faults
+            .iter()
+            .filter_map(|f| match *f {
+                FaultKind::DelayReply { query, delay_ms }
+                    if batch.iter().any(|r| r.query_id == query) =>
+                {
+                    Some(delay_ms)
+                }
+                _ => None,
+            })
+            .max();
+        if let Some(ms) = delay_ms {
+            std::thread::sleep(std::time::Duration::from_millis(ms));
+        }
+        let reorder = self.faults.iter().any(|f| {
+            matches!(*f, FaultKind::ReorderReplies(q)
+                if batch.iter().any(|r| r.query_id >= q))
+        });
+        let mut out: Vec<(usize, FromWorker)> = replies.into_iter().enumerate().collect();
+        if reorder {
+            out.reverse();
+        }
+        for (idx, reply) in out {
+            let req = &batch[idx];
+            // A duplicated-message fault sends the same reply twice; the
+            // coordinator must merge it exactly once.
+            let duplicate = self
+                .faults
+                .iter()
+                .any(|f| matches!(*f, FaultKind::DuplicateRequest(q) if q == req.query_id));
+            if duplicate {
+                let _ = req.reply.send(reply.clone());
+            }
+            // A session may have been dropped mid-flight; that is its
+            // problem, not the worker's.
+            let _ = req.reply.send(reply);
+        }
+        true
+    }
+}
+
+/// An in-process slot: its [`WorkerState`] behind the lock that the slot's
+/// thread and the engine's callers share, plus the count of messages sent
+/// to the slot that its thread has not yet applied.
+///
+/// The count is what keeps inline service ordered. A sender counts a
+/// message before sending it ([`SlotHandle::send`]); the thread un-counts
+/// what it drained only after applying it, under the lock. A caller may
+/// read or write the slot itself only while holding the lock with the count
+/// at zero, so a `WriteRaw` sent before — a scrub repair's, or any write
+/// that found the slot busy — has always been applied first.
+pub(crate) struct LocalSlot {
+    /// `None` once the slot's loop has exited (shutdown, fail-stop): the
+    /// slot is gone and is never served inline again. A panic mid-service
+    /// poisons the lock, with the same effect.
+    pub(crate) state: Mutex<Option<WorkerState>>,
+    /// Messages sent to the slot and not yet applied by its thread. The
+    /// thread's release of the count and the inline check's acquire both
+    /// run under `state`'s lock; a send ordered before an inline call by
+    /// other means (sent under the catalog write lock before a later query
+    /// plans under its read lock) has its increment visible to that call's
+    /// check.
+    pub(crate) queued: AtomicUsize,
+    /// Whether the slot was built without a fault plan. A fault models the
+    /// channel or the remote machine (a delayed reply slept inline would
+    /// stall the caller itself), so a fault-armed slot is only ever reached
+    /// through its thread. Fixed at spawn: nothing arms faults later.
+    fault_free: bool,
+    counters: Option<Arc<WorkerCounters>>,
+}
+
+/// What became of a job offered to a slot for inline service.
+pub(crate) enum Inline<T> {
+    /// Done on the calling thread.
+    Done,
+    /// Another caller holds the slot; offer the job again with `wait`.
+    Locked(T),
+    /// The slot must be reached through its channel: something sent to it
+    /// is still unapplied, it is fault-armed, or its loop has exited.
+    Channel(T),
+}
+
+impl LocalSlot {
+    /// Wraps `state` as an idle slot with nothing queued.
+    pub(crate) fn new(state: WorkerState, counters: Option<Arc<WorkerCounters>>) -> Arc<Self> {
+        Arc::new(LocalSlot {
+            fault_free: state.faults.is_empty(),
+            state: Mutex::new(Some(state)),
+            queued: AtomicUsize::new(0),
+            counters,
+        })
+    }
+
+    /// Counts one message about to be sent to this slot.
+    pub(crate) fn count_sent(&self) {
+        self.queued.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Un-counts `n` messages: applied by the thread, or bounced off the
+    /// slot's closed channel.
+    pub(crate) fn uncount(&self, n: usize) {
+        let before = self.queued.fetch_sub(n, Ordering::AcqRel);
+        debug_assert!(before >= n, "slot queue count underflow: {before} - {n}");
+    }
+
+    /// Applies `job` to the slot's state on the calling thread if nothing
+    /// sent to the slot is still unapplied and the slot is fault-free and
+    /// alive; otherwise hands `job` back. Without `wait`, a lock held by
+    /// another caller hands it back as [`Inline::Locked`]; with `wait`, the
+    /// caller blocks for the lock (held only for one inline job, or by the
+    /// slot's thread while something is queued, which the re-check under
+    /// the lock then sees).
+    pub(crate) fn run_inline<T>(
+        &self,
+        job: T,
+        wait: bool,
+        apply: impl FnOnce(&mut WorkerState, T, Option<&WorkerCounters>),
+    ) -> Inline<T> {
+        if !self.fault_free || self.queued.load(Ordering::Acquire) != 0 {
+            return Inline::Channel(job);
+        }
+        let mut guard = match self.state.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::WouldBlock) if !wait => return Inline::Locked(job),
+            Err(TryLockError::WouldBlock) => match self.state.lock() {
+                Ok(guard) => guard,
+                Err(_) => return Inline::Channel(job),
+            },
+            Err(TryLockError::Poisoned(_)) => return Inline::Channel(job),
+        };
+        match guard.as_mut() {
+            Some(state) if self.queued.load(Ordering::Acquire) == 0 => {
+                apply(state, job, self.counters.as_deref());
+                Inline::Done
+            }
+            _ => Inline::Channel(job),
+        }
+    }
+
+    /// The slot's message loop, run on its own thread by [`run_worker`].
+    ///
+    /// Owns the receiving end of the slot's channel, so on every exit path
+    /// — shutdown, injected fail-stop, panic — the receiver drops and the
+    /// coordinator's next send bounces with its message, which the engine
+    /// fails over to the replicas.
+    ///
+    /// Each iteration blocks for one message, takes the slot lock, then
+    /// drains everything already queued into a single batch — the queue
+    /// depth at that instant *is* the batch size, so concurrent sessions
+    /// coalesce without any coordinator involvement.
+    fn run(&self, rx: Receiver<ToWorker>) {
+        while let Ok(first) = rx.recv() {
+            let Ok(mut guard) = self.state.lock() else {
+                return;
+            };
+            let state = guard.as_mut().expect("only the loop empties its slot");
+            let mut batch = Vec::new();
+            let mut drained = 1;
+            let mut open = state.accept(first, &mut batch);
+            while open {
+                let Ok(msg) = rx.try_recv() else {
+                    break;
+                };
+                drained += 1;
+                open = state.accept(msg, &mut batch);
+            }
+            let alive = state.serve(batch, self.counters.as_deref());
+            self.uncount(drained);
+            if !(open && alive) {
+                *guard = None;
                 return;
             }
         }
     }
 }
 
-/// Spawns a worker thread running [`WorkerState::run`] over `rx`.
+/// Starts `state` as an in-process slot: one channel and one thread running
+/// its message loop. Returns the engine's handle on the slot and the
+/// thread's join handle.
 pub fn run_worker(
     state: WorkerState,
-    rx: Receiver<ToWorker>,
     counters: Option<Arc<WorkerCounters>>,
-) -> std::thread::JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("pargrid-worker-{}", state.worker_id))
-        .spawn(move || state.run(rx, counters))
-        .expect("failed to spawn worker thread")
+) -> (SlotHandle, std::thread::JoinHandle<()>) {
+    let (tx, rx) = unbounded();
+    let name = format!("pargrid-worker-{}", state.worker_id);
+    let slot = LocalSlot::new(state, counters);
+    let thread_slot = Arc::clone(&slot);
+    let handle = std::thread::Builder::new()
+        .name(name)
+        .spawn(move || thread_slot.run(rx))
+        .expect("failed to spawn worker thread");
+    (SlotHandle::local(tx, slot), handle)
 }
 
 #[cfg(test)]
@@ -822,22 +948,20 @@ mod tests {
 
     #[test]
     fn fail_stop_fault_marks_dead_without_replying() {
-        let (to_tx, to_rx) = crossbeam::channel::unbounded();
         let (reply_tx, reply_rx) = crossbeam::channel::unbounded();
         let counters = Arc::new(WorkerCounters::default());
         let state = worker_with_two_blocks().with_faults(vec![FaultKind::DieAtQuery(0)]);
-        let handle = run_worker(state, to_rx, Some(Arc::clone(&counters)));
-        to_tx
-            .send(ToWorker::Process(vec![ReadRequest {
-                worker: 0,
-                query_id: 3,
-                seq: 3,
-                blocks: vec![0],
-                query: Rect::new2(0.0, 0.0, 5.0, 5.0),
-                reply: reply_tx,
-                priority: QueryPriority::Interactive,
-            }]))
-            .expect("send");
+        let (slot, handle) = run_worker(state, Some(Arc::clone(&counters)));
+        slot.send(ToWorker::Process(vec![ReadRequest {
+            worker: 0,
+            query_id: 3,
+            seq: 3,
+            blocks: vec![0],
+            query: Rect::new2(0.0, 0.0, 5.0, 5.0),
+            reply: reply_tx,
+            priority: QueryPriority::Interactive,
+        }]))
+        .expect("send");
         handle.join().expect("worker thread exits cleanly");
         assert!(counters.dead.load(Ordering::Relaxed), "marked dead");
         assert!(
@@ -848,20 +972,18 @@ mod tests {
 
     #[test]
     fn poison_fault_replies_with_error_and_stays_alive() {
-        let (to_tx, to_rx) = crossbeam::channel::unbounded();
         let (reply_tx, reply_rx) = crossbeam::channel::unbounded();
         let counters = Arc::new(WorkerCounters::default());
         let state = worker_with_two_blocks().with_faults(vec![FaultKind::PoisonQuery(1)]);
-        let handle = run_worker(state, to_rx, Some(Arc::clone(&counters)));
+        let (slot, handle) = run_worker(state, Some(Arc::clone(&counters)));
         let send = |qid: u64| {
-            to_tx
-                .send(ToWorker::Process(vec![request(
-                    qid,
-                    qid,
-                    vec![0],
-                    &reply_tx,
-                )]))
-                .expect("send");
+            slot.send(ToWorker::Process(vec![request(
+                qid,
+                qid,
+                vec![0],
+                &reply_tx,
+            )]))
+            .expect("send");
         };
         send(1);
         let poisoned = reply_rx.recv().expect("reply");
@@ -874,36 +996,33 @@ mod tests {
         assert_eq!(healthy.records.len(), 10);
         assert!(!counters.dead.load(Ordering::Relaxed));
         assert_eq!(counters.error_replies.load(Ordering::Relaxed), 1);
-        to_tx.send(ToWorker::Shutdown).expect("send shutdown");
+        slot.send(ToWorker::Shutdown).expect("send shutdown");
         handle.join().expect("worker joins");
     }
 
     #[test]
     fn die_after_blocks_triggers_on_later_batch() {
-        let (to_tx, to_rx) = crossbeam::channel::unbounded();
         let (reply_tx, reply_rx) = crossbeam::channel::unbounded();
         let counters = Arc::new(WorkerCounters::default());
         let state = worker_with_two_blocks().with_faults(vec![FaultKind::DieAfterBlocks(2)]);
-        let handle = run_worker(state, to_rx, Some(Arc::clone(&counters)));
+        let (slot, handle) = run_worker(state, Some(Arc::clone(&counters)));
         // First batch (2 blocks) is under the limit and serviced normally.
-        to_tx
-            .send(ToWorker::Process(vec![request(
-                0,
-                0,
-                vec![0, 1],
-                &reply_tx,
-            )]))
-            .expect("send");
+        slot.send(ToWorker::Process(vec![request(
+            0,
+            0,
+            vec![0, 1],
+            &reply_tx,
+        )]))
+        .expect("send");
         assert!(reply_rx.recv().expect("reply").error.is_none());
         // Second batch finds blocks_read >= 2: the worker dies silently.
-        to_tx
-            .send(ToWorker::Process(vec![request(
-                1,
-                1,
-                vec![0, 1],
-                &reply_tx,
-            )]))
-            .expect("send");
+        slot.send(ToWorker::Process(vec![request(
+            1,
+            1,
+            vec![0, 1],
+            &reply_tx,
+        )]))
+        .expect("send");
         handle.join().expect("worker thread exits");
         assert!(counters.dead.load(Ordering::Relaxed));
         assert!(reply_rx.try_recv().is_err());
@@ -911,28 +1030,24 @@ mod tests {
 
     #[test]
     fn duplicate_seq_is_deduped_not_reserviced() {
-        let (to_tx, to_rx) = crossbeam::channel::unbounded();
         let (reply_tx, reply_rx) = crossbeam::channel::unbounded();
         let counters = Arc::new(WorkerCounters::default());
-        let handle = run_worker(worker_with_two_blocks(), to_rx, Some(Arc::clone(&counters)));
-        to_tx
-            .send(ToWorker::Process(vec![request(1, 42, vec![0], &reply_tx)]))
+        let (slot, handle) = run_worker(worker_with_two_blocks(), Some(Arc::clone(&counters)));
+        slot.send(ToWorker::Process(vec![request(1, 42, vec![0], &reply_tx)]))
             .expect("send");
         let first = reply_rx.recv().expect("reply");
         assert_eq!(first.seq, 42);
         // Redelivery of the same seq (a retransmit that raced the reply):
         // silently discarded, no second reply.
-        to_tx
-            .send(ToWorker::Process(vec![request(1, 42, vec![0], &reply_tx)]))
+        slot.send(ToWorker::Process(vec![request(1, 42, vec![0], &reply_tx)]))
             .expect("send");
         // A fresh seq still gets serviced, proving the worker is live.
-        to_tx
-            .send(ToWorker::Process(vec![request(2, 43, vec![1], &reply_tx)]))
+        slot.send(ToWorker::Process(vec![request(2, 43, vec![1], &reply_tx)]))
             .expect("send");
         let second = reply_rx.recv().expect("reply");
         assert_eq!(second.seq, 43, "deduped delivery produced no reply");
         assert_eq!(counters.dup_requests_dropped.load(Ordering::Relaxed), 1);
-        to_tx.send(ToWorker::Shutdown).expect("send shutdown");
+        slot.send(ToWorker::Shutdown).expect("send shutdown");
         handle.join().expect("worker joins");
     }
 
@@ -941,52 +1056,45 @@ mod tests {
         // A window of 2: after servicing seqs 10, 11, 12 the oldest (10)
         // has been evicted, so its redelivery is serviced again, while the
         // still-remembered 12 stays deduped.
-        let (to_tx, to_rx) = crossbeam::channel::unbounded();
         let (reply_tx, reply_rx) = crossbeam::channel::unbounded();
         let counters = Arc::new(WorkerCounters::default());
         let state = worker_with_two_blocks().with_seen_seq_window(2);
-        let handle = run_worker(state, to_rx, Some(Arc::clone(&counters)));
+        let (slot, handle) = run_worker(state, Some(Arc::clone(&counters)));
         for seq in [10u64, 11, 12] {
-            to_tx
-                .send(ToWorker::Process(vec![request(
-                    seq,
-                    seq,
-                    vec![0],
-                    &reply_tx,
-                )]))
-                .expect("send");
+            slot.send(ToWorker::Process(vec![request(
+                seq,
+                seq,
+                vec![0],
+                &reply_tx,
+            )]))
+            .expect("send");
             assert_eq!(reply_rx.recv().expect("reply").seq, seq);
         }
         // Seq 12 is inside the window: deduped, no reply.
-        to_tx
-            .send(ToWorker::Process(vec![request(12, 12, vec![0], &reply_tx)]))
+        slot.send(ToWorker::Process(vec![request(12, 12, vec![0], &reply_tx)]))
             .expect("send");
         // Seq 10 fell out of the 2-deep window: serviced again.
-        to_tx
-            .send(ToWorker::Process(vec![request(10, 10, vec![0], &reply_tx)]))
+        slot.send(ToWorker::Process(vec![request(10, 10, vec![0], &reply_tx)]))
             .expect("send");
         let replay = reply_rx.recv().expect("evicted seq re-serviced");
         assert_eq!(replay.seq, 10);
         assert_eq!(counters.dup_requests_dropped.load(Ordering::Relaxed), 1);
-        to_tx.send(ToWorker::Shutdown).expect("send shutdown");
+        slot.send(ToWorker::Shutdown).expect("send shutdown");
         handle.join().expect("worker joins");
     }
 
     #[test]
     fn drop_fault_discards_first_deliveries_then_serves() {
-        let (to_tx, to_rx) = crossbeam::channel::unbounded();
         let (reply_tx, reply_rx) = crossbeam::channel::unbounded();
         let state = worker_with_two_blocks()
             .with_faults(vec![FaultKind::DropRequest { query: 5, times: 1 }]);
-        let handle = run_worker(state, to_rx, None);
+        let (slot, handle) = run_worker(state, None);
         // First delivery is silently dropped.
-        to_tx
-            .send(ToWorker::Process(vec![request(5, 10, vec![0], &reply_tx)]))
+        slot.send(ToWorker::Process(vec![request(5, 10, vec![0], &reply_tx)]))
             .expect("send");
         // Retransmit (same seq — the worker never serviced it, so the seq is
         // not in the dedup window) gets through.
-        to_tx
-            .send(ToWorker::Process(vec![request(5, 10, vec![0], &reply_tx)]))
+        slot.send(ToWorker::Process(vec![request(5, 10, vec![0], &reply_tx)]))
             .expect("send");
         let reply = reply_rx.recv().expect("retransmit serviced");
         assert_eq!(reply.seq, 10);
@@ -995,83 +1103,75 @@ mod tests {
             reply_rx.try_recv().is_err(),
             "exactly one reply for the two deliveries"
         );
-        to_tx.send(ToWorker::Shutdown).expect("send shutdown");
+        slot.send(ToWorker::Shutdown).expect("send shutdown");
         handle.join().expect("worker joins");
     }
 
     #[test]
     fn duplicate_reply_fault_sends_twice() {
-        let (to_tx, to_rx) = crossbeam::channel::unbounded();
         let (reply_tx, reply_rx) = crossbeam::channel::unbounded();
         let state = worker_with_two_blocks().with_faults(vec![FaultKind::DuplicateRequest(3)]);
-        let handle = run_worker(state, to_rx, None);
-        to_tx
-            .send(ToWorker::Process(vec![request(3, 7, vec![0], &reply_tx)]))
+        let (slot, handle) = run_worker(state, None);
+        slot.send(ToWorker::Process(vec![request(3, 7, vec![0], &reply_tx)]))
             .expect("send");
         let a = reply_rx.recv().expect("first copy");
         let b = reply_rx.recv().expect("second copy");
         assert_eq!(a.seq, 7);
         assert_eq!(b.seq, 7);
         assert_eq!(a.records, b.records);
-        to_tx.send(ToWorker::Shutdown).expect("send shutdown");
+        slot.send(ToWorker::Shutdown).expect("send shutdown");
         handle.join().expect("worker joins");
     }
 
     #[test]
     fn reorder_fault_reverses_batch_reply_order() {
-        let (to_tx, to_rx) = crossbeam::channel::unbounded();
         let (reply_tx, reply_rx) = crossbeam::channel::unbounded();
         let state = worker_with_two_blocks().with_faults(vec![FaultKind::ReorderReplies(0)]);
-        let handle = run_worker(state, to_rx, None);
-        to_tx
-            .send(ToWorker::Process(vec![
-                request(1, 100, vec![0], &reply_tx),
-                request(2, 101, vec![1], &reply_tx),
-            ]))
-            .expect("send");
+        let (slot, handle) = run_worker(state, None);
+        slot.send(ToWorker::Process(vec![
+            request(1, 100, vec![0], &reply_tx),
+            request(2, 101, vec![1], &reply_tx),
+        ]))
+        .expect("send");
         let first = reply_rx.recv().expect("reply");
         let second = reply_rx.recv().expect("reply");
         assert_eq!(first.seq, 101, "replies come back reversed");
         assert_eq!(second.seq, 100);
-        to_tx.send(ToWorker::Shutdown).expect("send shutdown");
+        slot.send(ToWorker::Shutdown).expect("send shutdown");
         handle.join().expect("worker joins");
     }
 
     #[test]
     fn fetch_raw_and_write_raw_round_trip_repair() {
-        let (to_tx, to_rx) = crossbeam::channel::unbounded();
         let (reply_tx, reply_rx) = crossbeam::channel::unbounded();
         let mut state = worker_with_two_blocks();
         let pristine = state.store.get(0).expect("block 0");
         assert!(state.store.corrupt(0));
-        let handle = run_worker(state, to_rx, None);
+        let (slot, handle) = run_worker(state, None);
         // Fetch: corrupt block 0 comes back None, healthy block 1 as bytes.
         let (raw_tx, raw_rx) = crossbeam::channel::unbounded();
-        to_tx
-            .send(ToWorker::FetchRaw {
-                worker: 0,
-                blocks: vec![0, 1],
-                reply: raw_tx,
-            })
-            .expect("send");
+        slot.send(ToWorker::FetchRaw {
+            worker: 0,
+            blocks: vec![0, 1],
+            reply: raw_tx,
+        })
+        .expect("send");
         let raw = raw_rx.recv().expect("raw reply");
         assert_eq!(raw.worker_id, 0);
         assert!(raw.blocks[0].1.is_none(), "corrupt copy is not served");
         assert!(raw.blocks[1].1.is_some());
         // Write the pristine bytes back: reads verify again.
-        to_tx
-            .send(ToWorker::WriteRaw {
-                worker: 0,
-                blocks: vec![(0, pristine)],
-            })
-            .expect("send");
-        to_tx
-            .send(ToWorker::Process(vec![request(9, 9, vec![0], &reply_tx)]))
+        slot.send(ToWorker::WriteRaw {
+            worker: 0,
+            blocks: vec![(0, pristine)],
+        })
+        .expect("send");
+        slot.send(ToWorker::Process(vec![request(9, 9, vec![0], &reply_tx)]))
             .expect("send");
         let reply = reply_rx.recv().expect("post-repair read");
         assert!(reply.error.is_none(), "{:?}", reply.error);
         assert_eq!(reply.records.len(), 10);
-        to_tx.send(ToWorker::Shutdown).expect("send shutdown");
+        slot.send(ToWorker::Shutdown).expect("send shutdown");
         handle.join().expect("worker joins");
     }
 
@@ -1226,27 +1326,25 @@ mod tests {
 
     #[test]
     fn threaded_loop_round_trip() {
-        let (to_tx, to_rx) = crossbeam::channel::unbounded();
         let (reply_tx, reply_rx) = crossbeam::channel::unbounded();
         let counters = Arc::new(WorkerCounters::default());
-        let handle = run_worker(worker_with_two_blocks(), to_rx, Some(Arc::clone(&counters)));
-        to_tx
-            .send(ToWorker::Process(vec![ReadRequest {
-                worker: 0,
-                query_id: 1,
-                seq: 1,
-                blocks: vec![0],
-                query: Rect::new2(0.0, 0.0, 5.0, 5.0),
-                reply: reply_tx,
-                priority: QueryPriority::Interactive,
-            }]))
-            .expect("send");
+        let (slot, handle) = run_worker(worker_with_two_blocks(), Some(Arc::clone(&counters)));
+        slot.send(ToWorker::Process(vec![ReadRequest {
+            worker: 0,
+            query_id: 1,
+            seq: 1,
+            blocks: vec![0],
+            query: Rect::new2(0.0, 0.0, 5.0, 5.0),
+            reply: reply_tx,
+            priority: QueryPriority::Interactive,
+        }]))
+        .expect("send");
         let reply = reply_rx.recv().expect("reply");
         assert_eq!(reply.records.len(), 6); // ids 0..=5 within [0,5] closed
         assert_eq!(counters.blocks_fetched.load(Ordering::Relaxed), 1);
         assert_eq!(counters.batches.load(Ordering::Relaxed), 1);
         assert_eq!(counters.max_batch.load(Ordering::Relaxed), 1);
-        to_tx.send(ToWorker::Shutdown).expect("send shutdown");
+        slot.send(ToWorker::Shutdown).expect("send shutdown");
         handle.join().expect("worker joins cleanly");
     }
 }

@@ -3,15 +3,15 @@
 //! healthy unreplicated engine, without panicking any session, while the
 //! engine's liveness and failover counters tell the story.
 
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::unbounded;
 use pargrid_core::{DeclusterInput, DeclusterMethod, EdgeWeight};
 use pargrid_datagen::hot2d;
 use pargrid_gridfile::GridFile;
 use pargrid_parallel::stats::WorkerCounters;
 use pargrid_parallel::worker::WorkerState;
 use pargrid_parallel::{
-    EngineConfig, FaultPlan, InProcessBackend, ParallelGridFile, QueryOutcome, ToWorker,
-    WorkerBackend,
+    EngineConfig, FaultPlan, InProcessBackend, ParallelGridFile, QueryOutcome, SlotHandle,
+    ToWorker, WorkerBackend,
 };
 use pargrid_sim::QueryWorkload;
 use std::sync::Arc;
@@ -158,12 +158,12 @@ impl WorkerBackend for SlotZeroExited {
     fn spawn(
         &self,
         mut slots: Vec<(WorkerState, Arc<WorkerCounters>)>,
-    ) -> (Vec<Sender<ToWorker>>, Vec<JoinHandle<()>>) {
+    ) -> (Vec<SlotHandle>, Vec<JoinHandle<()>>) {
         let rest = slots.split_off(1);
-        let (tx, inbox) = unbounded();
+        let (tx, inbox) = unbounded::<ToWorker>();
         drop(inbox);
         let (mut senders, mut handles) = InProcessBackend.spawn(rest);
-        senders.insert(0, tx);
+        senders.insert(0, SlotHandle::channel(tx));
         handles.insert(0, std::thread::spawn(|| {}));
         (senders, handles)
     }
