@@ -283,7 +283,7 @@ pub mod prop {
         use super::super::{Strategy, TestRng};
         use std::ops::{Range, RangeInclusive};
 
-        /// Acceptable size arguments for [`vec`]: a fixed size or a range.
+        /// Acceptable size arguments for [`vec()`]: a fixed size or a range.
         pub trait IntoSize {
             /// Draws a concrete length.
             fn pick(&self, rng: &mut TestRng) -> usize;

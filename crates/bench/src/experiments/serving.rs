@@ -12,7 +12,7 @@
 //! throughput knee of each method lands at a different offered load.
 //!
 //! The per-block price is calibrated once, against the *first* method in
-//! the sweep, so that its mean query costs [`TARGET_SERVICE_US`] of wall
+//! the sweep, so that its mean query costs `TARGET_SERVICE_US` of wall
 //! time per permit; the same price is then used for every method,
 //! keeping the wall-time budget bounded while preserving the methods'
 //! relative costs. Offered load sweeps fixed multiples of the first

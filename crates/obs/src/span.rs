@@ -9,10 +9,11 @@
 //! bounds what was lost.
 //!
 //! Timestamps are *virtual microseconds* from the engine's simulated disk /
-//! network clocks, not wall time: the engine advances [`Recorder::clock`]
-//! with `fetch_max` as workers publish their cumulative busy time, and
-//! per-disk events carry that disk's own busy-clock interval so the
-//! exported timeline matches the cost model exactly.
+//! network clocks, not wall time: the engine advances the recorder's clock
+//! ([`Recorder::advance_clock`], a `fetch_max`) as workers publish their
+//! cumulative busy time, and per-disk events carry that disk's own
+//! busy-clock interval so the exported timeline matches the cost model
+//! exactly.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 

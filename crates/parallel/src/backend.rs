@@ -3,123 +3,94 @@
 //!
 //! The engine builds one `WorkerState` per slot (store loaded, disks
 //! modeled, faults armed) and hands them all to a [`WorkerBackend`], which
-//! chooses the channel layout and returns one [`SlotHandle`] per slot. The
-//! default [`InProcessBackend`] gives each slot its own channel and worker
-//! thread, and hands the slot itself back with the channel: a session that
-//! finds nothing queued to such a slot serves its read on its own thread
-//! instead of waking the slot's, and a mutation writes its blocks the same
-//! way — the single-node fast path. A remote backend (see the
-//! `pargrid-cluster` crate) gives each *worker process* one channel and one
-//! proxy thread, shared by every slot that process hosts, and returns
-//! channel-only handles: every message names its slot, the proxy forwards a
-//! query's requests for that host as one batch over one TCP connection and
-//! feeds the wire replies back into the engine's reply channels.
+//! chooses the slot layout and returns one [`SlotHandle`] per slot. The
+//! default [`InProcessBackend`] makes a fault-free slot its lock: no thread
+//! and no channel, every message applied by its sender, on the sender's
+//! thread — the single-node fast path. A fault-armed slot keeps a channel
+//! and a thread ([`run_worker`]), because its faults model the channel and
+//! the machine behind it. A remote backend (see the `pargrid-cluster`
+//! crate) gives each *worker process* one channel and one proxy thread,
+//! shared by every slot that process hosts, and returns channel handles:
+//! every message names its slot, the proxy forwards a query's requests for
+//! that host as one batch over one TCP connection and feeds the wire
+//! replies back into the engine's reply channels.
 //!
-//! Everything above the channel — sequence numbers, retransmit/backoff,
+//! Everything above the slot — sequence numbers, retransmit/backoff,
 //! reply matching, dead-flag failure detection, replica failover, hedged
-//! reads — is transport-agnostic and works identically over both
-//! backends, which is the point: the coordinator's fault machinery was
-//! built for lost messages and dead workers, and a TCP worker is just a
-//! worker whose messages can actually be lost.
+//! reads — is transport-agnostic and works identically over every layout,
+//! which is the point: the coordinator's fault machinery was built for
+//! lost messages and dead workers, and a TCP worker is just a worker whose
+//! messages can actually be lost.
 
-use crate::message::{ReadRequest, ToWorker};
+use crate::message::ToWorker;
 use crate::stats::WorkerCounters;
-use crate::worker::{run_worker, Inline, LocalSlot, WorkerState};
+use crate::worker::{run_worker, LocalSlot, WorkerState};
 use crossbeam::channel::{SendError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// The engine's handle on one worker slot: the channel every message to
-/// the slot travels on and, for a slot served in this process, the slot
-/// itself.
+/// The engine's handle on one worker slot: a channel to the loop serving
+/// it (a fault-armed slot's thread, a remote backend's proxy) or, for a
+/// fault-free in-process slot, the slot itself.
 ///
-/// [`SlotHandle::send`] is the one path by which anything reaches a slot's
-/// channel. For an in-process slot it counts the message as queued before
-/// sending it (and un-counts a bounced one); the slot's thread un-counts it
-/// once applied. Only a slot with nothing queued is served or written
-/// inline, which keeps every read and write behind every write sent before
-/// it.
-pub struct SlotHandle {
-    tx: Sender<ToWorker>,
-    pub(crate) local: Option<Arc<LocalSlot>>,
+/// [`SlotHandle::send`] is the one path by which anything reaches a slot.
+pub struct SlotHandle(pub(crate) Slot);
+
+/// How a slot is reached.
+pub(crate) enum Slot {
+    Channel(Sender<ToWorker>),
+    Local(Box<LocalSlot>),
 }
 
 impl SlotHandle {
-    /// A slot reached only through `tx` (a remote worker, or any loop the
-    /// engine cannot serve itself).
+    /// A slot reached through `tx` (a remote worker, or any loop the
+    /// engine does not run itself).
     pub fn channel(tx: Sender<ToWorker>) -> Self {
-        SlotHandle { tx, local: None }
+        SlotHandle(Slot::Channel(tx))
     }
 
-    /// An in-process slot whose thread consumes `tx`'s receiver.
-    pub(crate) fn local(tx: Sender<ToWorker>, slot: Arc<LocalSlot>) -> Self {
-        SlotHandle {
-            tx,
-            local: Some(slot),
+    /// Sends `msg` to the slot: onto its channel, or applied on the calling
+    /// thread to a local slot, waiting for its lock. Bounces with the
+    /// message once the slot has stopped.
+    pub fn send(&self, msg: ToWorker) -> Result<(), SendError<ToWorker>> {
+        match &self.0 {
+            Slot::Channel(tx) => tx.send(msg),
+            Slot::Local(slot) => slot.send(msg),
         }
     }
 
-    /// Sends `msg` to the slot. Bounces with the message once the slot's
-    /// loop has exited.
-    pub fn send(&self, msg: ToWorker) -> Result<(), SendError<ToWorker>> {
-        let Some(slot) = &self.local else {
-            return self.tx.send(msg);
-        };
-        slot.count_sent();
-        self.tx.send(msg).inspect_err(|_| slot.uncount(1))
+    /// Like [`SlotHandle::send`], but hands `msg` back undelivered, instead
+    /// of waiting, when another caller holds a local slot's lock; the
+    /// caller settles it with `send` once its other slots are served. A
+    /// bounce is handed back the same way, and bounces again from `send`.
+    pub(crate) fn try_send(&self, msg: ToWorker) -> Result<(), ToWorker> {
+        match &self.0 {
+            Slot::Channel(tx) => tx.send(msg).map_err(|SendError(msg)| msg),
+            Slot::Local(slot) => slot.try_send(msg),
+        }
     }
 
-    /// Serves `request` on the calling thread when this is an in-process
-    /// slot free for inline service (see [`LocalSlot::run_inline`]);
-    /// otherwise hands it back for [`SlotHandle::send`], or, without
-    /// `wait`, for a second offer once the caller's other slots are served.
-    pub(crate) fn serve(&self, request: ReadRequest, wait: bool) -> Inline<ReadRequest> {
-        let Some(slot) = &self.local else {
-            return Inline::Channel(request);
-        };
-        slot.run_inline(request, wait, |state, request, counters| {
-            let alive = state.serve(vec![request], counters);
-            debug_assert!(alive, "only a fault plan can fail-stop a slot");
-        })
-    }
-
-    /// Writes `blocks` to slot `worker`: on the calling thread when the
-    /// slot is free for inline service (waiting out another caller's
-    /// inline job), else as a [`ToWorker::WriteRaw`] queued behind what the
-    /// slot has not yet applied. Bounces like [`SlotHandle::send`].
-    pub(crate) fn write(
-        &self,
-        worker: usize,
-        blocks: Vec<(u32, Vec<u8>)>,
-    ) -> Result<(), SendError<ToWorker>> {
-        let blocks = match &self.local {
-            Some(slot) => match slot.run_inline(blocks, true, |state, blocks, _| {
-                state.write_raw_blocks(blocks)
-            }) {
-                Inline::Done => return Ok(()),
-                Inline::Locked(blocks) | Inline::Channel(blocks) => blocks,
-            },
-            None => blocks,
-        };
-        self.send(ToWorker::WriteRaw { worker, blocks })
+    /// Whether this is a local slot, which stops with no thread to join.
+    pub(crate) fn is_local(&self) -> bool {
+        matches!(self.0, Slot::Local(_))
     }
 }
 
 /// Launches the service loops behind the engine's worker slots.
 ///
 /// `spawn` receives every slot's fully-loaded [`WorkerState`] and counters,
-/// in slot order (the in-process backend runs the states directly; a
-/// remote backend uses their stores as the upload source for its worker
-/// processes). It returns one [`SlotHandle`] per slot — slots may share a
-/// channel, since every [`ToWorker`] message names its slot — and the join
-/// handles of the threads it started. A backend that wraps another passes
-/// the inner backend's handles through unchanged. A service loop consumes
-/// its receiver until every sender is gone or a [`ToWorker::Shutdown`]
-/// arrives, then drops it: the engine's sends to every slot behind that
-/// receiver start failing exactly then, and fail over. A backend that
-/// detects a worker is gone must set that slot's `counters.dead` so the
-/// engine's failure detection and replica failover engage — the same
-/// contract the in-process fail-stop path honors.
+/// in slot order (the in-process backend keeps the states; a remote backend
+/// uses their stores as the upload source for its worker processes). It
+/// returns one [`SlotHandle`] per slot — slots may share a channel, since
+/// every [`ToWorker`] message names its slot — and the join handles of the
+/// threads it started. A backend that wraps another passes the inner
+/// backend's handles through unchanged. A service loop consumes its
+/// receiver until every sender is gone or a [`ToWorker::Shutdown`] arrives,
+/// then drops it: the engine's sends to every slot behind that receiver
+/// start failing exactly then, and fail over. A backend that detects a
+/// worker is gone must set that slot's `counters.dead` so the engine's
+/// failure detection and replica failover engage — the same contract the
+/// in-process fail-stop path honors.
 pub trait WorkerBackend: Send + Sync + std::fmt::Debug {
     /// Starts the service loops for `slots` (slot `w` is `slots[w]`).
     fn spawn(
@@ -128,10 +99,9 @@ pub trait WorkerBackend: Send + Sync + std::fmt::Debug {
     ) -> (Vec<SlotHandle>, Vec<JoinHandle<()>>);
 }
 
-/// The default backend: one channel and one OS thread per slot, each
-/// slot's state shared with the engine so a slot with nothing queued is
-/// served on the asking session's thread — the baseline every remote
-/// deployment is measured against.
+/// The default backend: a fault-free slot is its lock, served on its
+/// senders' threads; a fault-armed slot gets a channel and an OS thread —
+/// the baseline every remote deployment is measured against.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct InProcessBackend;
 
@@ -140,10 +110,19 @@ impl WorkerBackend for InProcessBackend {
         &self,
         slots: Vec<(WorkerState, Arc<WorkerCounters>)>,
     ) -> (Vec<SlotHandle>, Vec<JoinHandle<()>>) {
-        slots
+        let mut threads = Vec::new();
+        let handles = slots
             .into_iter()
-            .map(|(state, counters)| run_worker(state, Some(counters)))
-            .unzip()
+            .map(|(state, counters)| {
+                if state.faults.is_empty() {
+                    return SlotHandle(Slot::Local(LocalSlot::new(state, Some(counters))));
+                }
+                let (slot, thread) = run_worker(state, Some(counters));
+                threads.push(thread);
+                slot
+            })
+            .collect();
+        (handles, threads)
     }
 }
 
@@ -151,18 +130,119 @@ impl WorkerBackend for InProcessBackend {
 mod tests {
     use super::*;
     use crate::disk::DiskParams;
+    use crate::fault::FaultKind;
+    use crate::message::{FromWorker, QueryPriority, ReadRequest};
+    use crossbeam::channel::unbounded;
+    use pargrid_geom::{Point, Rect};
+    use pargrid_gridfile::page::encode_page;
+    use pargrid_gridfile::Record;
+
+    /// A read of block 0, answering to `reply`.
+    fn read_block_zero(seq: u64, reply: &Sender<FromWorker>) -> ToWorker {
+        ToWorker::Process(vec![ReadRequest {
+            worker: 0,
+            query_id: seq,
+            seq,
+            blocks: vec![0],
+            query: Rect::new2(0.0, 0.0, 100.0, 100.0),
+            reply: reply.clone(),
+            priority: QueryPriority::Interactive,
+        }])
+    }
+
+    /// Block 0 holding the one record `id`.
+    fn page(id: u64) -> Vec<(u32, Vec<u8>)> {
+        let record = Record::new(id, Point::new2(1.0, 1.0));
+        vec![(0, encode_page(&[record], 2, 0, 4096))]
+    }
 
     #[test]
-    fn in_process_backend_spawns_a_joinable_worker() {
-        let state = WorkerState::new(0, 0, DiskParams::default());
-        let (slots, handles) =
-            InProcessBackend.spawn(vec![(state, Arc::new(WorkerCounters::default()))]);
-        let (slot, handle) = (&slots[0], handles.into_iter().next().expect("one handle"));
-        slot.send(ToWorker::Shutdown).expect("send shutdown");
-        handle.join().expect("worker joins");
-        // The exited loop dropped its receiver: later sends bounce with
-        // the message, which is what the engine's fail-over keys on.
-        let bounced = slot.send(ToWorker::Shutdown).expect_err("receiver dropped");
-        assert!(matches!(bounced.0, ToWorker::Shutdown));
+    fn only_a_fault_armed_slot_gets_a_thread() {
+        let counters = || Arc::new(WorkerCounters::default());
+        let plain = WorkerState::new(0, 0, DiskParams::default());
+        let armed = WorkerState::new(1, 0, DiskParams::default())
+            .with_faults(vec![FaultKind::PoisonQuery(7)]);
+        let (slots, threads) =
+            InProcessBackend.spawn(vec![(plain, counters()), (armed, counters())]);
+        assert!(slots[0].is_local(), "a fault-free slot is its lock");
+        assert!(
+            !slots[1].is_local(),
+            "a fault-armed slot sits behind a channel"
+        );
+        assert_eq!(threads.len(), 1, "one thread, for the fault-armed slot");
+        for slot in &slots {
+            slot.send(ToWorker::Shutdown)
+                .expect("both slots stop on Shutdown");
+        }
+        for thread in threads {
+            thread.join().expect("the fault-armed slot's thread joins");
+        }
+        // Both slots are gone: every later send bounces with its message,
+        // which is what the engine's fail-over keys on.
+        for slot in &slots {
+            let bounced = slot.send(ToWorker::Shutdown).expect_err("slot stopped");
+            assert!(matches!(bounced.0, ToWorker::Shutdown));
+            let (reply_tx, _reply_rx) = unbounded();
+            let bounced = slot
+                .send(read_block_zero(1, &reply_tx))
+                .expect_err("slot stopped");
+            assert!(matches!(bounced.0, ToWorker::Process(_)));
+        }
+    }
+
+    #[test]
+    fn local_slot_applies_each_message_on_its_sender() {
+        let mut state = WorkerState::new(0, 0, DiskParams::default());
+        let (block, bytes) = page(1).pop().expect("one block");
+        state.store.put(block, bytes).expect("put");
+        let slot = SlotHandle(Slot::Local(LocalSlot::new(state, None)));
+        let Slot::Local(local) = &slot.0 else {
+            unreachable!("built local");
+        };
+        let (reply_tx, reply_rx) = unbounded();
+        let ids = |reply: FromWorker| reply.records.iter().map(|r| r.id).collect::<Vec<u64>>();
+
+        // A read is served on this thread: its reply is waiting on return.
+        slot.send(read_block_zero(1, &reply_tx)).expect("send");
+        assert_eq!(ids(reply_rx.try_recv().expect("reply on return")), [1]);
+
+        // A write sent before a read is seen by it.
+        slot.send(ToWorker::WriteRaw {
+            worker: 0,
+            blocks: page(2),
+        })
+        .expect("write");
+        slot.try_send(read_block_zero(2, &reply_tx))
+            .expect("a free lock serves try_send");
+        assert_eq!(ids(reply_rx.try_recv().expect("reply on return")), [2]);
+
+        // Held by another caller: try_send hands the read back at once,
+        // and send waits for the lock, then serves it.
+        let held = local.state.lock().expect("slot lock");
+        let Err(back) = slot.try_send(read_block_zero(3, &reply_tx)) else {
+            panic!("a held lock hands the message back");
+        };
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| slot.send(back));
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            assert!(!waiter.is_finished(), "send waits for the lock");
+            assert!(reply_rx.try_recv().is_err(), "nothing served yet");
+            drop(held);
+            waiter.join().expect("waiter").expect("served once free");
+        });
+        assert_eq!(ids(reply_rx.try_recv().expect("reply on return")), [2]);
+
+        // Stopped: every later message bounces, try_send's included.
+        slot.send(ToWorker::Shutdown).expect("stop");
+        assert!(local.state.lock().expect("slot lock").is_none());
+        let bounced = slot
+            .send(read_block_zero(4, &reply_tx))
+            .expect_err("stopped");
+        assert!(matches!(bounced.0, ToWorker::Process(_)));
+        assert!(slot.try_send(read_block_zero(5, &reply_tx)).is_err());
+        assert!(
+            reply_rx.try_recv().is_err(),
+            "a stopped slot serves nothing"
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! The coordinator and the public engine API.
 //!
-//! `ParallelGridFile::build` declusters a grid file onto `P` worker threads
+//! `ParallelGridFile::build` declusters a grid file onto `P` worker slots
 //! (one or more simulated disks each — the paper's simulation study assumes
 //! one disk per processor, its SP-2 hardware had seven), then the query API
 //! drives the SPMD protocol:
@@ -18,10 +18,10 @@
 //! The engine is a **shared service**: every query method takes `&self`, so
 //! any number of threads can hold the same engine and open independent
 //! [`QuerySession`]s against it. Each session owns a private reply channel;
-//! workers answer to whichever session asked, and queries from concurrent
-//! sessions that land in a worker's queue together are serviced as one
-//! elevator batch (see [`crate::worker`]) while their virtual completion
-//! times stay independently accounted.
+//! workers answer to whichever session asked. A worker services each
+//! dispatch — one per worker per admission round, however many queries the
+//! round holds — as one elevator batch (see [`crate::worker`]), while the
+//! queries' virtual completion times stay independently accounted.
 //!
 //! The engine is also **fault-tolerant** when built over a
 //! [`ReplicatedAssignment`] ([`ParallelGridFile::build_replicated`]): every
@@ -46,17 +46,15 @@
 //! deadline ([`LatencyConfig::deadline_us`]) bounds how long any of this is
 //! allowed to take before the query is answered explicitly incomplete.
 //!
-//! Coordinator → worker dispatch rides one unbounded channel per worker. A
-//! send to a worker whose loop has exited bounces back as `SendError(msg)`;
-//! the requests it carried fail over to their other copy at once, through
-//! the same fail-over a reply timeout takes. A session's first dispatch to
-//! a fault-free in-process slot with nothing queued skips the channel: the
-//! session runs the slot's service function itself, after waiting out any
-//! other session's inline service of that slot (see
-//! [`crate::backend::SlotHandle`]). A mutation's or rebalance's block
-//! writes to such a slot are applied the same way, by the writing thread.
-//! Retries, retransmits, hedges, scrub traffic and the concurrent runner's
-//! batches always take the channel.
+//! Coordinator → worker dispatch goes through one [`SlotHandle::send`] per
+//! message, whatever the message and whoever sends it. A fault-free
+//! in-process slot is its lock: the sender applies the message on its own
+//! thread (see [`crate::backend::SlotHandle`]). A fault-armed or remote slot
+//! sits behind an unbounded channel. A send to a slot that has stopped
+//! bounces back as `SendError(msg)`; the requests it carried fail over to
+//! their other copy at once, through the same fail-over a reply timeout
+//! takes. Sessions and the concurrent runner dispatch through one round
+//! function: admit, one `Process` message per involved worker, collect.
 //!
 //! Virtual elapsed time of a query = slowest worker's (disk + CPU) time plus
 //! communication time; communication = one broadcast latency plus each
@@ -71,7 +69,7 @@ use crate::fault::FaultPlan;
 use crate::merge::merge_by_id;
 use crate::message::{FromWorker, QueryPriority, ReadRequest, ToWorker};
 use crate::stats::{EngineStats, SharedStats};
-use crate::worker::{Inline, WorkerState};
+use crate::worker::WorkerState;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, SendError, Sender};
 use pargrid_core::{
     place_fresh_bucket, place_fresh_replica, Assignment, DeclusterInput, ReplicatedAssignment,
@@ -86,7 +84,7 @@ use pargrid_obs::{Event, Recorder, SpanKind, NO_ID};
 use pargrid_rebalance::{plan_rebalance, CopyKind, RepairConfig};
 use pargrid_sim::{QueryWorkload, ThroughputStats};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -137,8 +135,9 @@ pub struct ResilienceConfig {
     /// with small values.
     pub fail_timeout_ms: u64,
     /// Consecutive empty reply timeouts after which every still-awaited
-    /// worker is declared dead even if it never published a dead flag (a
-    /// thread that panicked, not an injected fail-stop). Default 50.
+    /// threaded or remote slot is declared dead even if it never published
+    /// a dead flag (a panicked thread, a silent host). Default 50. A panic
+    /// in a fault-free in-process slot surfaces on the caller that sent.
     pub max_timeout_strikes: u32,
 }
 
@@ -250,9 +249,9 @@ pub struct EngineConfig {
     /// activates them. Slot indices never renumber: data workers occupy
     /// slots `0..M`, standbys `M..M+standby_workers`.
     pub standby_workers: usize,
-    /// How worker service loops are launched: `None` spawns the in-process
-    /// worker threads ([`crate::backend::InProcessBackend`], the single-node
-    /// fast path); a remote backend (see the `pargrid-cluster` crate)
+    /// How worker service loops are launched: `None` keeps the slots in
+    /// process ([`crate::backend::InProcessBackend`], the single-node fast
+    /// path); a remote backend (see the `pargrid-cluster` crate)
     /// instead proxies each slot's messages to a worker *process* over TCP.
     /// Everything above the transport — sequencing, dedup, retransmits,
     /// failure detection, replica failover — is shared between the two.
@@ -297,24 +296,6 @@ impl EngineConfig {
     /// Installs a worker backend (see [`EngineConfig::backend`]).
     pub fn with_backend(mut self, backend: Arc<dyn crate::backend::WorkerBackend>) -> Self {
         self.backend = Some(backend);
-        self
-    }
-
-    /// Replaces the whole fault-survival group.
-    pub fn with_resilience(mut self, resilience: ResilienceConfig) -> Self {
-        self.resilience = resilience;
-        self
-    }
-
-    /// Replaces the whole tail-latency group.
-    pub fn with_latency(mut self, latency: LatencyConfig) -> Self {
-        self.latency = latency;
-        self
-    }
-
-    /// Replaces the whole observability group.
-    pub fn with_obs(mut self, obs: ObsConfig) -> Self {
-        self.obs = obs;
         self
     }
 
@@ -445,7 +426,7 @@ impl BucketPlacement {
 /// merges buckets; queries plan under the read lock, so a query planned
 /// after [`ParallelGridFile::insert`] returns sees the post-mutation
 /// directory (and, because a mutation's block writes are applied before it
-/// returns or queued in FIFO order ahead of later read batches, the
+/// returns or sent down a slot's channel ahead of later read batches, the
 /// post-mutation bytes).
 struct Catalog {
     gf: GridFile,
@@ -483,8 +464,8 @@ pub struct MutationOutcome {
 pub enum RebalanceOp {
     /// Activate `k` standby worker slots and spread data onto them.
     AddWorkers(usize),
-    /// Drain worker slot `i` and return it to standby. The slot's thread
-    /// keeps running and can be re-activated by a later
+    /// Drain worker slot `i` and return it to standby. The slot keeps
+    /// running and can be re-activated by a later
     /// [`RebalanceOp::AddWorkers`]. Works even when the worker is dead:
     /// pages are re-materialized from the coordinator's directory, not
     /// copied from the source.
@@ -642,7 +623,7 @@ impl PendingQuery {
     }
 }
 
-/// A parallel grid file: coordinator-side handle plus worker threads.
+/// A parallel grid file: coordinator-side handle plus its worker slots.
 ///
 /// The handle is `Sync`: share it behind an `Arc` (or plain `&`) and open a
 /// [`QuerySession`] per client thread. The legacy one-shot methods
@@ -663,14 +644,16 @@ pub struct ParallelGridFile {
     domain: Rect,
     net: NetParams,
     record_bytes: usize,
-    /// One handle per worker slot: every message goes through its
-    /// counting `send`, which bounces once the slot's loop has exited, and
-    /// an idle in-process slot serves a session's first dispatch inline.
+    /// One handle per worker slot: every message goes through its `send`,
+    /// which bounces once the slot has stopped.
     slots: Vec<SlotHandle>,
-    /// Worker thread handles, drained by [`ParallelGridFile::shutdown`]
-    /// (behind a mutex so shutdown works through a shared `&self` — a
-    /// long-lived server holds the engine in an `Arc`).
+    /// Threads the backend started, drained by
+    /// [`ParallelGridFile::shutdown`] (behind a mutex so shutdown works
+    /// through a shared `&self` — a long-lived server holds the engine in
+    /// an `Arc`).
     handles: std::sync::Mutex<Vec<JoinHandle<()>>>,
+    /// Set by the first [`ParallelGridFile::shutdown`].
+    shut_down: AtomicBool,
     next_query_id: AtomicU64,
     /// Engine-global dispatch sequence numbers (see
     /// [`crate::message::ReadRequest::seq`]).
@@ -692,7 +675,7 @@ pub struct ParallelGridFile {
 
 impl ParallelGridFile {
     /// Distributes the grid file's buckets over `assignment.n_disks()`
-    /// workers and spawns the worker threads.
+    /// workers and starts the worker slots.
     ///
     /// Each bucket becomes one 8 KB-class block on its worker; oversize
     /// buckets (inseparable duplicates) spill into additional consecutive
@@ -723,7 +706,7 @@ impl ParallelGridFile {
     ) -> Self {
         let n_data = assignment.n_disks();
         assert!(n_data >= 1, "need at least one worker");
-        // Standby slots are full workers (thread, store, cache, counters)
+        // Standby slots are full workers (slot, store, cache, counters)
         // that simply own no buckets until a rebalance activates them.
         let n_workers = n_data + config.standby_workers;
         let dim = gf.dim();
@@ -843,6 +826,7 @@ impl ParallelGridFile {
             net: config.net,
             slots,
             handles: std::sync::Mutex::new(handles),
+            shut_down: AtomicBool::new(false),
             next_query_id: AtomicU64::new(0),
             next_seq: AtomicU64::new(0),
             shared,
@@ -914,33 +898,36 @@ impl ParallelGridFile {
         self.len() == 0
     }
 
-    /// Explicit SIGTERM-style shutdown: sends every worker its poison pill
-    /// and joins the worker threads, returning how many were joined. After
-    /// it returns, **no worker thread outlives the engine handle** — a
-    /// long-lived server calls this from its own shutdown path instead of
-    /// relying on `Drop` (which an `Arc`-held engine may reach only at
-    /// process exit). Idempotent: later calls (and the eventual `Drop`)
-    /// find nothing left to join and return 0. In-flight queries on other
-    /// sessions see their workers disappear and resolve incomplete rather
-    /// than hanging.
+    /// Explicit SIGTERM-style shutdown: sends every slot its poison pill
+    /// and joins the backend's threads, returning how many slots it stopped
+    /// — in-process slots stopped plus threads joined. After it returns,
+    /// **no worker thread outlives the engine handle** — a long-lived
+    /// server calls this from its own shutdown path instead of relying on
+    /// `Drop` (which an `Arc`-held engine may reach only at process exit).
+    /// Idempotent: later calls (and the eventual `Drop`) find nothing left
+    /// to stop and return 0. In-flight queries on other sessions see their
+    /// workers disappear and resolve incomplete rather than hanging.
     pub fn shutdown(&self) -> usize {
-        for slot in &self.slots {
-            let _ = slot.send(ToWorker::Shutdown);
-        }
+        self.shut_down.store(true, Ordering::Release);
+        let stopped = self
+            .slots
+            .iter()
+            .filter(|slot| slot.send(ToWorker::Shutdown).is_ok() && slot.is_local())
+            .count();
         let handles: Vec<JoinHandle<()>> = {
             let mut guard = self.handles.lock().expect("engine handle mutex");
             guard.drain(..).collect()
         };
-        let n = handles.len();
+        let joined = handles.len();
         for h in handles {
             let _ = h.join();
         }
-        n
+        stopped + joined
     }
 
-    /// Whether [`ParallelGridFile::shutdown`] has already run to completion.
+    /// Whether [`ParallelGridFile::shutdown`] has been called.
     pub fn is_shut_down(&self) -> bool {
-        self.handles.lock().expect("engine handle mutex").is_empty()
+        self.shut_down.load(Ordering::Acquire)
     }
 
     /// Whether every bucket has a replica ([`ParallelGridFile::build_replicated`]).
@@ -1181,9 +1168,9 @@ impl ParallelGridFile {
         (query_id, p, requests)
     }
 
-    /// A dispatch bounced off `worker`'s channel (its loop has exited or
-    /// its thread panicked): marks the worker dead and fails every request
-    /// the message carried over to its other copy.
+    /// A dispatch bounced off `worker`'s slot (it has stopped, or its loop
+    /// has exited): marks the worker dead and fails every request the
+    /// message carried over to its other copy.
     fn fail_over_bounced(
         &self,
         worker: usize,
@@ -1348,11 +1335,10 @@ impl ParallelGridFile {
     /// of fresh buckets) and rewriting the affected blocks on the workers.
     ///
     /// Consistency: a query *planned after this returns* sees the insert —
-    /// each block write is applied on this thread to a slot with nothing
-    /// queued, or queued behind what is, and workers apply queued writes in
-    /// FIFO order before any later read batch; a slot with a write still
-    /// queued is never served inline.
-    /// Queries already in flight may see either side, per block.
+    /// each block write is applied on this thread to an in-process slot
+    /// before this returns, or sent down a slot's channel ahead of any
+    /// later read. Queries already in flight may see either side, per
+    /// block.
     pub fn insert(&self, record: Record) -> Result<MutationOutcome, EngineError> {
         self.mutate(WalOp::Insert(record))
     }
@@ -1478,7 +1464,8 @@ impl ParallelGridFile {
             if blocks.is_empty() {
                 continue;
             }
-            if self.slots[w].write(w, blocks).is_err() {
+            let write = ToWorker::WriteRaw { worker: w, blocks };
+            if self.slots[w].send(write).is_err() {
                 // Transport gone: the worker is dead. Reads fail over to
                 // the other copy (which did get its write).
                 self.shared.workers[w].dead.store(true, Ordering::Relaxed);
@@ -1588,10 +1575,8 @@ impl ParallelGridFile {
     /// worker, and flips catalog ownership under one short write-lock
     /// section, with the block write issued *inside* that section — the
     /// same ordering [`ParallelGridFile::insert`] relies on, so a query
-    /// planned after the flip finds the target's bytes already applied
-    /// (written inline, or queued where workers drain writes in FIFO order
-    /// before later reads, and a slot with a write queued is never served
-    /// inline) while in-flight
+    /// planned after the flip finds the target's bytes already applied (or
+    /// sent down the slot's channel ahead of its read), while in-flight
     /// queries planned before it keep reading the source's orphaned blocks.
     /// No reply is ever incorrect or incomplete during migration.
     ///
@@ -1723,12 +1708,14 @@ impl ParallelGridFile {
                 CopyKind::Replica => pl.replica = Some((to, blocks)),
             }
             // Write while still holding the write lock: any query planned
-            // after the flip is dispatched after this write is applied, or
-            // after it is counted as queued, so that it is neither served
-            // inline nor drained by the worker before the write. The source
-            // copy's blocks stay orphaned on disk for queries planned
-            // before the flip.
-            if self.slots[to].write(to, writes).is_err() {
+            // after the flip is dispatched after this write is applied or
+            // sent ahead of it. The source copy's blocks stay orphaned on
+            // disk for queries planned before the flip.
+            let write = ToWorker::WriteRaw {
+                worker: to,
+                blocks: writes,
+            };
+            if self.slots[to].send(write).is_err() {
                 self.shared.workers[to].dead.store(true, Ordering::Relaxed);
             }
             drop(cat);
@@ -1985,6 +1972,69 @@ impl ParallelGridFile {
         }
     }
 
+    /// One admission round — a session's query, or a window of the
+    /// concurrent runner's: admits `rects` in order, sends one `Process`
+    /// message per involved worker (counted into the runner's `batches`
+    /// when given) — `try_send` first, then `send` for those a held slot
+    /// handed back, so a query serves every free slot before it waits —
+    /// and collects. Returns the queries in submission order.
+    fn run_round(
+        &self,
+        rects: &[Rect],
+        (reply_tx, reply_rx): (&Sender<FromWorker>, &Receiver<FromWorker>),
+        priority: QueryPriority,
+        mut batches: Option<&mut ThroughputStats>,
+    ) -> Vec<(u64, PendingQuery)> {
+        let mut per_worker: Vec<Vec<ReadRequest>> =
+            (0..self.slots.len()).map(|_| Vec::new()).collect();
+        let mut pending: HashMap<u64, PendingQuery> = HashMap::with_capacity(rects.len());
+        for (round_pos, rect) in rects.iter().enumerate() {
+            let (query_id, p, requests) = self.admit(rect, round_pos, reply_tx, priority);
+            for (w, request) in requests {
+                per_worker[w].push(request);
+            }
+            pending.insert(query_id, p);
+        }
+        let mut busy = Vec::new();
+        for (w, requests) in per_worker.into_iter().enumerate() {
+            if requests.is_empty() {
+                continue;
+            }
+            if let Some(tp) = batches.as_deref_mut() {
+                tp.batches += 1;
+                tp.batched_requests += requests.len() as u64;
+                tp.max_batch = tp.max_batch.max(requests.len() as u64);
+                #[cfg(feature = "obs")]
+                self.trace_instant(
+                    SpanKind::Dispatch,
+                    pargrid_obs::NO_QUERY,
+                    w as u32,
+                    requests.len() as u64,
+                );
+            }
+            if let Err(msg) = self.slots[w].try_send(ToWorker::Process(requests)) {
+                busy.push((w, msg));
+            }
+        }
+        for (w, msg) in busy {
+            if let Err(SendError(msg)) = self.slots[w].send(msg) {
+                self.fail_over_bounced(w, msg, &mut pending, reply_tx, priority);
+            }
+        }
+        // A session traces one Dispatch per query that had reads to send.
+        #[cfg(feature = "obs")]
+        if batches.is_none() {
+            for (&query_id, p) in pending.iter().filter(|(_, p)| p.response_blocks > 0) {
+                self.trace_instant(SpanKind::Dispatch, query_id, NO_ID, p.awaiting.len() as u64);
+            }
+        }
+        self.collect(reply_rx, reply_tx, priority, &mut pending);
+        let mut finished: Vec<(u64, PendingQuery)> = pending.into_iter().collect();
+        finished.sort_unstable_by_key(|(_, p)| p.round_pos);
+        debug_assert!(finished.iter().all(|(_, p)| p.awaiting.is_empty()));
+        finished
+    }
+
     /// Executes one range query through the SPMD protocol.
     ///
     /// Convenience for one-shot callers; opens a throwaway session. Clients
@@ -2049,44 +2099,13 @@ impl ParallelGridFile {
         for round in workload.queries.chunks(in_flight) {
             #[cfg(feature = "obs")]
             let round_start = self.recorder.as_ref().map_or(0, |r| r.now());
-            let mut per_worker: Vec<Vec<ReadRequest>> =
-                (0..n_workers).map(|_| Vec::new()).collect();
-            let mut pending: HashMap<u64, PendingQuery> = HashMap::new();
-            for (round_pos, rect) in round.iter().enumerate() {
-                let (query_id, p, requests) =
-                    self.admit(rect, round_pos, &reply_tx, QueryPriority::Batch);
-                for (w, request) in requests {
-                    per_worker[w].push(request);
-                }
-                pending.insert(query_id, p);
-            }
-
-            for (w, requests) in per_worker.into_iter().enumerate() {
-                if requests.is_empty() {
-                    continue;
-                }
-                tp.batches += 1;
-                tp.batched_requests += requests.len() as u64;
-                tp.max_batch = tp.max_batch.max(requests.len() as u64);
-                #[cfg(feature = "obs")]
-                self.trace_instant(
-                    SpanKind::Dispatch,
-                    pargrid_obs::NO_QUERY,
-                    w as u32,
-                    requests.len() as u64,
-                );
-                if let Err(SendError(msg)) = self.slots[w].send(ToWorker::Process(requests)) {
-                    self.fail_over_bounced(w, msg, &mut pending, &reply_tx, QueryPriority::Batch);
-                }
-            }
-
-            self.collect(&reply_rx, &reply_tx, QueryPriority::Batch, &mut pending);
-
-            // Emit this round's outcomes in submission order.
-            let mut finished: Vec<(u64, PendingQuery)> = pending.into_iter().collect();
-            finished.sort_unstable_by_key(|(_, p)| p.round_pos);
+            let finished = self.run_round(
+                round,
+                (&reply_tx, &reply_rx),
+                QueryPriority::Batch,
+                Some(&mut tp),
+            );
             for (_query_id, p) in finished {
-                debug_assert!(p.awaiting.is_empty());
                 tp.queries += 1;
                 tp.comm_us += p.comm_us;
                 tp.total_blocks += p.total_blocks;
@@ -2137,48 +2156,24 @@ impl QuerySession<'_> {
         self
     }
 
-    /// Executes one range query through the SPMD protocol.
+    /// Executes one range query through the SPMD protocol: a one-query
+    /// admission round.
     pub fn query(&mut self, rect: &Rect) -> QueryOutcome {
         let engine = self.engine;
         #[cfg(feature = "obs")]
         let start_us = engine.recorder.as_ref().map_or(0, |r| r.now());
-        let (query_id, p, requests) = engine.admit(rect, 0, &self.reply_tx, self.priority);
-        #[cfg(feature = "obs")]
-        let involved = !requests.is_empty();
-        let mut pending = HashMap::from([(query_id, p)]);
-        let mut dispatch = |w: usize, request| {
-            if let Err(SendError(msg)) = engine.slots[w].send(ToWorker::Process(vec![request])) {
-                engine.fail_over_bounced(w, msg, &mut pending, &self.reply_tx, self.priority);
-            }
-        };
-        // An in-process slot free for inline service is served right here;
-        // its reply is already in the session's channel when `collect`
-        // looks. A slot another session is serving is offered again, this
-        // time waiting for it, once every other slot is dispatched.
-        let mut locked = Vec::new();
-        for (w, request) in requests {
-            match engine.slots[w].serve(request, false) {
-                Inline::Done => {}
-                Inline::Locked(request) => locked.push((w, request)),
-                Inline::Channel(request) => dispatch(w, request),
-            }
-        }
-        for (w, request) in locked {
-            if let Inline::Channel(request) = engine.slots[w].serve(request, true) {
-                dispatch(w, request);
-            }
-        }
-        #[cfg(feature = "obs")]
-        if involved {
-            let dispatched = pending[&query_id].awaiting.len() as u64;
-            engine.trace_instant(SpanKind::Dispatch, query_id, NO_ID, dispatched);
-        }
-        engine.collect(&self.reply_rx, &self.reply_tx, self.priority, &mut pending);
-        let p = pending.remove(&query_id).expect("query still pending");
-
+        let (_query_id, p) = engine
+            .run_round(
+                std::slice::from_ref(rect),
+                (&self.reply_tx, &self.reply_rx),
+                self.priority,
+                None,
+            )
+            .pop()
+            .expect("one query in, one out");
         let outcome = p.into_outcome();
         #[cfg(feature = "obs")]
-        engine.trace_reply(query_id, start_us, &outcome);
+        engine.trace_reply(_query_id, start_us, &outcome);
         self.stats.absorb(&outcome);
         outcome
     }
@@ -2808,95 +2803,6 @@ mod tests {
         assert_eq!(engine.stats().live_workers(), 4);
     }
 
-    /// A whole-domain read of slot 0's block 0, answering to `reply`.
-    fn read_block_zero(seq: u64, reply: &Sender<FromWorker>) -> ReadRequest {
-        ReadRequest {
-            worker: 0,
-            query_id: seq,
-            seq,
-            blocks: vec![0],
-            query: Rect::new2(0.0, 0.0, 100.0, 100.0),
-            reply: reply.clone(),
-            priority: QueryPriority::Interactive,
-        }
-    }
-
-    #[test]
-    fn slot_with_an_unapplied_message_is_not_served_inline() {
-        // No thread consumes this slot's channel, so a message sent to it
-        // stays counted as queued for as long as the test runs.
-        let mut state = WorkerState::new(0, 0, DiskParams::default());
-        let old = [Record::new(1, Point::new2(1.0, 1.0))];
-        state
-            .store
-            .put(0, encode_page(&old, 2, 0, 4096))
-            .expect("put");
-        let (tx, _unconsumed) = unbounded();
-        let slot = SlotHandle::local(tx, crate::worker::LocalSlot::new(state, None));
-        let (reply_tx, reply_rx) = unbounded();
-
-        let ids = |reply: FromWorker| reply.records.iter().map(|r| r.id).collect::<Vec<u64>>();
-        let page = |id: u64| {
-            vec![(
-                0,
-                encode_page(&[Record::new(id, Point::new2(2.0, 2.0))], 2, 0, 4096),
-            )]
-        };
-        let local = slot.local.as_ref().expect("in-process slot");
-
-        // Idle: served on this thread, the reply already waiting.
-        assert!(matches!(
-            slot.serve(read_block_zero(1, &reply_tx), false),
-            Inline::Done
-        ));
-        assert_eq!(ids(reply_rx.try_recv().expect("inline reply")), [1]);
-
-        // Idle: a write is applied on this thread, and the next read sees it.
-        slot.write(0, page(2)).expect("write");
-        assert_eq!(
-            local.queued.load(Ordering::Acquire),
-            0,
-            "nothing was queued"
-        );
-        assert!(matches!(
-            slot.serve(read_block_zero(2, &reply_tx), false),
-            Inline::Done
-        ));
-        assert_eq!(ids(reply_rx.try_recv().expect("inline reply")), [2]);
-
-        // Held by another caller: handed back without waiting and without
-        // a message, then served once the caller is willing to wait.
-        let held = local.state.lock().expect("slot lock");
-        let Inline::Locked(back) = slot.serve(read_block_zero(3, &reply_tx), false) else {
-            panic!("a held lock hands the read back");
-        };
-        drop(held);
-        assert_eq!(local.queued.load(Ordering::Acquire), 0, "nothing was sent");
-        assert!(matches!(slot.serve(back, true), Inline::Done));
-        assert_eq!(ids(reply_rx.try_recv().expect("inline reply")), [2]);
-
-        // A write is sent but not applied: the lock is free, yet neither a
-        // read nor a later write may overtake it, even one willing to wait.
-        slot.send(ToWorker::WriteRaw {
-            worker: 0,
-            blocks: page(4),
-        })
-        .expect("send");
-        assert!(local.state.try_lock().is_ok(), "the lock is free");
-        let Inline::Channel(back) = slot.serve(read_block_zero(5, &reply_tx), true) else {
-            panic!("a queued write keeps the read off the inline path");
-        };
-        assert_eq!(back.seq, 5);
-        slot.write(0, page(6))
-            .expect("write queues behind the first");
-        assert_eq!(
-            local.queued.load(Ordering::Acquire),
-            2,
-            "both writes queued"
-        );
-        assert!(reply_rx.try_recv().is_err(), "nothing was served");
-    }
-
     #[test]
     fn insert_then_immediate_read_is_answered_every_time() {
         // Every insert queues a WriteRaw (bucket splits queue several);
@@ -2927,59 +2833,32 @@ mod tests {
         assert!(created > 0, "the inserts must split buckets");
     }
 
-    /// Slot 0 keeps its state for inline service, but no thread consumes
-    /// its channel: a read sent there is never answered, so a query that
-    /// gets slot 0's records served them itself.
-    #[derive(Debug, Default)]
-    struct NoThreadOnSlotZero(std::sync::Mutex<Vec<crossbeam::channel::Receiver<ToWorker>>>);
-
-    impl crate::backend::WorkerBackend for NoThreadOnSlotZero {
-        fn spawn(
-            &self,
-            mut slots: Vec<(WorkerState, Arc<crate::stats::WorkerCounters>)>,
-        ) -> (Vec<SlotHandle>, Vec<JoinHandle<()>>) {
-            let rest = slots.split_off(1);
-            let (state, counters) = slots.pop().expect("slot 0");
-            let (tx, rx) = unbounded();
-            self.0.lock().expect("receiver list").push(rx);
-            let (mut handles, threads) = crate::backend::InProcessBackend.spawn(rest);
-            let slot0 = crate::worker::LocalSlot::new(state, Some(counters));
-            handles.insert(0, SlotHandle::local(tx, slot0));
-            (handles, threads)
-        }
-    }
-
     #[test]
     fn query_finding_its_slot_locked_serves_the_others_then_waits_for_it() {
-        let (gf, engine, _r) = build_engine_cfg(
-            4,
-            EngineConfig {
-                backend: Some(Arc::new(NoThreadOnSlotZero::default())),
-                ..EngineConfig::default()
-            },
-        );
+        let (gf, engine, _r) = build_engine_cfg(4, EngineConfig::default());
         let q = Rect::new2(0.0, 0.0, 100.0, 100.0);
         let expected = oracle(&gf, &q);
-        assert_eq!(engine.query(&q).records, expected, "all slots inline");
+        assert_eq!(engine.query(&q).records, expected, "all slots free");
         let batches = |w: usize| engine.shared.workers[w].batches.load(Ordering::Relaxed);
         let before: Vec<u64> = (0..4).map(batches).collect();
-        let local = engine.slots[0].local.as_ref().expect("in-process slot");
+        let crate::backend::Slot::Local(local) = &engine.slots[0].0 else {
+            panic!("a fault-free slot is in-process");
+        };
         let held = local.state.lock().expect("slot lock");
         std::thread::scope(|s| {
             let query = s.spawn(|| engine.query(&q));
             // The query serves every free slot first, then waits for slot
-            // 0's lock; sent to slot 0's channel, the read would never be
-            // answered.
+            // 0's lock.
             while (1..4).any(|w| batches(w) == before[w]) {
                 std::thread::yield_now();
             }
+            assert_eq!(batches(0), before[0], "slot 0 waits for its lock");
             drop(held);
             let out = query.join().expect("query thread");
             assert_eq!(out.records, expected);
             assert!(!out.incomplete);
         });
-        assert_eq!(batches(0), before[0] + 1, "slot 0 served once, inline");
-        assert_eq!(local.queued.load(Ordering::Acquire), 0, "nothing sent");
+        assert_eq!(batches(0), before[0] + 1, "slot 0 served once");
     }
 
     /// Records matching `q`, sorted by id — the fault-free oracle.

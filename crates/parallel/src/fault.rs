@@ -1,10 +1,13 @@
 //! Deterministic worker fault injection.
 //!
 //! A [`FaultPlan`] describes failures to inject into an engine's workers,
-//! wired through [`crate::ResilienceConfig::faults`]. Fault families:
+//! wired through [`crate::ResilienceConfig::faults`]. A slot with a fault
+//! armed is the one in-process slot that runs on its own thread behind a
+//! channel (see [`crate::backend`]): its faults model that channel and the
+//! machine behind it. Fault families:
 //!
 //! * **fail-stop** ([`FaultKind::DieAfterBlocks`], [`FaultKind::DieAtQuery`])
-//!   — the worker thread marks itself dead in the shared liveness table and
+//!   — the worker's thread marks itself dead in the shared liveness table and
 //!   exits *without replying*, stranding every in-flight request exactly the
 //!   way a crashed node would. The coordinator detects the death via its
 //!   per-request reply timeout (or the published dead flag) and retries the

@@ -6,12 +6,11 @@
 //! block requests; workers read the blocks from their disks, filter the
 //! qualifying records and ship them back.
 //!
-//! We reproduce that architecture with real threads and real message
-//! passing (crossbeam channels; the pages that move are real encoded
-//! buckets), while **disk and network *times* are virtual**: a calibrated
-//! cost model of a mid-90s disk (seek + rotation + transfer per 8 KB block,
-//! LRU buffer cache) and an SP-2-class interconnect (per-message latency +
-//! bandwidth). Virtual time makes the reproduction deterministic and
+//! We reproduce that architecture with real messages (the pages that move
+//! are real encoded buckets), while **disk and network *times* are
+//! virtual**: a calibrated cost model of a mid-90s disk (seek + rotation +
+//! transfer per 8 KB block, LRU buffer cache) and an SP-2-class
+//! interconnect (per-message latency + bandwidth). Virtual time makes the reproduction deterministic and
 //! hardware-independent while preserving the quantities Tables 4–5 report:
 //! blocks fetched, communication time and elapsed time.
 //!
@@ -44,9 +43,11 @@
 //! unbounded waits into explicit incomplete answers. Randomized-but-
 //! reproducible fault schedules come from [`fault::FaultPlan::chaos`].
 //!
-//! Coordinator → worker dispatch rides one unbounded channel per worker
-//! (`crossbeam::channel`); a dispatch to a worker whose loop has exited
-//! comes back as the channel's `SendError` and fails over to the replicas.
+//! Every coordinator → worker message goes through [`SlotHandle::send`]. A
+//! fault-free in-process slot is its lock, served on the sender's thread; a
+//! fault-armed slot or a remote worker sits behind an unbounded channel. A
+//! message to a stopped slot comes back as `SendError` and fails over to
+//! the replicas.
 //!
 //! ```
 //! use pargrid_core::{DeclusterInput, DeclusterMethod, EdgeWeight};
@@ -61,8 +62,9 @@
 //! let assignment = DeclusterMethod::Minimax(EdgeWeight::Proximity)
 //!     .assign(&input, 4, 1);
 //!
-//! // Four worker threads, each owning one simulated disk. The handle is
-//! // shared (`&self`): clients open sessions against it.
+//! // Four worker slots, each owning one simulated disk and served on the
+//! // threads that query it. The handle is shared (`&self`): clients open
+//! // sessions against it.
 //! let engine = ParallelGridFile::build(Arc::clone(&grid), &assignment,
 //!                                      EngineConfig::default());
 //! let mut session = engine.session();

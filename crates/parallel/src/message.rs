@@ -60,14 +60,13 @@ pub struct ReadRequest {
 pub enum ToWorker {
     /// Service the given requests as one batch: all blocks of all requests
     /// go through the disks in one elevator (sorted) pass, but virtual time
-    /// and cache hits are accounted per request. The worker additionally
-    /// drains any further `Process` messages already queued before starting
-    /// the pass, so concurrent sessions batch together naturally. A
-    /// session's first read of a fault-free in-process slot with nothing
-    /// queued never becomes a message: the session serves it itself (see
-    /// [`crate::backend::SlotHandle`]); what reaches the channel is a read
-    /// that found a message queued ahead of it, every retry, retransmit and
-    /// hedge, and the concurrent runner's per-round batches.
+    /// and cache hits are accounted per request. Each admission round — a
+    /// session's query, a window of the concurrent runner's — sends one per
+    /// involved worker; every retry, retransmit and hedge sends one more. A
+    /// fault-free in-process slot serves it on the sender's thread, under
+    /// the slot's lock (see [`crate::backend::SlotHandle`]); a slot behind a
+    /// channel drains any further messages already waiting before starting
+    /// the pass, so concurrent sessions batch together there.
     Process(Vec<ReadRequest>),
     /// Read raw block bytes (no decoding, no filtering) for the repair
     /// path: the coordinator fetches a healthy replica's copy of corrupted

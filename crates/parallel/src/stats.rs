@@ -25,7 +25,8 @@ pub struct WorkerCounters {
     /// `disk_busy_us` + CPU; for `D` disks it is what the node actually
     /// spends, unlike the per-disk sum.
     pub busy_wall_us: AtomicU64,
-    /// Set when the worker fail-stops (injected fault or thread death). The
+    /// Set when the worker fail-stops (injected fault, a threaded or remote
+    /// slot's loop lost, or a send that bounced off a stopped slot). The
     /// coordinator plans queries around dead workers and fails their
     /// in-flight requests over to replicas.
     pub dead: AtomicBool,
@@ -35,11 +36,13 @@ pub struct WorkerCounters {
     /// retransmitted work this worker had already performed, or a
     /// duplicated message arrived twice).
     pub dup_requests_dropped: AtomicU64,
-    /// Number of batches serviced (each `ToWorker::Process` drain is one).
+    /// Number of batches serviced (each `ToWorker::Process` applied to an
+    /// in-process slot, or each drain of a threaded slot's channel, is one).
     pub batches: AtomicU64,
     /// Total requests across all batches (mean batch size = this / batches).
     pub batched_requests: AtomicU64,
-    /// Largest batch serviced so far (queue-depth high-water mark).
+    /// Largest batch serviced so far (requests in one batch, high-water
+    /// mark).
     pub max_batch: AtomicU64,
     /// Current pages in the fullest of this worker's LRU caches (gauge).
     pub cache_len: AtomicU64,
@@ -47,7 +50,7 @@ pub struct WorkerCounters {
     pub max_cache_len: AtomicU64,
 }
 
-/// Counters shared between the engine handle and its worker threads.
+/// Counters shared between the engine handle and its worker slots.
 #[derive(Debug)]
 pub struct SharedStats {
     /// Queries issued through any session of the engine.
@@ -73,7 +76,7 @@ pub struct SharedStats {
     /// Page bytes copied by rebalance migrations.
     pub rebalance_bytes: AtomicU64,
     /// Per-worker counters, indexed by worker id (each behind an `Arc` so
-    /// the owning worker thread can hold its slot directly).
+    /// the slot serving that worker can hold its own directly).
     pub workers: Vec<Arc<WorkerCounters>>,
 }
 

@@ -2,18 +2,17 @@
 //! filter records, ship qualifying records back to whichever session asked.
 //!
 //! One service function, [`WorkerState::serve`], answers every read batch.
-//! An in-process slot runs it in two places. Its own thread blocks on the
-//! slot's queue, then drains every message already waiting and services
-//! the union as **one elevator batch**: all requests' blocks go through the
-//! disks in sorted order (interactive requests in a first pass, batch
-//! requests in a second), but virtual time and cache hits are attributed
-//! to each request individually, so per-query response-time metrics stay
-//! paper-faithful while concurrent queries share arm movement. And a
-//! session that finds nothing sent to the slot still unapplied and no
-//! fault plan serves its own request on its own thread, waiting out any
-//! other session's inline service of the slot (see [`SlotHandle`]), with
-//! no wake-up of the slot's thread at all. A mutation's block writes reach
-//! such a slot the same way.
+//! A fault-free in-process slot is a `LocalSlot`: its state behind a lock,
+//! served under that lock on whichever thread sends to it — a session's
+//! read, a runner's batch and a mutation's block writes alike. A
+//! fault-armed slot runs [`run_worker`]'s thread loop instead, which owns
+//! its state, blocks on the slot's channel, then drains every message
+//! already waiting. Either way a batch is serviced as **one elevator
+//! batch**: all requests' blocks go through the disks in sorted order
+//! (interactive requests in a first pass, batch requests in a second), but
+//! virtual time and cache hits are attributed to each request
+//! individually, so per-query response-time metrics stay paper-faithful
+//! while concurrent queries share arm movement.
 //!
 //! Requests are **idempotent at the worker**: each carries an engine-global
 //! dispatch sequence number, and a worker remembers the seqs it has already
@@ -28,13 +27,13 @@ use crate::fault::FaultKind;
 use crate::message::{FromWorker, QueryPriority, RawBlocks, ReadRequest, ToWorker};
 use crate::stats::WorkerCounters;
 use crate::store::BlockStore;
-use crossbeam::channel::{unbounded, Receiver};
+use crossbeam::channel::{unbounded, SendError};
 use pargrid_geom::Rect;
 use pargrid_gridfile::page::{scan_page, HEADER_BYTES};
 use pargrid_gridfile::Record;
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, TryLockError};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Virtual CPU cost of decoding and filtering one record, nanoseconds.
 /// (A ~60 MHz POWER2 node touching a 50-byte record: a few hundred ns.)
@@ -471,10 +470,10 @@ impl WorkerState {
             .fetch_max(cache_len, Ordering::Relaxed);
     }
 
-    /// Takes one message off the channel: reads join `batch`, raw reads and
-    /// writes are applied at once. `false` means shut down. Every message
-    /// names this worker's slot (the in-process backend gives each slot its
-    /// own channel).
+    /// Takes one message sent to the slot: reads join `batch`, raw reads
+    /// and writes are applied at once. `false` means shut down. Every
+    /// message names this worker's slot (an in-process slot is never
+    /// shared).
     fn accept(&mut self, msg: ToWorker, batch: &mut Vec<ReadRequest>) -> bool {
         match msg {
             ToWorker::Process(reqs) => {
@@ -499,9 +498,9 @@ impl WorkerState {
     }
 
     /// Services one batch of read requests end to end and sends each its
-    /// reply — the one service function, run by the slot's thread on what it
-    /// drained off its channel and by a session on an idle slot
-    /// ([`LocalSlot::try_serve`]). `false` means an injected fail-stop fired:
+    /// reply — the one service function, run by an in-process slot's
+    /// sender on what it sent and by [`run_worker`]'s thread on what it
+    /// drained off its channel. `false` means an injected fail-stop fired:
     /// the slot is marked dead and nothing was replied.
     ///
     /// Channel faults act first: deliveries with drop budget left vanish,
@@ -672,157 +671,97 @@ impl WorkerState {
     }
 }
 
-/// An in-process slot: its [`WorkerState`] behind the lock that the slot's
-/// thread and the engine's callers share, plus the count of messages sent
-/// to the slot that its thread has not yet applied.
-///
-/// The count is what keeps inline service ordered. A sender counts a
-/// message before sending it ([`SlotHandle::send`]); the thread un-counts
-/// what it drained only after applying it, under the lock. A caller may
-/// read or write the slot itself only while holding the lock with the count
-/// at zero, so a `WriteRaw` sent before — a scrub repair's, or any write
-/// that found the slot busy — has always been applied first.
+/// A fault-free in-process slot: its [`WorkerState`] behind a lock, with no
+/// thread and no channel. Each sender applies its message on its own thread
+/// under the lock, so a write that returned is seen by every read sent
+/// after it. A caller holds at most one slot lock at a time and takes no
+/// other engine lock while holding it (service only sends on unbounded
+/// reply channels), so no lock cycle can pass through a slot.
 pub(crate) struct LocalSlot {
-    /// `None` once the slot's loop has exited (shutdown, fail-stop): the
-    /// slot is gone and is never served inline again. A panic mid-service
-    /// poisons the lock, with the same effect.
+    /// `None` once the slot has stopped on a [`ToWorker::Shutdown`]. A
+    /// panic mid-service surfaces on the sender that ran it and poisons the
+    /// lock; later sends then bounce as if the slot had stopped.
     pub(crate) state: Mutex<Option<WorkerState>>,
-    /// Messages sent to the slot and not yet applied by its thread. The
-    /// thread's release of the count and the inline check's acquire both
-    /// run under `state`'s lock; a send ordered before an inline call by
-    /// other means (sent under the catalog write lock before a later query
-    /// plans under its read lock) has its increment visible to that call's
-    /// check.
-    pub(crate) queued: AtomicUsize,
-    /// Whether the slot was built without a fault plan. A fault models the
-    /// channel or the remote machine (a delayed reply slept inline would
-    /// stall the caller itself), so a fault-armed slot is only ever reached
-    /// through its thread. Fixed at spawn: nothing arms faults later.
-    fault_free: bool,
     counters: Option<Arc<WorkerCounters>>,
 }
 
-/// What became of a job offered to a slot for inline service.
-pub(crate) enum Inline<T> {
-    /// Done on the calling thread.
-    Done,
-    /// Another caller holds the slot; offer the job again with `wait`.
-    Locked(T),
-    /// The slot must be reached through its channel: something sent to it
-    /// is still unapplied, it is fault-armed, or its loop has exited.
-    Channel(T),
-}
-
 impl LocalSlot {
-    /// Wraps `state` as an idle slot with nothing queued.
-    pub(crate) fn new(state: WorkerState, counters: Option<Arc<WorkerCounters>>) -> Arc<Self> {
-        Arc::new(LocalSlot {
-            fault_free: state.faults.is_empty(),
+    pub(crate) fn new(state: WorkerState, counters: Option<Arc<WorkerCounters>>) -> Box<Self> {
+        Box::new(LocalSlot {
             state: Mutex::new(Some(state)),
-            queued: AtomicUsize::new(0),
             counters,
         })
     }
 
-    /// Counts one message about to be sent to this slot.
-    pub(crate) fn count_sent(&self) {
-        self.queued.fetch_add(1, Ordering::AcqRel);
+    /// Applies `msg` on the calling thread, waiting for the lock. Bounces
+    /// with the message once the slot has stopped.
+    pub(crate) fn send(&self, msg: ToWorker) -> Result<(), SendError<ToWorker>> {
+        match self.state.lock() {
+            Ok(guard) => self.apply(guard, msg),
+            Err(_) => Err(SendError(msg)),
+        }
     }
 
-    /// Un-counts `n` messages: applied by the thread, or bounced off the
-    /// slot's closed channel.
-    pub(crate) fn uncount(&self, n: usize) {
-        let before = self.queued.fetch_sub(n, Ordering::AcqRel);
-        debug_assert!(before >= n, "slot queue count underflow: {before} - {n}");
+    /// Like [`LocalSlot::send`], but hands `msg` back instead of waiting
+    /// when another caller holds the lock (or the slot has stopped).
+    pub(crate) fn try_send(&self, msg: ToWorker) -> Result<(), ToWorker> {
+        match self.state.try_lock() {
+            Ok(guard) => self.apply(guard, msg).map_err(|SendError(msg)| msg),
+            Err(_) => Err(msg),
+        }
     }
 
-    /// Applies `job` to the slot's state on the calling thread if nothing
-    /// sent to the slot is still unapplied and the slot is fault-free and
-    /// alive; otherwise hands `job` back. Without `wait`, a lock held by
-    /// another caller hands it back as [`Inline::Locked`]; with `wait`, the
-    /// caller blocks for the lock (held only for one inline job, or by the
-    /// slot's thread while something is queued, which the re-check under
-    /// the lock then sees).
-    pub(crate) fn run_inline<T>(
+    fn apply(
         &self,
-        job: T,
-        wait: bool,
-        apply: impl FnOnce(&mut WorkerState, T, Option<&WorkerCounters>),
-    ) -> Inline<T> {
-        if !self.fault_free || self.queued.load(Ordering::Acquire) != 0 {
-            return Inline::Channel(job);
-        }
-        let mut guard = match self.state.try_lock() {
-            Ok(guard) => guard,
-            Err(TryLockError::WouldBlock) if !wait => return Inline::Locked(job),
-            Err(TryLockError::WouldBlock) => match self.state.lock() {
-                Ok(guard) => guard,
-                Err(_) => return Inline::Channel(job),
-            },
-            Err(TryLockError::Poisoned(_)) => return Inline::Channel(job),
+        mut slot: MutexGuard<'_, Option<WorkerState>>,
+        msg: ToWorker,
+    ) -> Result<(), SendError<ToWorker>> {
+        let Some(state) = slot.as_mut() else {
+            return Err(SendError(msg));
         };
-        match guard.as_mut() {
-            Some(state) if self.queued.load(Ordering::Acquire) == 0 => {
-                apply(state, job, self.counters.as_deref());
-                Inline::Done
-            }
-            _ => Inline::Channel(job),
+        let mut batch = Vec::new();
+        if !state.accept(msg, &mut batch) {
+            *slot = None;
+            return Ok(());
         }
-    }
-
-    /// The slot's message loop, run on its own thread by [`run_worker`].
-    ///
-    /// Owns the receiving end of the slot's channel, so on every exit path
-    /// — shutdown, injected fail-stop, panic — the receiver drops and the
-    /// coordinator's next send bounces with its message, which the engine
-    /// fails over to the replicas.
-    ///
-    /// Each iteration blocks for one message, takes the slot lock, then
-    /// drains everything already queued into a single batch — the queue
-    /// depth at that instant *is* the batch size, so concurrent sessions
-    /// coalesce without any coordinator involvement.
-    fn run(&self, rx: Receiver<ToWorker>) {
-        while let Ok(first) = rx.recv() {
-            let Ok(mut guard) = self.state.lock() else {
-                return;
-            };
-            let state = guard.as_mut().expect("only the loop empties its slot");
-            let mut batch = Vec::new();
-            let mut drained = 1;
-            let mut open = state.accept(first, &mut batch);
-            while open {
-                let Ok(msg) = rx.try_recv() else {
-                    break;
-                };
-                drained += 1;
-                open = state.accept(msg, &mut batch);
-            }
-            let alive = state.serve(batch, self.counters.as_deref());
-            self.uncount(drained);
-            if !(open && alive) {
-                *guard = None;
-                return;
-            }
-        }
+        let alive = state.serve(batch, self.counters.as_deref());
+        debug_assert!(alive, "only a fault plan can fail-stop a slot");
+        Ok(())
     }
 }
 
-/// Starts `state` as an in-process slot: one channel and one thread running
-/// its message loop. Returns the engine's handle on the slot and the
-/// thread's join handle.
+/// Starts `state` behind a channel, served by its own thread — the layout a
+/// fault needs, since a fault models the channel or the remote machine (a
+/// delayed reply slept on the sender would defeat the retransmit and the
+/// deadline). The thread owns the state and the receiver, so on every exit
+/// path — shutdown, fail-stop, panic — the receiver drops and later sends
+/// bounce. Each iteration blocks for one message, then drains everything
+/// already waiting into one batch, so concurrent sessions coalesce without
+/// any coordinator involvement.
 pub fn run_worker(
-    state: WorkerState,
+    mut state: WorkerState,
     counters: Option<Arc<WorkerCounters>>,
 ) -> (SlotHandle, std::thread::JoinHandle<()>) {
     let (tx, rx) = unbounded();
-    let name = format!("pargrid-worker-{}", state.worker_id);
-    let slot = LocalSlot::new(state, counters);
-    let thread_slot = Arc::clone(&slot);
     let handle = std::thread::Builder::new()
-        .name(name)
-        .spawn(move || thread_slot.run(rx))
+        .name(format!("pargrid-worker-{}", state.worker_id))
+        .spawn(move || {
+            while let Ok(first) = rx.recv() {
+                let mut batch = Vec::new();
+                let mut open = state.accept(first, &mut batch);
+                while open {
+                    let Ok(msg) = rx.try_recv() else {
+                        break;
+                    };
+                    open = state.accept(msg, &mut batch);
+                }
+                if !(state.serve(batch, counters.as_deref()) && open) {
+                    return;
+                }
+            }
+        })
         .expect("failed to spawn worker thread");
-    (SlotHandle::local(tx, slot), handle)
+    (SlotHandle::channel(tx), handle)
 }
 
 #[cfg(test)]

@@ -62,7 +62,7 @@ pub use pargrid_sim as sim;
 
 /// The most commonly used types, re-exported flat: build/decluster/evaluate
 /// types plus the full query-service surface (sessions, outcomes, stats),
-/// the grouped engine configuration ([`EngineConfig`] and its
+/// the grouped engine configuration ([`EngineConfig`](crate::parallel::EngineConfig) and its
 /// resilience/latency/obs sub-configs), and the workspace's
 /// `#[non_exhaustive]` error enums.
 pub mod prelude {
