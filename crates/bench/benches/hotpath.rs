@@ -23,7 +23,8 @@
 //! the id-sorted answer) and `frame_decode/records_7k` (`Response::decode`
 //! of the 7,200-record payload), and the two largest stages of the
 //! `pargrid-e2e` benchmark's set-up on its own 400k-record instance:
-//! `bulk_load/dsmc3d_400k` and `decluster/minimax_4.7k_x8`.
+//! `bulk_load/dsmc3d_400k` and `decluster/minimax_4.7k_x8`, and the third,
+//! `engine_build/file_backed_dsmc3d_400k` (page encode and spill).
 //!
 //! Regenerate the trajectory file with:
 //!
@@ -312,7 +313,8 @@ fn bench_setup_stages(c: &mut Criterion) {
     });
     group.finish();
 
-    let input = DeclusterInput::from_grid_file(&ds.build_grid_file());
+    let gf = Arc::new(ds.build_grid_file());
+    let input = DeclusterInput::from_grid_file(&gf);
     let minimax = DeclusterMethod::Minimax(EdgeWeight::Proximity);
     let mut group = c.benchmark_group("decluster");
     group.sample_size(10);
@@ -320,6 +322,27 @@ fn bench_setup_stages(c: &mut Criterion) {
         b.iter(|| black_box(minimax.assign(black_box(&input), 8, 42)))
     });
     group.finish();
+
+    // The engine build the benchmark times as `parallel.build_s`: every
+    // bucket encoded into 4 KB pages and spilled to eight worker files. An
+    // iteration also clones the grid file (this bench keeps its own handle)
+    // and shuts the engine down.
+    let assignment = minimax.assign(&input, 8, 42);
+    let dir = std::env::temp_dir().join(format!("pargrid_hotpath_spill_{}", std::process::id()));
+    let mut group = c.benchmark_group("engine_build");
+    group.sample_size(10);
+    group.bench_function("file_backed_dsmc3d_400k", |b| {
+        b.iter(|| {
+            let engine = ParallelGridFile::build(
+                Arc::clone(&gf),
+                &assignment,
+                EngineConfig::file_backed(&dir),
+            );
+            black_box(engine.n_workers())
+        })
+    });
+    group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 criterion_group!(

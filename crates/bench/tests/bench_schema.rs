@@ -23,6 +23,7 @@ const REQUIRED: &[&str] = &[
     "bulk_load/grid_file",
     "bulk_load/dsmc3d_400k",
     "decluster/minimax_4.7k_x8",
+    "engine_build/file_backed_dsmc3d_400k",
 ];
 
 fn trajectory_path() -> PathBuf {

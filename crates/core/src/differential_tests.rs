@@ -4,11 +4,14 @@
 //! * `similarity_row` vs the scalar `similarity`, element by element on
 //!   `to_bits()`, over boxes chosen to sit on every branch of the proximity
 //!   factor (overlapping, touching, disjoint, zero-extent, farther apart than
-//!   the domain is wide).
+//!   the domain is wide), many of them sharing extents, before and after a
+//!   long run of `swap_remove`s.
 //! * `minimax_assign`, `short_spanning_path` and `maximum_similarity_tree` vs
 //!   their `*_reference` twins on inputs where ties are the rule (Cartesian
 //!   product files, duplicated rectangles) and on real grid files.
-//! * Golden assignments generated by the commit before the kernel existed.
+//! * Golden assignments generated by the commit before the kernel existed,
+//!   and on the `pargrid-e2e` benchmark's own 4.7k-bucket instance by the
+//!   commit before the extent dictionaries.
 
 use crate::input::{BucketInfo, DeclusterInput};
 use crate::minimax::{minimax_assign, minimax_assign_reference};
@@ -85,6 +88,29 @@ fn interval(a: u32, b: u32, nudge: f64) -> (f64, f64) {
     (lo, hi + nudge * (hi - lo))
 }
 
+/// Every element of `weight`'s row for `y` over `boxes` equals, on
+/// `to_bits()`, the scalar similarity of `y` and the bucket at the same index
+/// of `positions`.
+fn assert_row_is_scalar(
+    input: &DeclusterInput,
+    weight: EdgeWeight,
+    y: usize,
+    boxes: &BoxColumns,
+    positions: &[usize],
+) {
+    assert_eq!(boxes.len(), positions.len());
+    let mut row = vec![f64::NAN; positions.len()];
+    weight.similarity_row(input, y, boxes, &mut row);
+    for (&x, got) in positions.iter().zip(&row) {
+        let want = weight.similarity(input, y, x);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "{weight:?} y {y} x {x}: row {got} vs scalar {want}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -94,8 +120,14 @@ proptest! {
         // Narrower than the boxes' spread for some cases: gap / L > 1.
         domain_side in prop_oneof![Just(4.0f64), Just(1.0), Just(0.3), 0.1f64..8.0],
         ends in prop::collection::vec((0u32..=16, 0u32..=16, prop_oneof![Just(0.0f64), 0.0f64..0.2]), 3 * MAX_DIM..24 * MAX_DIM),
+        // Boxes assembled from the extents of the boxes above, one source
+        // box per dimension: many boxes share each extent, as a grid
+        // file's buckets do.
+        mixes in prop::collection::vec(any::<u32>(), 0..160),
+        // Indices to `swap_remove`, each taken modulo the current length.
+        removals in prop::collection::vec(any::<u32>(), 0..160),
     ) {
-        let rects: Vec<Rect> = ends
+        let mut rects: Vec<Rect> = ends
             .chunks_exact(MAX_DIM)
             .map(|c| {
                 let (lo, hi): (Vec<f64>, Vec<f64>) =
@@ -103,6 +135,16 @@ proptest! {
                 Rect::new(Point::new(&lo), Point::new(&hi))
             })
             .collect();
+        let base = rects.len();
+        for &m in &mixes {
+            let (lo, hi): (Vec<f64>, Vec<f64>) = (0..dim)
+                .map(|k| {
+                    let src = &rects[m.rotate_left(8 * k as u32) as usize % base];
+                    (src.lo().get(k), src.hi().get(k))
+                })
+                .unzip();
+            rects.push(Rect::new(Point::new(&lo), Point::new(&hi)));
+        }
         let domain = Rect::new(Point::new(&vec![0.0; dim]), Point::new(&vec![domain_side; dim]));
         let input = boxes_instance(domain, rects);
         let n = input.n_buckets();
@@ -114,17 +156,22 @@ proptest! {
             positions.swap_remove(i);
             boxes.swap_remove(i);
         }
-        let mut row = vec![f64::NAN; positions.len()];
         for weight in WEIGHTS {
             for y in 0..n {
-                weight.similarity_row(&input, y, &boxes, &mut row);
-                for (&x, got) in positions.iter().zip(&row) {
-                    let want = weight.similarity(&input, y, x);
-                    prop_assert_eq!(
-                        got.to_bits(), want.to_bits(),
-                        "{:?} dim {} y {} x {}: row {} vs scalar {}", weight, dim, y, x, got, want
-                    );
-                }
+                assert_row_is_scalar(&input, weight, y, &boxes, &positions);
+            }
+        }
+        // A long run of removals, as a whole minimax or SSP run makes: the
+        // ids move, the dictionaries stay, every row still matches.
+        for (step, &r) in removals.iter().enumerate() {
+            if positions.is_empty() {
+                break;
+            }
+            let i = r as usize % positions.len();
+            positions.swap_remove(i);
+            boxes.swap_remove(i);
+            for weight in WEIGHTS {
+                assert_row_is_scalar(&input, weight, step % n, &boxes, &positions);
             }
         }
     }
@@ -203,4 +250,26 @@ fn golden_assignments_from_the_per_pair_implementation() {
         fnv1a(mst_assign(&input, 8, w, 5).disks()),
     ];
     assert_eq!(got, GOLDEN_FNV1A, "minimax / ssp / mst");
+}
+
+/// FNV-1a of `disks()` on the `pargrid-e2e` benchmark's own instance,
+/// `dsmc3d_sized(42, 400_000)` (≈ 4.7k buckets), M = 8, seed 42: minimax and
+/// SSP, both over the proximity index, as the per-box row kernel (the commit
+/// before the extent dictionaries) returned them.
+const GOLDEN_BENCHMARK_FNV1A: [u64; 2] = [0x4600_4840_0b98_9512, 0x935e_d20b_f0f9_3e62];
+
+#[test]
+fn golden_assignments_on_the_benchmark_instance() {
+    let gf = dsmc3d_sized(42, 400_000).build_grid_file();
+    let input = DeclusterInput::from_grid_file(&gf);
+    let w = EdgeWeight::Proximity;
+    let got = [
+        fnv1a(minimax_assign(&input, 8, w, 42).disks()),
+        fnv1a(ssp_assign(&input, 8, w, 42).disks()),
+    ];
+    assert_eq!(
+        got, GOLDEN_BENCHMARK_FNV1A,
+        "minimax / ssp: {:016x} / {:016x}",
+        got[0], got[1]
+    );
 }

@@ -20,14 +20,22 @@
 //! # Layout
 //!
 //! Everything the expansion loop scans is kept *compact and in one order* —
-//! the order of `unassigned`: the candidates' boxes as per-dimension columns
+//! the order of `unassigned`: the candidates' boxes as rows of extent ids
+//! into small per-dimension dictionaries of distinct extents
 //! ([`BoxColumns`]) and `MAX` as one column per tree. Taking a bucket is one
-//! `swap_remove` at the same index on every column, so index `i` always
-//! means the same bucket everywhere and no scan goes through an index
-//! indirection or strides over other trees' entries. A step is then three
-//! linear passes: the similarity row of the taken bucket
-//! ([`EdgeWeight::similarity_row`]), `max` of that row into the grown tree's
-//! column, arg-min of the next tree's column.
+//! `swap_remove` at the same index everywhere, so index `i` always means the
+//! same bucket and no scan strides over other trees' entries. A step is
+//! then three linear passes: the similarity row of the taken bucket
+//! ([`EdgeWeight::similarity_row`]: one factor per distinct extent, then one
+//! table lookup per candidate and dimension), `max` of that row into the
+//! grown tree's column (a branch-free select), and the first minimum of the
+//! next tree's column (an exact lane-wise minimum, then the first position
+//! equal to it).
+//!
+//! What is left of the `O(N^2)` wall is those streaming passes, not
+//! divisions: on the `pargrid-e2e` benchmark's 4.7k-bucket instance
+//! (2-core Xeon VM) the row costs ≈ 1.8 ns per candidate, the `max` ≈ 0.4
+//! and the minimum ≈ 0.65, over ≈ 11 M candidate-steps a run.
 //!
 //! # Ties
 //!
@@ -110,9 +118,7 @@ pub fn minimax_assign(
         row.truncate(unassigned.len());
         weight.similarity_row(input, y, &boxes, &mut row);
         for (slot, &c) in max_cols[tree].iter_mut().zip(&row) {
-            if c > *slot {
-                *slot = c;
-            }
+            *slot = if c > *slot { c } else { *slot };
         }
         tree = (tree + 1) % m;
     }
@@ -120,15 +126,27 @@ pub fn minimax_assign(
     Assignment::new(input, m, disks)
 }
 
-/// Index of the first minimum of a non-empty `MAX` column (`min_by` keeps
-/// the first of equal elements).
+/// Index of the first minimum of a non-empty `MAX` column: an exact
+/// minimum kept lane-wise (so the scan vectorises; `<` only, and the minimum
+/// of a set of non-NaN values does not depend on the order it is taken in),
+/// then the first position holding it — the element `min_by` would keep.
 fn first_min(col: &[f64]) -> usize {
-    let (best, _) = col
+    const LANES: usize = 8;
+    let mut lanes = [f64::INFINITY; LANES];
+    let mut chunks = col.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (lane, &x) in lanes.iter_mut().zip(chunk) {
+            *lane = if x < *lane { x } else { *lane };
+        }
+    }
+    let min = chunks
+        .remainder()
         .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| a.partial_cmp(b).expect("similarities are never NaN"))
-        .expect("unassigned is non-empty");
-    best
+        .chain(&lanes)
+        .fold(f64::INFINITY, |m, &x| if x < m { x } else { m });
+    col.iter()
+        .position(|&x| x == min)
+        .expect("a non-empty column of non-NaN similarities holds its minimum")
 }
 
 /// The textbook per-pair loop this module's column layout replaced, kept as

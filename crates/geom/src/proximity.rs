@@ -25,7 +25,7 @@
 //! [`proximity_factor`] is the per-dimension factor, written on interval
 //! endpoints so that a scalar caller ([`proximity_index`], over two `Rect`s)
 //! and a batched caller (`pargrid_core`'s `EdgeWeight::similarity_row`, over
-//! per-dimension `lo`/`hi` columns) evaluate the *same* floating-point
+//! per-dimension dictionaries of distinct extents) evaluate the *same* floating-point
 //! operations and therefore agree to the bit. With `l = max(lo)`,
 //! `h = min(hi)` of the two projections it computes `q = |h - l| / L` once
 //! and selects `(1 + 2q) / 3` when `h >= l`, `(1 - min(q, 1))^2 / 3`

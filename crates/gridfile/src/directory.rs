@@ -86,22 +86,43 @@ impl Directory {
     /// Grows the directory after the scale of dimension `k` split its cell
     /// `c` into `c` and `c + 1`. The new slab `c + 1` starts as a copy of
     /// slab `c` (both halves of a split cell initially share the bucket).
+    ///
+    /// Row-major order makes this three contiguous copies per index of the
+    /// dimensions before `k`: slabs `0..=c`, slab `c` again, and the slabs
+    /// after it, shifted up by one.
     pub fn grow(&mut self, k: usize, c: u32) {
         assert!(k < self.dim, "dimension {k} out of range");
         assert!(c < self.sizes[k], "cell {c} out of range on dim {k}");
+        let slab: usize = self.sizes[k + 1..self.dim]
+            .iter()
+            .map(|&s| s as usize)
+            .product();
+        let row = self.sizes[k] as usize * slab;
+        let through_c = (c as usize + 1) * slab;
+        let mut entries = Vec::with_capacity(self.entries.len() + self.entries.len() / row * slab);
+        for old in self.entries.chunks_exact(row) {
+            entries.extend_from_slice(&old[..through_c]);
+            entries.extend_from_slice(&old[through_c - slab..through_c]);
+            entries.extend_from_slice(&old[through_c..]);
+        }
+        self.sizes[k] += 1;
+        self.entries = entries;
+    }
+
+    /// The cell-by-cell form [`Directory::grow`] replaced, kept as its
+    /// reference: every new cell is decoded to coordinates and mapped back
+    /// to its source cell (index > c+1 shifts down by one; index c+1 maps
+    /// to old c).
+    #[cfg(test)]
+    fn grow_reference(&mut self, k: usize, c: u32) {
         let old_sizes = self.sizes;
         let mut new_sizes = old_sizes;
         new_sizes[k] += 1;
 
         let total_new: usize = new_sizes[..self.dim].iter().map(|&s| s as usize).product();
         let mut new_entries = vec![0; total_new];
-
-        // Walk the new array, mapping each new cell back to its source cell
-        // in the old array: index > c+1 shifts down by one; index c+1 maps
-        // to old c.
         let mut cell = [0u32; MAX_DIM];
         for (new_idx, slot) in new_entries.iter_mut().enumerate() {
-            // Decode new_idx into cell coordinates under new_sizes.
             let mut rem = new_idx;
             for kk in (0..self.dim).rev() {
                 cell[kk] = (rem % new_sizes[kk] as usize) as u32;
@@ -111,7 +132,6 @@ impl Directory {
             if old_cell[k] > c {
                 old_cell[k] -= 1;
             }
-            // Encode old_cell under old_sizes.
             let mut old_idx = 0usize;
             for kk in 0..self.dim {
                 old_idx = old_idx * old_sizes[kk] as usize + old_cell[kk] as usize;
@@ -140,6 +160,36 @@ impl Directory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn grow_by_slabs_equals_grow_cell_by_cell(
+            sizes in prop::collection::vec(1u32..=4, 1..=MAX_DIM),
+            seed in any::<u32>(),
+        ) {
+            let dim = sizes.len();
+            let mut start = Directory::new(dim);
+            start.sizes[..dim].copy_from_slice(&sizes);
+            let n: usize = sizes.iter().map(|&s| s as usize).product();
+            // Distinct-ish entries, so a misplaced copy shows.
+            start.entries = (0..n as u32)
+                .map(|i| i.wrapping_mul(2_654_435_761) ^ seed)
+                .collect();
+            for (k, &side) in sizes.iter().enumerate() {
+                for c in 0..side {
+                    let mut by_slabs = start.clone();
+                    let mut by_cells = start.clone();
+                    by_slabs.grow(k, c);
+                    by_cells.grow_reference(k, c);
+                    prop_assert_eq!(by_slabs.sizes(), by_cells.sizes());
+                    prop_assert_eq!(&by_slabs.entries, &by_cells.entries, "k {} c {}", k, c);
+                }
+            }
+        }
+    }
 
     #[test]
     fn fresh_directory() {

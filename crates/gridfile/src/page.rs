@@ -36,6 +36,23 @@ pub fn encode_page(
     payload_bytes: usize,
     page_bytes: usize,
 ) -> Vec<u8> {
+    let mut page = Vec::with_capacity(HEADER_BYTES + page_bytes);
+    encode_page_into(records, dim, payload_bytes, page_bytes, &mut page);
+    page
+}
+
+/// Appends the page [`encode_page`] returns to `out` — the form that lets a
+/// writer lay consecutive blocks back to back in one reused buffer.
+///
+/// # Panics
+/// As [`encode_page`].
+pub fn encode_page_into(
+    records: &[Record],
+    dim: usize,
+    payload_bytes: usize,
+    page_bytes: usize,
+    out: &mut Vec<u8>,
+) {
     let rec_size = Record::encoded_size(dim, payload_bytes);
     assert!(
         records.len() * rec_size <= page_bytes,
@@ -46,7 +63,9 @@ pub fn encode_page(
         records.len() <= u16::MAX as usize,
         "too many records for header"
     );
-    let mut page = vec![0u8; HEADER_BYTES + page_bytes];
+    let start = out.len();
+    out.resize(start + HEADER_BYTES + page_bytes, 0);
+    let page = &mut out[start..];
     page[0..2].copy_from_slice(&(records.len() as u16).to_le_bytes());
     page[2..4].copy_from_slice(&(dim as u16).to_le_bytes());
     let mut off = HEADER_BYTES;
@@ -60,7 +79,6 @@ pub fn encode_page(
         }
         off += payload_bytes; // payload left zeroed
     }
-    page
 }
 
 /// Reads and checks a page header: `(record_count, dim, record_size)`.

@@ -76,7 +76,7 @@ use pargrid_core::{
 };
 use pargrid_geom::{Point, Rect};
 use pargrid_gridfile::durable::CHECKPOINT_FILE;
-use pargrid_gridfile::page::encode_page;
+use pargrid_gridfile::page::{encode_page, encode_page_into};
 use pargrid_gridfile::wal::{Wal, WalOp};
 use pargrid_gridfile::{GridFile, MutationEffect, Record};
 #[cfg(feature = "obs")]
@@ -98,6 +98,13 @@ const DEFAULT_MAX_TIMEOUT_STRIKES: u32 = 50;
 /// number of timeout polls (1, then 2, then 4, ...) is redelivered with the
 /// same sequence number (the worker dedups), up to this many times.
 const MAX_RETRANSMITS: u32 = 3;
+
+/// Blocks per spill write at build time: a worker's pages are encoded into
+/// one buffer of at most this many blocks (256 KB of 4 KB pages) and
+/// appended with one positioned write. Smaller runs cost a syscall per few
+/// blocks; collecting a worker's whole share first costs fresh-memory page
+/// faults that outweigh the syscalls saved.
+const SPILL_RUN_BLOCKS: usize = 64;
 
 /// Service-time samples required before hedging decisions trust the p95.
 #[cfg(feature = "obs")]
@@ -738,24 +745,35 @@ impl ParallelGridFile {
         let mut next_block = vec![0u32; n_workers];
         let mut placement: HashMap<u32, BucketPlacement> = HashMap::new();
 
-        let write_bucket = |workers: &mut Vec<WorkerState>,
-                            next_block: &mut Vec<u32>,
-                            w: usize,
-                            records: &[Record]|
-         -> Vec<u32> {
+        // Each worker's pages are encoded back to back into one reused run
+        // buffer, appended to its store one full run (one write) at a time.
+        let run_bytes = SPILL_RUN_BLOCKS * block_bytes;
+        let mut runs: Vec<Vec<u8>> = (0..n_workers)
+            .map(|_| Vec::with_capacity(run_bytes))
+            .collect();
+        let flush = |state: &mut WorkerState, next: u32, run: &mut Vec<u8>| {
+            if !run.is_empty() {
+                let count = run.len() / block_bytes;
+                state
+                    .store
+                    .append_run(next - count as u32, count, run)
+                    .expect("cannot write blocks");
+                run.clear();
+            }
+        };
+        let mut write_bucket = |workers: &mut Vec<WorkerState>, w: usize, records: &[Record]| {
             let cap = capacity.max(1);
             let mut blocks = Vec::with_capacity(records.len().div_ceil(cap).max(1));
             let mut chunks = records.chunks(cap);
             loop {
                 // An empty bucket still occupies one (empty) block on disk.
                 let chunk = chunks.next().unwrap_or(&[]);
-                let block = next_block[w];
+                encode_page_into(chunk, dim, payload, page_bytes, &mut runs[w]);
+                blocks.push(next_block[w]);
                 next_block[w] += 1;
-                workers[w]
-                    .store
-                    .put(block, encode_page(chunk, dim, payload, page_bytes))
-                    .expect("cannot write block");
-                blocks.push(block);
+                if runs[w].len() == run_bytes {
+                    flush(&mut workers[w], next_block[w], &mut runs[w]);
+                }
                 if chunks.len() == 0 {
                     return blocks;
                 }
@@ -764,8 +782,7 @@ impl ParallelGridFile {
 
         for (id, _region, _len) in gf.live_buckets() {
             let w = assignment.disk_of_id(id) as usize;
-            let records = gf.bucket_records(id);
-            let blocks = write_bucket(&mut workers, &mut next_block, w, records);
+            let blocks = write_bucket(&mut workers, w, gf.bucket_records(id));
             placement.insert(
                 id,
                 BucketPlacement {
@@ -779,13 +796,15 @@ impl ParallelGridFile {
         if let Some(ra) = replica {
             for (id, _region, _len) in gf.live_buckets() {
                 let w = ra.secondary_of_id(id) as usize;
-                let records = gf.bucket_records(id);
-                let blocks = write_bucket(&mut workers, &mut next_block, w, records);
+                let blocks = write_bucket(&mut workers, w, gf.bucket_records(id));
                 placement
                     .get_mut(&id)
                     .expect("replica of unknown bucket")
                     .replica = Some((w, blocks));
             }
+        }
+        for ((state, &next), run) in workers.iter_mut().zip(&next_block).zip(&mut runs) {
+            flush(state, next, run);
         }
 
         #[cfg(feature = "obs")]
@@ -2656,6 +2675,43 @@ mod tests {
             "file is whole blocks"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// FNV-1a-64 of each worker's spill file for
+    /// [`spill_files_are_the_per_block_layout`], as the build that wrote one
+    /// `pwrite` per block produced them.
+    const GOLDEN_SPILL_FNV1A: [u64; 4] = [
+        0xc07a_9488_2cba_a0f0,
+        0xcae5_7507_fba2_4fab,
+        0x549d_bf3c_80c7_69d2,
+        0x7b6a_3b00_bb41_c9a1,
+    ];
+
+    #[test]
+    fn spill_files_are_the_per_block_layout() {
+        // ≈ 350 blocks per worker, primaries then replicas: several full
+        // runs, a partial run at the end, and runs that straddle the two
+        // passes.
+        let dir = std::env::temp_dir().join("pargrid_engine_spill_golden_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let gf = Arc::new(pargrid_datagen::dsmc3d_sized(7, 60_000).build_grid_file());
+        let input = DeclusterInput::from_grid_file(&gf);
+        let assignment =
+            DeclusterMethod::Minimax(EdgeWeight::Proximity).assign_replicated(&input, 4, 5);
+        let engine =
+            ParallelGridFile::build_replicated(gf, &assignment, EngineConfig::file_backed(&dir));
+        let digests: Vec<u64> = (0..4)
+            .map(|w| {
+                let bytes =
+                    std::fs::read(dir.join(format!("worker-{w}.blocks"))).expect("spill file");
+                bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+                    (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+                })
+            })
+            .collect();
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(digests, GOLDEN_SPILL_FNV1A, "{digests:x?}");
     }
 
     #[test]

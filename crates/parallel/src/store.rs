@@ -8,15 +8,24 @@
 //! SPMD engine can exercise the real filesystem while timing stays on the
 //! virtual disk model.
 //!
-//! Every `put` records a CRC-32 of the block's bytes; every read verifies
-//! it. Silent corruption (bit rot, an injected [`crate::FaultKind::CorruptBlock`])
-//! therefore surfaces as a [`StoreError::Corrupt`] error instead of
-//! quietly decoding garbage, and the coordinator can repair the block from
-//! its chained-declustering replica via [`BlockStore::overwrite`]. The sum is
-//! the workspace's one kernel, `pargrid_gridfile::crc32` (carry-less-multiply
-//! folding where the CPU has it, slice-by-16 elsewhere): verifying a 4 KB
-//! block costs a fraction of the `pread` that fetched it, so verify-on-read
-//! stays unconditional.
+//! Writes come in runs: [`BlockStore::append_run`] appends consecutive
+//! blocks laid back to back in one buffer, and a file store writes the
+//! whole run with one positioned write (`pwrite`) — the engine's build
+//! spills each worker's pages 64 blocks (256 KB) at a time instead of one
+//! 4 KB syscall per block, and the file's bytes are the same either way.
+//! A one-block run is the mutation path's append ([`BlockStore::upsert`])
+//! and [`BlockStore::put`].
+//!
+//! Every appended block gets a CRC-32 of its bytes, recorded once its write
+//! has succeeded; every read verifies it. Silent corruption (bit rot, an
+//! injected [`crate::FaultKind::CorruptBlock`]) therefore surfaces as a
+//! [`StoreError::Corrupt`] error instead of quietly decoding garbage, and
+//! the coordinator can repair the block from its chained-declustering
+//! replica via [`BlockStore::overwrite`]. The sum is the workspace's one
+//! kernel, `pargrid_gridfile::crc32` (carry-less-multiply folding where the
+//! CPU has it, slice-by-16 elsewhere): verifying a 4 KB block costs a
+//! fraction of the `pread` that fetched it, so verify-on-read stays
+//! unconditional.
 //!
 //! Two read surfaces:
 //! - [`BlockStore::read_block`] — the hot path. Borrows in-memory blocks
@@ -92,18 +101,26 @@ impl BlockStore {
         })
     }
 
-    /// Stores a block, recording its checksum. For file stores, blocks must
-    /// be appended in id order (the engine allocates ids sequentially per
-    /// worker).
+    /// Appends `count` consecutive blocks, ids `first..first + count`, whose
+    /// bytes lie back to back in `run` (equal sizes, so each is
+    /// `run.len() / count` bytes), and records each block's checksum once
+    /// the write has succeeded. A file store writes the run with one
+    /// positioned write; its blocks must continue the file (the engine
+    /// allocates ids sequentially per worker) at the file's block size.
     ///
     /// # Panics
-    /// Panics on id gaps or size mismatches for file stores.
-    pub fn put(&mut self, block: u32, bytes: Vec<u8>) -> io::Result<()> {
-        self.sums.insert(block, crc32(&bytes));
+    /// Panics if `count` is zero or does not divide `run` into equal blocks,
+    /// and, for file stores, on an id gap or a block size mismatch.
+    pub fn append_run(&mut self, first: u32, count: usize, run: &[u8]) -> io::Result<()> {
+        assert!(count > 0, "a run holds at least one block");
+        let size = run.len() / count;
+        assert_eq!(size * count, run.len(), "a run is {count} equal blocks");
+        let blocks = || (first..).zip((0..count).map(|i| &run[i * size..(i + 1) * size]));
         match &mut self.backend {
             Backend::Memory(map) => {
-                map.insert(block, bytes);
-                Ok(())
+                for (block, bytes) in blocks() {
+                    map.insert(block, bytes.to_vec());
+                }
             }
             Backend::File {
                 file,
@@ -111,23 +128,31 @@ impl BlockStore {
                 n_blocks,
             } => {
                 assert_eq!(
-                    bytes.len(),
-                    *block_bytes,
-                    "block size mismatch: {} vs {block_bytes}",
-                    bytes.len()
+                    size, *block_bytes,
+                    "block size mismatch: {size} vs {block_bytes}"
                 );
-                assert_eq!(block, *n_blocks, "file store requires sequential block ids");
-                let offset = block as u64 * *block_bytes as u64;
-                write_all_at(file, &bytes, offset)?;
-                *n_blocks += 1;
-                Ok(())
+                assert_eq!(first, *n_blocks, "file store requires sequential block ids");
+                write_all_at(file, run, first as u64 * *block_bytes as u64)?;
+                *n_blocks += count as u32;
             }
         }
+        for (block, bytes) in blocks() {
+            self.sums.insert(block, crc32(bytes));
+        }
+        Ok(())
+    }
+
+    /// Stores one block: a one-block [`BlockStore::append_run`].
+    ///
+    /// # Panics
+    /// As `append_run`: on id gaps or size mismatches for file stores.
+    pub fn put(&mut self, block: u32, bytes: Vec<u8>) -> io::Result<()> {
+        self.append_run(block, 1, &bytes)
     }
 
     /// Replaces an *existing* block's bytes and refreshes its checksum —
-    /// the repair half of a scrub. Unlike [`BlockStore::put`], the block
-    /// must already exist (`io::ErrorKind::NotFound` otherwise); file
+    /// the repair half of a scrub. Unlike [`BlockStore::append_run`], the
+    /// block must already exist (`io::ErrorKind::NotFound` otherwise); file
     /// stores additionally require the same block size.
     pub fn overwrite(&mut self, block: u32, bytes: Vec<u8>) -> io::Result<()> {
         match &mut self.backend {
@@ -167,12 +192,13 @@ impl BlockStore {
 
     /// Writes a block that may or may not already exist: an existing block
     /// is overwritten ([`BlockStore::overwrite`] semantics), a new one is
-    /// appended ([`BlockStore::put`] semantics) — the mutation path's write
-    /// surface, where a bucket rewrite touches existing blocks and a bucket
-    /// split appends fresh ones in the same batch.
+    /// appended as a one-block [`BlockStore::append_run`] — the mutation
+    /// path's write surface, where a bucket rewrite touches existing blocks
+    /// and a bucket split appends fresh ones in the same batch.
     ///
     /// # Panics
-    /// Panics (like `put`) if a *new* block id leaves a gap in a file store.
+    /// Panics (like `append_run`) if a *new* block id leaves a gap in a
+    /// file store.
     pub fn upsert(&mut self, block: u32, bytes: Vec<u8>) -> io::Result<()> {
         let exists = match &self.backend {
             Backend::Memory(map) => map.contains_key(&block),
@@ -181,7 +207,7 @@ impl BlockStore {
         if exists {
             self.overwrite(block, bytes)
         } else {
-            self.put(block, bytes)
+            self.append_run(block, 1, &bytes)
         }
     }
 
@@ -349,6 +375,31 @@ mod tests {
             assert_eq!(s.get(i).expect("get"), vec![i as u8; 64]);
         }
         assert_eq!(s.len(), 10);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_run_stores_what_one_block_puts_store() {
+        let dir = std::env::temp_dir().join("pargrid_store_run_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let block = |i: u32| vec![i as u8 ^ 0x5a; 32];
+        let run: Vec<u8> = (0..5).flat_map(block).collect();
+        let mut by_run = BlockStore::file(dir.join("run.blocks"), 32).expect("create");
+        let mut by_put = BlockStore::file(dir.join("put.blocks"), 32).expect("create");
+        by_run.append_run(0, 3, &run[..96]).expect("first run");
+        by_run.append_run(3, 2, &run[96..]).expect("second run");
+        for i in 0..5 {
+            by_put.put(i, block(i)).expect("put");
+        }
+        let file = |name: &str| std::fs::read(dir.join(name)).expect("read back");
+        assert_eq!(file("run.blocks"), file("put.blocks"));
+        let mut mem = BlockStore::memory();
+        mem.append_run(7, 5, &run).expect("memory run");
+        for i in 0..5 {
+            assert_eq!(by_run.get(i).expect("verified read"), block(i));
+            assert_eq!(mem.get(7 + i).expect("verified read"), block(i));
+        }
+        assert_eq!(mem.block_ids(), vec![7, 8, 9, 10, 11]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
