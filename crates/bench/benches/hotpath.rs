@@ -324,9 +324,9 @@ fn bench_setup_stages(c: &mut Criterion) {
     group.finish();
 
     // The engine build the benchmark times as `parallel.build_s`: every
-    // bucket encoded into 4 KB pages and spilled to eight worker files. An
-    // iteration also clones the grid file (this bench keeps its own handle)
-    // and shuts the engine down.
+    // bucket encoded into 4 KB pages and spilled to eight worker files. The
+    // engine shares this bench's grid file rather than copying it; an
+    // iteration also shuts the engine down.
     let assignment = minimax.assign(&input, 8, 42);
     let dir = std::env::temp_dir().join(format!("pargrid_hotpath_spill_{}", std::process::id()));
     let mut group = c.benchmark_group("engine_build");

@@ -25,17 +25,20 @@
 //! ([`BoxColumns`]) and `MAX` as one column per tree. Taking a bucket is one
 //! `swap_remove` at the same index everywhere, so index `i` always means the
 //! same bucket and no scan strides over other trees' entries. A step is
-//! then three linear passes: the similarity row of the taken bucket
-//! ([`EdgeWeight::similarity_row`]: one factor per distinct extent, then one
-//! table lookup per candidate and dimension), `max` of that row into the
-//! grown tree's column (a branch-free select), and the first minimum of the
-//! next tree's column (an exact lane-wise minimum, then the first position
-//! equal to it).
+//! then one table of factors, one per distinct extent, and one linear pass
+//! over the candidates (`step`, a pass of [`EdgeWeight`]'s row kernel, the
+//! one behind [`EdgeWeight::similarity_row`]). Per candidate the pass
+//! multiplies the candidate's table entries up, takes the `max` of that
+//! and the grown tree's column entry (a branch-free select), and keeps a
+//! lane-wise exact minimum of the next tree's column with the first index
+//! holding it. No row is stored.
 //!
-//! What is left of the `O(N^2)` wall is those streaming passes, not
-//! divisions: on the `pargrid-e2e` benchmark's 4.7k-bucket instance
-//! (2-core Xeon VM) the row costs ≈ 1.8 ns per candidate, the `max` ≈ 0.4
-//! and the minimum ≈ 0.65, over ≈ 11 M candidate-steps a run.
+//! What is left of the `O(N^2)` wall is that pass, not divisions. The
+//! figures are for the `pargrid-e2e` benchmark's 4.7k-bucket instance,
+//! ≈ 11.0 M candidate-steps a run, on a 2-core Xeon VM, in three
+//! alternations with the three-pass form. A step, table included, costs
+//! 2.1–3.0 ns per candidate. The three passes it replaced cost 3.7–5.1:
+//! the row 2.7–3.7, the `max` 0.35–0.46 and the minimum 0.68–0.93.
 //!
 //! # Ties
 //!
@@ -49,7 +52,7 @@
 
 use crate::assignment::Assignment;
 use crate::input::DeclusterInput;
-use crate::weights::{BoxColumns, EdgeWeight};
+use crate::weights::{BoxColumns, EdgeWeight, RowPass};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -77,6 +80,10 @@ pub fn minimax_assign(
         }
         return Assignment::new(input, m, disks);
     }
+    if m == 1 {
+        // One tree takes every bucket, in whatever order.
+        return Assignment::new(input, m, vec![0; n]);
+    }
 
     // Phase 1: random seeding — M distinct seed buckets.
     let mut rng = StdRng::seed_from_u64(seed);
@@ -90,20 +97,21 @@ pub fn minimax_assign(
     // Phase 2 step 1: MAX_x(k) is the similarity of x to tree k's seed.
     let mut unassigned: Vec<usize> = (0..n).filter(|&x| disks[x] == u32::MAX).collect();
     let mut boxes = BoxColumns::from_input(input, unassigned.iter().copied());
-    let mut row = vec![0.0f64; unassigned.len()];
     let mut max_cols: Vec<Vec<f64>> = seeds
         .iter()
         .map(|&s| {
-            weight.similarity_row(input, s, &boxes, &mut row);
-            row.clone()
+            let mut col = vec![0.0f64; unassigned.len()];
+            weight.similarity_row(input, s, &boxes, &mut col);
+            col
         })
         .collect();
 
-    // Phase 2 steps 2-5: round-robin expansion.
+    // Phase 2 steps 2-5: round-robin expansion. Tree K takes the y
+    // minimizing MAX_y(K); y leaves every column; y's similarities are
+    // folded into MAX(K) while the next tree's minimum is found.
     let mut tree = 0usize; // K
+    let mut best = first_min(&max_cols[tree]);
     loop {
-        // Find y minimizing MAX_y(tree) and take it out of every column.
-        let best = first_min(&max_cols[tree]);
         let y = unassigned.swap_remove(best);
         disks[y] = tree as u32;
         boxes.swap_remove(best);
@@ -113,25 +121,46 @@ pub fn minimax_assign(
         if unassigned.is_empty() {
             break;
         }
-
-        // Update MAX_x(tree) for the remaining vertices.
-        row.truncate(unassigned.len());
-        weight.similarity_row(input, y, &boxes, &mut row);
-        for (slot, &c) in max_cols[tree].iter_mut().zip(&row) {
-            *slot = if c > *slot { c } else { *slot };
-        }
-        tree = (tree + 1) % m;
+        let next = (tree + 1) % m;
+        let (grown, next_col) = if next > tree {
+            let (head, tail) = max_cols.split_at_mut(next);
+            (&mut head[tree], &tail[0])
+        } else {
+            let (head, tail) = max_cols.split_at_mut(tree);
+            (&mut tail[0], &head[next])
+        };
+        best = step(weight, input, y, &boxes, grown, next_col);
+        tree = next;
     }
 
     Assignment::new(input, m, disks)
 }
 
-/// Index of the first minimum of a non-empty `MAX` column: an exact
-/// minimum kept lane-wise (so the scan vectorises; `<` only, and the minimum
-/// of a set of non-NaN values does not depend on the order it is taken in),
-/// then the first position holding it — the element `min_by` would keep.
-fn first_min(col: &[f64]) -> usize {
-    const LANES: usize = 8;
+/// Lanes of the exact minimum scans: the minimum is kept per lane (so the
+/// scan vectorises; `<` only, and the minimum of a set of non-NaN values
+/// does not depend on the order it is taken in).
+const LANES: usize = 8;
+
+/// One expansion step in one pass over the candidates `boxes`: folds the
+/// similarity of the taken bucket `y` to each candidate into the grown
+/// tree's column (a branch-free `max`), and returns the index of the first
+/// minimum of the next tree's column, a different column, found in the same
+/// pass.
+pub(crate) fn step(
+    weight: EdgeWeight,
+    input: &DeclusterInput,
+    y: usize,
+    boxes: &BoxColumns,
+    grown: &mut [f64],
+    next: &[f64],
+) -> usize {
+    weight.row_pass(input, y, boxes, Step { grown, next })
+}
+
+/// Index of the first minimum of a non-empty `MAX` column: the exact
+/// minimum kept lane-wise, then the first position holding it — the
+/// element `min_by` would keep.
+pub(crate) fn first_min(col: &[f64]) -> usize {
     let mut lanes = [f64::INFINITY; LANES];
     let mut chunks = col.chunks_exact(LANES);
     for chunk in &mut chunks {
@@ -147,6 +176,72 @@ fn first_min(col: &[f64]) -> usize {
     col.iter()
         .position(|&x| x == min)
         .expect("a non-empty column of non-NaN similarities holds its minimum")
+}
+
+/// The [`step`] pass over the grown and the next tree's columns.
+struct Step<'a> {
+    grown: &'a mut [f64],
+    next: &'a [f64],
+}
+
+impl RowPass for Step<'_> {
+    /// The index of the next column's first minimum.
+    type Output = usize;
+
+    fn run<const D: usize>(
+        self,
+        rows: &[[u32; D]],
+        similarity: impl Fn(&[u32; D]) -> f64,
+    ) -> usize {
+        let Step { grown, next } = self;
+        assert!(
+            grown.len() == rows.len() && next.len() == rows.len(),
+            "one MAX entry per candidate"
+        );
+        // Per lane, the exact minimum and the first index holding it (`<`
+        // only); the first minimum overall is the least value, ties going
+        // to the least index.
+        let mut lanes = [f64::INFINITY; LANES];
+        let mut firsts = [usize::MAX; LANES];
+        let (grown_chunks, grown_rest) = grown.as_chunks_mut::<LANES>();
+        let (next_chunks, next_rest) = next.as_chunks::<LANES>();
+        let (row_chunks, row_rest) = rows.as_chunks::<LANES>();
+        for (j, ((g, x), r)) in grown_chunks
+            .iter_mut()
+            .zip(next_chunks)
+            .zip(row_chunks)
+            .enumerate()
+        {
+            for l in 0..LANES {
+                let c = similarity(&r[l]);
+                g[l] = if c > g[l] { c } else { g[l] };
+                let less = x[l] < lanes[l];
+                lanes[l] = if less { x[l] } else { lanes[l] };
+                firsts[l] = if less { j * LANES + l } else { firsts[l] };
+            }
+        }
+        let mut best = (f64::INFINITY, usize::MAX);
+        for (&v, &i) in lanes.iter().zip(&firsts) {
+            if v < best.0 || (v == best.0 && i < best.1) {
+                best = (v, i);
+            }
+        }
+        let tail = next_chunks.len() * LANES;
+        let rest = grown_rest.iter_mut().zip(next_rest).zip(row_rest);
+        for (i, ((g, &x), r)) in (tail..).zip(rest) {
+            let c = similarity(r);
+            *g = if c > *g { c } else { *g };
+            if x < best.0 {
+                best = (x, i);
+            }
+        }
+        assert_ne!(
+            best.1,
+            usize::MAX,
+            "a non-empty column of non-NaN similarities holds its minimum"
+        );
+        best.1
+    }
 }
 
 /// The textbook per-pair loop this module's column layout replaced, kept as

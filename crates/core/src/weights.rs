@@ -21,7 +21,9 @@
 //! that instance, against one per candidate and dimension, ≈ 7k a step on
 //! average over a minimax run, for the per-box form) — and one pass over the
 //! candidates that multiplies each box's table entries up in dimension
-//! order.
+//! order. `similarity_row` stores the row (SSP, MST); minimax runs its own
+//! pass over the same per-candidate product and stores none. Either pass
+//! is compiled once per dimension count, so the product is unrolled.
 //!
 //! Every element of a row equals the scalar `similarity` **to the bit**:
 //! the dictionary is keyed on `f64::to_bits`, so a table entry is the factor
@@ -42,7 +44,7 @@
 
 use crate::input::DeclusterInput;
 use pargrid_geom::proximity::{proximity_factor, proximity_index};
-use pargrid_geom::Rect;
+use pargrid_geom::{Rect, MAX_DIM};
 use std::collections::HashMap;
 
 /// Similarity measure between two buckets (larger = more likely co-accessed).
@@ -192,8 +194,51 @@ impl EdgeWeight {
         out: &mut [f64],
     ) {
         assert_eq!(out.len(), boxes.len(), "one output slot per box");
+        struct Fill<'a>(&'a mut [f64]);
+        impl RowPass for Fill<'_> {
+            type Output = ();
+            fn run<const D: usize>(self, rows: &[[u32; D]], similarity: impl Fn(&[u32; D]) -> f64) {
+                for (p, row) in self.0.iter_mut().zip(rows) {
+                    *p = similarity(row);
+                }
+            }
+        }
+        self.row_pass(input, y, boxes, Fill(out));
+    }
+
+    /// Runs `pass` over the row of the bucket at position `y` against
+    /// `boxes`, handing it the per-candidate closure: box id row in,
+    /// similarity out, bit for bit [`similarity`](Self::similarity). The
+    /// pass's loop is compiled once per weight and dimension, with the
+    /// closure inlined and its loop over the dimensions unrolled.
+    pub(crate) fn row_pass<P: RowPass>(
+        &self,
+        input: &DeclusterInput,
+        y: usize,
+        boxes: &BoxColumns,
+        pass: P,
+    ) -> P::Output {
+        match boxes.extents.len() {
+            1 => self.row_pass_in::<1, P>(input, y, boxes, pass),
+            2 => self.row_pass_in::<2, P>(input, y, boxes, pass),
+            3 => self.row_pass_in::<3, P>(input, y, boxes, pass),
+            4 => self.row_pass_in::<4, P>(input, y, boxes, pass),
+            5 => self.row_pass_in::<5, P>(input, y, boxes, pass),
+            6 => self.row_pass_in::<6, P>(input, y, boxes, pass),
+            d => unreachable!("a box has 1..={MAX_DIM} dimensions, not {d}"),
+        }
+    }
+
+    fn row_pass_in<const D: usize, P: RowPass>(
+        &self,
+        input: &DeclusterInput,
+        y: usize,
+        boxes: &BoxColumns,
+        pass: P,
+    ) -> P::Output {
         let ry = &input.buckets[y].rect;
-        let rows = boxes.ids.chunks_exact(boxes.extents.len());
+        let (rows, rest) = boxes.ids.as_chunks::<D>();
+        debug_assert!(rest.is_empty(), "one id per box and dimension");
         match self {
             EdgeWeight::Proximity => {
                 let table = boxes.table(|k, x_lo, x_hi| {
@@ -205,13 +250,13 @@ impl EdgeWeight {
                         input.domain.side(k),
                     )
                 });
-                for (p, ids) in out.iter_mut().zip(rows) {
+                pass.run(rows, |row| {
                     let mut prod = 1.0;
-                    for &id in ids {
+                    for &id in row {
                         prod *= table[id as usize];
                     }
-                    *p = prod;
-                }
+                    prod
+                })
             }
             EdgeWeight::EuclideanCenter => {
                 let center = ry.center();
@@ -220,16 +265,30 @@ impl EdgeWeight {
                     d * d
                 });
                 let diagonal = domain_diagonal(&input.domain);
-                for (w, ids) in out.iter_mut().zip(rows) {
+                pass.run(rows, |row| {
                     let mut dist2 = 0.0;
-                    for &id in ids {
+                    for &id in row {
                         dist2 += table[id as usize];
                     }
-                    *w = euclidean_weight(dist2, diagonal);
-                }
+                    euclidean_weight(dist2, diagonal)
+                })
             }
         }
     }
+}
+
+/// One pass over a similarity row that consumes each candidate's similarity
+/// as it is computed, in box order, rather than reading a stored row.
+pub(crate) trait RowPass {
+    /// What the pass returns.
+    type Output;
+    /// Runs over `rows`, the boxes' id rows in order; `similarity(row)` is
+    /// the similarity of the row's bucket to the box with id row `row`.
+    fn run<const D: usize>(
+        self,
+        rows: &[[u32; D]],
+        similarity: impl Fn(&[u32; D]) -> f64,
+    ) -> Self::Output;
 }
 
 #[cfg(test)]

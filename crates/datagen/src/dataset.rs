@@ -73,9 +73,10 @@ impl Dataset {
             .map(|(i, p)| Record::new(i as u64, *p))
     }
 
-    /// Builds the grid file for this dataset.
+    /// Builds the grid file for this dataset: [`Dataset::records`] bulk
+    /// loaded, read straight from `points`.
     pub fn build_grid_file(&self) -> GridFile {
-        GridFile::bulk_load(self.grid_config(), self.records())
+        GridFile::bulk_load_points(self.grid_config(), &self.points)
     }
 
     /// Histogram of the points' marginal distribution on dimension `k`
@@ -152,6 +153,43 @@ mod tests {
         let h = ds.slice_histogram(0, 1, 2);
         let total: usize = h.iter().flatten().sum();
         assert_eq!(total, 3);
+    }
+
+    /// FNV-1a over the little-endian bytes of a grid file's structure:
+    /// each scale's cut count and cut bits, the directory's sizes and
+    /// entries, and per live bucket its id, region and record ids in order.
+    fn structure_fnv1a(gf: &GridFile) -> u64 {
+        let mut words: Vec<u64> = Vec::new();
+        for scale in gf.scales() {
+            words.push(scale.cuts().len() as u64);
+            words.extend(scale.cuts().iter().map(|c| c.to_bits()));
+        }
+        words.extend(gf.directory().sizes().iter().map(|&s| s as u64));
+        gf.directory().for_each(|_, b| words.push(b as u64));
+        for (id, region, len) in gf.live_buckets() {
+            words.push(id as u64);
+            words.extend(region.lo().iter().chain(region.hi()).map(|&c| c as u64));
+            words.push(len as u64);
+            words.extend(gf.bucket_records(id).iter().map(|r| r.id));
+        }
+        words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// The grid file of the `pargrid-e2e` benchmark's own instance, as the
+    /// one-insert-at-a-time bulk load (the commit before the two-pass load)
+    /// built it.
+    const GOLDEN_BENCHMARK_GRID_FNV1A: u64 = 0x53e9_01f1_5afc_4de1;
+
+    #[test]
+    fn golden_grid_file_on_the_benchmark_instance() {
+        let gf = crate::dsmc3d_sized(42, 400_000).build_grid_file();
+        let got = structure_fnv1a(&gf);
+        assert_eq!(got, GOLDEN_BENCHMARK_GRID_FNV1A, "{got:#018x}");
     }
 
     #[test]

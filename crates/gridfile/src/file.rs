@@ -15,6 +15,14 @@
 //!    (falling back to a record-median cut when the midpoint does not
 //!    separate the records), grow the directory along that axis, and then
 //!    split as in (1).
+//!
+//! There is one insert-and-split implementation (`GridMut`), generic over
+//! what a bucket holds. A live file's buckets hold `Record`s. A bulk load
+//! runs the same splits on buckets of `u32` positions into its input, reading
+//! keys in place, and then copies each record once into its final bucket
+//! (see [`GridFile::bulk_load`]). A split cuts each key from the records in
+//! the overflowing bucket at that moment, so the file depends on insertion
+//! order: building the scales first would give a different file.
 
 use crate::directory::{BucketId, Directory};
 use crate::record::Record;
@@ -89,11 +97,12 @@ impl GridConfig {
     }
 }
 
-/// A data bucket: a box region of cells plus the records stored in it.
+/// A data bucket: a box region of cells plus its members — the records
+/// stored in it, or during a bulk load their positions in the input.
 #[derive(Clone, Debug)]
-pub(crate) struct Bucket {
+pub(crate) struct Bucket<M = Record> {
     pub(crate) region: CellRegion,
-    pub(crate) records: Vec<Record>,
+    pub(crate) records: Vec<M>,
     pub(crate) alive: bool,
 }
 
@@ -193,8 +202,88 @@ impl GridFile {
         }
     }
 
-    /// Builds a grid file by inserting every record of an iterator.
+    /// Builds a grid file holding every record of an iterator: the file
+    /// that inserting them one by one, in order, builds.
+    ///
+    /// It runs in two passes. The first runs the insert loop's exact split
+    /// sequence on buckets that hold `u32` positions into the input and
+    /// reads keys in place. The second copies each record once, into a
+    /// bucket vector of exactly its final size. The file is identical to the
+    /// insert loop's, bit for bit. A split is a stable partition, so a
+    /// bucket's members stay in insertion order. A bulk load never merges or
+    /// frees a bucket, so each bucket gets the id the insert loop gives it.
+    ///
+    /// # Panics
+    /// Panics if a record's dimensionality differs from the domain's, or if
+    /// there are more than `u32::MAX` records.
     pub fn bulk_load<I: IntoIterator<Item = Record>>(config: GridConfig, records: I) -> Self {
+        let records: Vec<Record> = records.into_iter().collect();
+        Self::load_positions(config, records.len(), |i| &records[i].point, |i| records[i])
+    }
+
+    /// Builds the grid file of `points`, the record at position `i` having
+    /// id `i`: what [`GridFile::bulk_load`] builds from those records,
+    /// without materialising them before their final copy.
+    pub fn bulk_load_points(config: GridConfig, points: &[Point]) -> Self {
+        Self::load_positions(
+            config,
+            points.len(),
+            |i| &points[i],
+            |i| Record::new(i as u64, points[i]),
+        )
+    }
+
+    /// The bulk-load core: the records at positions `0..n`, keyed by
+    /// `point(i)` and stored as `record(i)`.
+    fn load_positions<'p>(
+        config: GridConfig,
+        n: usize,
+        point: impl Fn(usize) -> &'p Point,
+        record: impl Fn(usize) -> Record,
+    ) -> Self {
+        assert!(
+            u32::try_from(n).is_ok(),
+            "a bulk load holds at most u32::MAX records"
+        );
+        let mut gf = Self::new(config);
+        let dim = gf.dim();
+        let mut buckets = vec![Bucket {
+            region: gf.buckets[0].region,
+            records: Vec::new(),
+            alive: true,
+        }];
+        let mut created = Vec::new();
+        let mut grid = GridMut {
+            domain: &gf.config.domain,
+            capacity: gf.capacity,
+            scales: &mut gf.scales,
+            dir: &mut gf.dir,
+            buckets: &mut buckets,
+            free: &mut gf.free,
+            key: |&i: &u32, k: usize| point(i as usize).get(k),
+        };
+        for i in 0..n {
+            let p = point(i);
+            assert_eq!(p.dim(), dim, "record dimensionality mismatch");
+            grid.place(i as u32, p, &mut created);
+            created.clear();
+        }
+        gf.buckets = buckets
+            .into_iter()
+            .map(|b| Bucket {
+                region: b.region,
+                records: b.records.iter().map(|&i| record(i as usize)).collect(),
+                alive: b.alive,
+            })
+            .collect();
+        gf.n_records = n as u64;
+        gf
+    }
+
+    /// The insert loop that [`GridFile::bulk_load`]'s two passes replaced,
+    /// kept as the reference the tests hold them to.
+    #[cfg(test)]
+    fn bulk_load_reference(config: GridConfig, records: impl IntoIterator<Item = Record>) -> Self {
         let mut gf = Self::new(config);
         for r in records {
             gf.insert(r);
@@ -252,9 +341,7 @@ impl GridFile {
     /// The grid cell containing a point (clamped into the domain).
     pub fn cell_of_point(&self, p: &Point, out: &mut [u32]) {
         debug_assert_eq!(p.dim(), self.dim());
-        for (k, (slot, scale)) in out.iter_mut().zip(&self.scales).enumerate() {
-            *slot = scale.cell_of(p.get(k)) as u32;
-        }
+        cell_of_point(&self.scales, p, out);
     }
 
     /// The spatial box covered by a bucket's region.
@@ -266,14 +353,7 @@ impl GridFile {
 
     /// The spatial box covered by an arbitrary cell region.
     pub fn region_rect(&self, region: &CellRegion) -> Rect {
-        let d = self.dim();
-        let mut lo = [0.0; MAX_DIM];
-        let mut hi = [0.0; MAX_DIM];
-        for k in 0..d {
-            lo[k] = self.scales[k].cell_bounds(region.lo()[k] as usize).0;
-            hi[k] = self.scales[k].cell_bounds(region.hi()[k] as usize).1;
-        }
-        Rect::new(Point::new(&lo[..d]), Point::new(&hi[..d]))
+        region_rect(&self.scales, region)
     }
 
     /// Iterates over live buckets as `(id, region, record_count)`.
@@ -326,15 +406,21 @@ impl GridFile {
             self.dim(),
             "record dimensionality mismatch"
         );
-        let mut cell = [0u32; MAX_DIM];
-        self.cell_of_point(&rec.point, &mut cell[..self.dim()]);
-        let bid = self.dir.bucket_at(&cell[..self.dim()]);
-        self.buckets[bid as usize].records.push(rec);
         self.n_records += 1;
-        if self.buckets[bid as usize].records.len() > self.capacity {
-            self.enforce_capacity(bid, created);
+        self.grid().place(rec, &rec.point, created)
+    }
+
+    /// The file's structure as the insert-and-split code sees it.
+    fn grid(&mut self) -> GridMut<'_, Record, impl Fn(&Record, usize) -> f64> {
+        GridMut {
+            domain: &self.config.domain,
+            capacity: self.capacity,
+            scales: &mut self.scales,
+            dir: &mut self.dir,
+            buckets: &mut self.buckets,
+            free: &mut self.free,
+            key: |r: &Record, k: usize| r.point.get(k),
         }
-        bid
     }
 
     /// The live bucket whose region contains `p` (clamped into the domain).
@@ -559,6 +645,89 @@ impl GridFile {
         Some(CellRegion::new(&lo[..d], &hi[..d]))
     }
 
+    /// Attempts to merge an underflowing bucket with a buddy.
+    fn try_merge(&mut self, b: BucketId, effect: &mut MutationEffect) {
+        if !self.buckets[b as usize].alive {
+            return;
+        }
+        let region = self.buckets[b as usize].region;
+        let len = self.buckets[b as usize].records.len();
+        // Find a live buddy with combined occupancy at most ~70% so the
+        // merged bucket does not split right back (thrashing guard).
+        let limit = (self.capacity * 7) / 10;
+        let buddy = self.buckets.iter().enumerate().find_map(|(i, other)| {
+            (other.alive
+                && i as BucketId != b
+                && other.region.is_buddy_of(&region)
+                && other.records.len() + len <= limit.max(1))
+            .then_some(i as BucketId)
+        });
+        let Some(buddy) = buddy else {
+            return;
+        };
+        let merged_region = region.merge_with(&self.buckets[buddy as usize].region);
+        let moved = std::mem::take(&mut self.buckets[buddy as usize].records);
+        self.buckets[b as usize].records.extend(moved);
+        self.buckets[b as usize].region = merged_region;
+        self.buckets[buddy as usize].alive = false;
+        self.free.push(buddy);
+        effect.freed.push(buddy);
+        let dir = &mut self.dir;
+        merged_region.for_each_cell(|cell| dir.set_bucket_at(cell, b));
+    }
+}
+
+/// The grid cell containing a point under `scales` (clamped into the
+/// domain).
+fn cell_of_point(scales: &[LinearScale], p: &Point, out: &mut [u32]) {
+    for (k, (slot, scale)) in out.iter_mut().zip(scales).enumerate() {
+        *slot = scale.cell_of(p.get(k)) as u32;
+    }
+}
+
+/// The spatial box covered by a cell region under `scales`.
+fn region_rect(scales: &[LinearScale], region: &CellRegion) -> Rect {
+    let d = scales.len();
+    let mut lo = [0.0; MAX_DIM];
+    let mut hi = [0.0; MAX_DIM];
+    for k in 0..d {
+        lo[k] = scales[k].cell_bounds(region.lo()[k] as usize).0;
+        hi[k] = scales[k].cell_bounds(region.hi()[k] as usize).1;
+    }
+    Rect::new(Point::new(&lo[..d]), Point::new(&hi[..d]))
+}
+
+/// What an insert reads and rewrites, borrowed from a file whose buckets
+/// hold members `M`: `Record`s in a live file, `u32` positions into the
+/// input during a bulk load. `key(m, k)` is member `m`'s key on axis `k`.
+/// Both kinds of bucket run this one insert-and-split implementation, so a
+/// bulk load makes the insert loop's splits exactly.
+struct GridMut<'a, M, K> {
+    domain: &'a Rect,
+    capacity: usize,
+    scales: &'a mut Vec<LinearScale>,
+    dir: &'a mut Directory,
+    buckets: &'a mut Vec<Bucket<M>>,
+    free: &'a mut Vec<BucketId>,
+    key: K,
+}
+
+impl<M: Copy, K: Fn(&M, usize) -> f64> GridMut<'_, M, K> {
+    /// Appends `m`, whose key is `p`, to the bucket holding `p`, splits
+    /// while over capacity (appending the split-off buckets to `created`)
+    /// and returns the bucket `m` was first placed in.
+    fn place(&mut self, m: M, p: &Point, created: &mut Vec<BucketId>) -> BucketId {
+        let d = self.scales.len();
+        let mut cell = [0u32; MAX_DIM];
+        cell_of_point(self.scales, p, &mut cell[..d]);
+        let bid = self.dir.bucket_at(&cell[..d]);
+        self.buckets[bid as usize].records.push(m);
+        if self.buckets[bid as usize].records.len() > self.capacity {
+            self.enforce_capacity(bid, created);
+        }
+        bid
+    }
+
     fn alloc_bucket(&mut self, region: CellRegion) -> BucketId {
         if let Some(id) = self.free.pop() {
             let b = &mut self.buckets[id as usize];
@@ -596,7 +765,7 @@ impl GridFile {
     }
 
     /// Performs one split step on bucket `b`. Returns the new bucket id, or
-    /// `None` if the records cannot be separated on any dimension.
+    /// `None` if the members cannot be separated on any dimension.
     fn split_once(&mut self, b: BucketId) -> Option<BucketId> {
         if self.buckets[b as usize].region.is_single_cell() && !self.refine_scale_for(b) {
             return None;
@@ -610,15 +779,15 @@ impl GridFile {
         debug_assert!(!region.is_single_cell());
         // Widest axis (in cells); ties broken by larger spatial extent so
         // splits stay roughly square.
-        let rect = self.region_rect(&region);
+        let rect = region_rect(self.scales, &region);
         let mut best_k = 0;
         let mut best = (0u32, 0.0f64);
-        for k in 0..self.dim() {
+        for k in 0..self.scales.len() {
             let span = region.span(k);
             if span < 2 {
                 continue;
             }
-            let extent = rect.side(k) / self.config.domain.side(k);
+            let extent = rect.side(k) / self.domain.side(k);
             if span > best.0 || (span == best.0 && extent > best.1) {
                 best = (span, extent);
                 best_k = k;
@@ -629,30 +798,42 @@ impl GridFile {
         let (low, high) = region.split_at(k, mid);
 
         let nb = self.alloc_bucket(high);
-        // Move records whose cell on axis k is above the cut.
-        let scale = &self.scales[k];
-        let cut_value = scale.cell_bounds(mid as usize).1;
-        let (keep, moved): (Vec<Record>, Vec<Record>) = self.buckets[b as usize]
-            .records
-            .drain(..)
-            .partition(|r| r.point.get(k) < cut_value);
-        self.buckets[b as usize].records = keep;
+        // Move members whose cell on axis k is above the cut, keeping both
+        // halves in their order. The keys are read in a pass of their own:
+        // a bulk load reads them from its input, scattered, and loads that
+        // no branch waits on overlap.
+        let cut_value = self.scales[k].cell_bounds(mid as usize).1;
+        let mut moved = std::mem::take(&mut self.buckets[nb as usize].records);
+        let members = &mut self.buckets[b as usize].records;
+        let below: Vec<bool> = members
+            .iter()
+            .map(|m| (self.key)(m, k) < cut_value)
+            .collect();
+        moved.reserve(members.len());
+        let mut below = below.into_iter();
+        members.retain(|m| {
+            let keep = below.next().expect("one flag per member");
+            if !keep {
+                moved.push(*m);
+            }
+            keep
+        });
         self.buckets[b as usize].region = low;
         self.buckets[nb as usize].records = moved;
 
         // Re-point the directory cells of the upper half.
-        let dir = &mut self.dir;
+        let dir = &mut *self.dir;
         high.for_each_cell(|cell| dir.set_bucket_at(cell, nb));
         nb
     }
 
     /// Refines a linear scale so that bucket `b`'s single cell becomes two.
-    /// Returns `false` when no dimension admits a separating cut (all record
+    /// Returns `false` when no dimension admits a separating cut (all member
     /// keys identical).
     fn refine_scale_for(&mut self, b: BucketId) -> bool {
         let region = self.buckets[b as usize].region;
         debug_assert!(region.is_single_cell());
-        let d = self.dim();
+        let d = self.scales.len();
 
         // Dimension preference: classical grid files refine dimensions
         // cyclically so the directory stays balanced across attributes; we
@@ -662,7 +843,7 @@ impl GridFile {
         let extents: Vec<f64> = (0..d)
             .map(|k| {
                 let (lo, hi) = self.scales[k].cell_bounds(region.lo()[k] as usize);
-                (hi - lo) / self.config.domain.side(k)
+                (hi - lo) / self.domain.side(k)
             })
             .collect();
         order.sort_by(|&a, &bb| {
@@ -683,7 +864,7 @@ impl GridFile {
                 let split_cell = self.scales[k].insert_cut(cut);
                 debug_assert_eq!(split_cell, c as usize);
                 self.dir.grow(k, c);
-                for bucket in &mut self.buckets {
+                for bucket in self.buckets.iter_mut() {
                     if bucket.alive {
                         bucket.region.apply_scale_split(k, c);
                     }
@@ -695,23 +876,24 @@ impl GridFile {
     }
 
     /// Finds a cut inside `(cell_lo, cell_hi)` on axis `k` that separates
-    /// the records of bucket `b`.
+    /// the members of bucket `b`.
     ///
-    /// Prefers the spatial *midpoint* when it splits the records reasonably
+    /// Prefers the spatial *midpoint* when it splits the members reasonably
     /// evenly (midpoint cuts keep cells aligned, so uniform data produces
     /// almost no merged buckets — the paper's "4 of 252" regime); on skewed
     /// marginals, where midpoint cuts would waste scale refinements on empty
-    /// space, it falls back to the *median* record key.
+    /// space, it falls back to the *median* key.
     fn find_cut(&self, b: BucketId, k: usize, cell_lo: f64, cell_hi: f64) -> Option<f64> {
         let recs = &self.buckets[b as usize].records;
+        let key = |m: &M| (self.key)(m, k);
         let n = recs.len();
         let separates = |cut: f64| {
-            let below = recs.iter().filter(|r| r.point.get(k) < cut).count();
+            let below = recs.iter().filter(|m| key(m) < cut).count();
             below > 0 && below < n
         };
         let mid = 0.5 * (cell_lo + cell_hi);
         if mid > cell_lo && mid < cell_hi {
-            let below = recs.iter().filter(|r| r.point.get(k) < mid).count();
+            let below = recs.iter().filter(|m| key(m) < mid).count();
             // "Reasonably even": both halves get at least a quarter.
             if below * 4 >= n && (n - below) * 4 >= n {
                 return Some(mid);
@@ -720,7 +902,7 @@ impl GridFile {
         // Median cut: a middle *distinct* key value. Keys equal to the cut
         // go to the upper half, so any distinct value except the smallest
         // separates.
-        let mut keys: Vec<f64> = recs.iter().map(|r| r.point.get(k)).collect();
+        let mut keys: Vec<f64> = recs.iter().map(key).collect();
         keys.sort_by(|a, bb| a.partial_cmp(bb).expect("keys are never NaN"));
         keys.dedup();
         if keys.len() >= 2 {
@@ -734,37 +916,6 @@ impl GridFile {
             return Some(mid);
         }
         None
-    }
-
-    /// Attempts to merge an underflowing bucket with a buddy.
-    fn try_merge(&mut self, b: BucketId, effect: &mut MutationEffect) {
-        if !self.buckets[b as usize].alive {
-            return;
-        }
-        let region = self.buckets[b as usize].region;
-        let len = self.buckets[b as usize].records.len();
-        // Find a live buddy with combined occupancy at most ~70% so the
-        // merged bucket does not split right back (thrashing guard).
-        let limit = (self.capacity * 7) / 10;
-        let buddy = self.buckets.iter().enumerate().find_map(|(i, other)| {
-            (other.alive
-                && i as BucketId != b
-                && other.region.is_buddy_of(&region)
-                && other.records.len() + len <= limit.max(1))
-            .then_some(i as BucketId)
-        });
-        let Some(buddy) = buddy else {
-            return;
-        };
-        let merged_region = region.merge_with(&self.buckets[buddy as usize].region);
-        let moved = std::mem::take(&mut self.buckets[buddy as usize].records);
-        self.buckets[b as usize].records.extend(moved);
-        self.buckets[b as usize].region = merged_region;
-        self.buckets[buddy as usize].alive = false;
-        self.free.push(buddy);
-        effect.freed.push(buddy);
-        let dir = &mut self.dir;
-        merged_region.for_each_cell(|cell| dir.set_bucket_at(cell, b));
     }
 }
 
@@ -980,14 +1131,86 @@ mod tests {
         gf.check_invariants();
     }
 
+    /// Asserts two files equal field by field, floats on `to_bits`: scales,
+    /// directory, every bucket (dead ones too) with its records in order,
+    /// the free list and the record count.
+    fn assert_same_file(got: &GridFile, want: &GridFile) {
+        let bits = |p: &Point| (0..p.dim()).map(|k| p.get(k).to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.capacity, want.capacity);
+        assert_eq!(got.scales.len(), want.scales.len());
+        for (k, (g, w)) in got.scales.iter().zip(&want.scales).enumerate() {
+            let cuts = |s: &LinearScale| s.cuts().iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            assert_eq!(cuts(g), cuts(w), "cuts on dim {k}");
+        }
+        assert_eq!(got.dir.sizes(), want.dir.sizes());
+        let entries = |gf: &GridFile| {
+            let mut e = Vec::new();
+            gf.dir.for_each(|_, b| e.push(b));
+            e
+        };
+        assert_eq!(entries(got), entries(want), "directory entries");
+        assert_eq!(got.buckets.len(), want.buckets.len(), "bucket count");
+        for (i, (g, w)) in got.buckets.iter().zip(&want.buckets).enumerate() {
+            assert_eq!(g.alive, w.alive, "bucket {i} liveness");
+            assert_eq!(g.region, w.region, "bucket {i} region");
+            let recs = |b: &Bucket| {
+                b.records
+                    .iter()
+                    .map(|r| (r.id, bits(&r.point)))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(recs(g), recs(w), "bucket {i} records");
+        }
+        assert_eq!(got.free, want.free);
+        assert_eq!(got.len(), want.len());
+    }
+
     #[test]
     fn bulk_load_equals_inserts() {
         let recs: Vec<Record> = (0..100)
             .map(|i| rec2(i, (i % 10) as f64 * 9.9, (i / 10) as f64 * 9.9))
             .collect();
         let gf = GridFile::bulk_load(cfg2(4), recs.iter().copied());
+        assert_same_file(&gf, &GridFile::bulk_load_reference(cfg2(4), recs));
         assert_eq!(gf.len(), 100);
         gf.check_invariants();
+    }
+
+    use proptest::prelude::*;
+
+    /// One key: on a four-value lattice (so equal keys, and records that
+    /// no cut separates, are common) or anywhere in and around the domain
+    /// (records outside it are clamped into the boundary cells).
+    fn key() -> impl Strategy<Value = f64> {
+        prop_oneof![(0u32..4).prop_map(|v| v as f64 * 25.0), -10.0f64..110.0]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn bulk_load_is_the_insert_loop_field_by_field(
+            dim in 1usize..=MAX_DIM,
+            // `None`: the default 4 KB page with no payload.
+            capacity in prop::option::of(1usize..=8),
+            keys in prop::collection::vec((any::<u64>(), prop::collection::vec(key(), MAX_DIM)), 0..240),
+        ) {
+            let domain = Rect::new(Point::new(&vec![0.0; dim]), Point::new(&vec![100.0; dim]));
+            let config = || match capacity {
+                Some(c) => GridConfig::with_capacity(domain, c),
+                None => GridConfig::new(domain, 0),
+            };
+            let points: Vec<Point> = keys.iter().map(|(_, c)| Point::new(&c[..dim])).collect();
+            // Arbitrary ids, duplicates included.
+            let recs: Vec<Record> =
+                keys.iter().zip(&points).map(|(&(id, _), &p)| Record::new(id, p)).collect();
+            let want = GridFile::bulk_load_reference(config(), recs.iter().copied());
+            assert_same_file(&GridFile::bulk_load(config(), recs), &want);
+            // Ids equal to positions, keys read from the points in place.
+            let by_position = (0..).zip(&points).map(|(i, &p)| Record::new(i, p));
+            let want = GridFile::bulk_load_reference(config(), by_position);
+            assert_same_file(&GridFile::bulk_load_points(config(), &points), &want);
+        }
     }
 
     #[test]

@@ -436,7 +436,11 @@ impl BucketPlacement {
 /// returns or sent down a slot's channel ahead of later read batches, the
 /// post-mutation bytes).
 struct Catalog {
-    gf: GridFile,
+    /// The grid file, shared with whoever built the engine from it: the
+    /// first mutation after the build copies it if another handle is still
+    /// alive (`Arc::make_mut`, under the write lock), so a caller's handle
+    /// never sees the engine's writes.
+    gf: Arc<GridFile>,
     /// bucket id -> where its copies live.
     placement: HashMap<u32, BucketPlacement>,
     /// Per-worker count of blocks ever written — the next append id. File
@@ -829,9 +833,6 @@ impl ParallelGridFile {
 
         let record_bytes = gf.config().record_bytes();
         let domain = gf.config().domain;
-        // Mutations need the grid file by value; peel the `Arc` (cloning
-        // only if the caller kept another handle).
-        let gf = Arc::try_unwrap(gf).unwrap_or_else(|shared| (*shared).clone());
         ParallelGridFile {
             record_bytes,
             catalog: RwLock::new(Catalog {
@@ -904,7 +905,7 @@ impl ParallelGridFile {
     /// checkpointing and inspection). Mutations running after the snapshot
     /// is taken are not reflected in it.
     pub fn snapshot_grid(&self) -> GridFile {
-        self.catalog.read().expect("engine catalog lock").gf.clone()
+        GridFile::clone(&self.catalog.read().expect("engine catalog lock").gf)
     }
 
     /// Total live records in the directory.
@@ -1383,8 +1384,8 @@ impl ParallelGridFile {
         }
         let mut cat = self.catalog.write().expect("engine catalog lock");
         let (applied, effect) = match &op {
-            WalOp::Insert(rec) => (true, cat.gf.insert_tracked(*rec)),
-            WalOp::Delete { id, point } => cat.gf.delete_tracked(*id, point),
+            WalOp::Insert(rec) => (true, Arc::make_mut(&mut cat.gf).insert_tracked(*rec)),
+            WalOp::Delete { id, point } => Arc::make_mut(&mut cat.gf).delete_tracked(*id, point),
         };
         let outcome = self.apply_effect(&mut cat, &effect);
         Ok(MutationOutcome { applied, ..outcome })
@@ -1574,7 +1575,9 @@ impl ParallelGridFile {
             .parent()
             .map(std::path::Path::to_path_buf)
             .unwrap_or_default();
-        let image = self.catalog.read().expect("engine catalog lock").gf.clone();
+        // A handle, not a copy: the WAL lock held here blocks every
+        // mutation until the image is saved and the handle dropped.
+        let image = Arc::clone(&self.catalog.read().expect("engine catalog lock").gf);
         image
             .save(dir.join(CHECKPOINT_FILE))
             .map_err(EngineError::Checkpoint)?;
@@ -2298,6 +2301,29 @@ mod tests {
             DeclusterMethod::Minimax(EdgeWeight::Proximity).assign_replicated(&input, n_workers, 7);
         let engine = ParallelGridFile::build_replicated(Arc::clone(&gf), &assignment, config);
         (gf, engine, recs)
+    }
+
+    #[test]
+    fn build_shares_the_grid_file_until_the_first_mutation() {
+        let (gf, engine, _) = build_engine(4);
+        let shared = |engine: &ParallelGridFile| {
+            Arc::ptr_eq(&gf, &engine.catalog.read().expect("catalog lock").gf)
+        };
+        assert!(
+            shared(&engine),
+            "the build copied a grid file its caller still holds"
+        );
+        let before = gf.len();
+        engine
+            .insert(Record::new(99_999, Point::new2(50.0, 50.0)))
+            .expect("insert");
+        assert!(
+            !shared(&engine),
+            "the insert wrote through the caller's handle"
+        );
+        assert_eq!(gf.len(), before, "the caller's grid file changed");
+        assert_eq!(engine.len(), before + 1);
+        assert_eq!(gf.lookup(&Point::new2(50.0, 50.0)).len(), 0);
     }
 
     #[test]
