@@ -13,17 +13,21 @@
 //! file-backed block read into an owned `Vec`), the coordinator → worker
 //! transport, alone (`dispatch/channel`, a 256-message burst) and under a
 //! whole query (`query_e2e/channel`), `elevator/read_batch` (worker
-//! disk-batch throughput),
-//! `frame_decode/records`, `bulk_load/grid_file`, `page_scan/fused` (the
-//! worker's verify→filter scan of one block), the checksum kernel under
-//! every block read and frame, `crc32/4k` (one block) and `crc32/256k` (one
-//! large reply), through the public `crc32` with whichever kernel this CPU
-//! selected, and the two per-record stages of a `scan`-sized reply:
+//! disk-batch throughput), `frame_decode/records` (reading one framed
+//! reply), `bulk_load/grid_file`, and the checksum kernel under every block
+//! read and frame, `crc32/4k` (one block) and `crc32/256k` (one large
+//! reply), through the public `crc32` with whichever kernel this CPU
+//! selected.
+//!
+//! The per-record stages of a `scan`-sized reply: `page_scan/fused` (the
+//! worker's filter of one block, records built for the hits only),
 //! `reply_merge/8x900` (the coordinator's merge of eight worker parts into
-//! the id-sorted answer) and `frame_decode/records_7k` (`Response::decode`
-//! of the 7,200-record payload), and the two largest stages of the
-//! `pargrid-e2e` benchmark's set-up on its own 400k-record instance:
-//! `bulk_load/dsmc3d_400k` and `decluster/minimax_4.7k_x8`, and the third,
+//! the id-sorted answer), `frame_encode/*` (the records section written row
+//! by row) and `frame_decode/records_7k` (`Response::decode` of the
+//! 7,200-record payload, one run of 3-D rows); the scan, the encoder and
+//! the decoder run at a fixed dimension count. And the three stages of the `pargrid-e2e`
+//! benchmark's set-up on its own 400k-record instance:
+//! `bulk_load/dsmc3d_400k`, `decluster/minimax_4.7k_x8` and
 //! `engine_build/file_backed_dsmc3d_400k` (page encode and spill).
 //!
 //! Regenerate the trajectory file with:

@@ -364,37 +364,121 @@ pub fn records_wire_len(records: &[Record]) -> usize {
 
 /// Appends a records section (layout on [`records_wire_len`]) — the one
 /// encoder under both `RESP_RECORDS` and the cluster plane's worker reply.
+///
+/// The section is sized once; each run of records of one dimensionality
+/// is then written row by row at that fixed dimensionality, every row into
+/// its own slice with fixed-size copies.
 pub fn put_records(p: &mut Vec<u8>, records: &[Record]) {
     (records.len() as u32).put(p);
-    Record::put_all(records, p);
+    let start = p.len();
+    p.resize(start + records_wire_len(records) - 4, 0);
+    let mut rows = &mut p[start..];
+    let mut rest = records;
+    while let Some(first) = rest.first() {
+        let run = match first.point.dim() {
+            1 => put_run::<1>(rest, rows),
+            2 => put_run::<2>(rest, rows),
+            3 => put_run::<3>(rest, rows),
+            4 => put_run::<4>(rest, rows),
+            5 => put_run::<5>(rest, rows),
+            6 => put_run::<6>(rest, rows),
+            d => unreachable!("a point has 1..={MAX_DIM} dimensions, not {d}"),
+        };
+        rows = &mut rows[run * (10 + 8 * first.point.dim())..];
+        rest = &rest[run..];
+    }
+}
+
+/// Writes the leading run of `D`-dimensional records of `records` into
+/// `rows` in the keyed layout and returns its length.
+fn put_run<const D: usize>(records: &[Record], rows: &mut [u8]) -> usize {
+    let run = records.iter().take_while(|r| r.point.dim() == D).count();
+    for (row, r) in rows.chunks_exact_mut(10 + 8 * D).zip(&records[..run]) {
+        let (head, fields) = row.split_at_mut(10);
+        head[..8].copy_from_slice(&r.id.to_le_bytes());
+        head[8..].copy_from_slice(&(D as u16).to_le_bytes());
+        let coords: &[f64; D] = r.point.coords().try_into().expect("a run has D dims");
+        for (field, x) in fields.as_chunks_mut::<8>().0.iter_mut().zip(coords) {
+            *field = x.to_le_bytes();
+        }
+    }
+    run
 }
 
 /// Decodes a records section — the one decoder under both planes, with
 /// the verdicts of `Vec<Record>`.
 ///
-/// A reply carries thousands of records, so the loop asks the cursor for
-/// bytes twice per record — the fixed `id, dim` head, then all `dim`
-/// coordinates as one slice — instead of once per field, and hands the
-/// zero-padded array it filled straight to [`Point::from_padded`].
+/// A reply carries thousands of records, mostly of one dimensionality, so
+/// the decoder peeks at the next record's dim and decodes the run of
+/// records that share it at that fixed dimensionality, one fixed-size row
+/// at a time; the run ends at the first record of another dim, where the
+/// bytes run out or when the count is reached. Each row's coordinates are
+/// checked finite together, and the zero-padded array they fill goes
+/// straight to [`Point::from_padded`].
 pub fn take_records(c: &mut Cur<'_>) -> Result<Vec<Record>, DecodeError> {
     // 14 bytes is under the smallest possible record (1-D: 18).
     let n = c.count(14)?;
     let mut records = Vec::with_capacity(n);
-    for _ in 0..n {
-        let head = c.take(10)?;
-        let id = u64::from_le_bytes(head[..8].try_into().unwrap());
+    while records.len() < n {
+        let Some(head) = c.buf[c.pos..].get(..10) else {
+            return Err(err(format!(
+                "payload too short: wanted a record head at offset {}",
+                c.pos
+            )));
+        };
         let d = checked_dim(u16::from_le_bytes([head[8], head[9]]))?;
-        let mut coords = [0.0; MAX_DIM];
-        for (slot, raw) in coords.iter_mut().zip(c.take(8 * d)?.chunks_exact(8)) {
-            let v = f64::from_le_bytes(raw.try_into().unwrap());
-            if !v.is_finite() {
-                return Err(err("record coordinate is not finite"));
-            }
-            *slot = v;
+        let left = n - records.len();
+        let run = match d {
+            1 => take_run::<1>(c, left, &mut records),
+            2 => take_run::<2>(c, left, &mut records),
+            3 => take_run::<3>(c, left, &mut records),
+            4 => take_run::<4>(c, left, &mut records),
+            5 => take_run::<5>(c, left, &mut records),
+            6 => take_run::<6>(c, left, &mut records),
+            _ => unreachable!("checked_dim returned {d}"),
+        }?;
+        if run == 0 {
+            // The head says `d`, so only missing bytes stop the run short.
+            return Err(err(format!(
+                "payload too short: a {d}-d record cut at offset {}",
+                c.pos
+            )));
         }
-        records.push(Record::new(id, Point::from_padded(coords, d)));
     }
     Ok(records)
+}
+
+/// Decodes up to `max` records of dim `D` from the cursor into `out`,
+/// stopping at the first record of another dim or at a cut row, and
+/// returns how many it decoded.
+fn take_run<const D: usize>(
+    c: &mut Cur<'_>,
+    max: usize,
+    out: &mut Vec<Record>,
+) -> Result<usize, DecodeError> {
+    let rows = c.buf[c.pos..].chunks_exact(10 + 8 * D).take(max);
+    let mut run = 0;
+    for row in rows {
+        let (head, fields) = row.split_at(10);
+        if u16::from_le_bytes([head[8], head[9]]) as usize != D {
+            break;
+        }
+        let fields: &[[u8; 8]; D] = fields.as_chunks::<8>().0.try_into().expect("D fields");
+        let mut coords = [0.0; MAX_DIM];
+        let mut finite = true;
+        for (slot, raw) in coords.iter_mut().zip(fields) {
+            *slot = f64::from_le_bytes(*raw);
+            finite &= slot.is_finite();
+        }
+        if !finite {
+            return Err(err("record coordinate is not finite"));
+        }
+        let id = u64::from_le_bytes(head[..8].try_into().expect("8 bytes"));
+        out.push(Record::new(id, Point::from_padded(coords, D)));
+        run += 1;
+    }
+    c.pos += run * (10 + 8 * D);
+    Ok(run)
 }
 
 /// Appends the CRC-32 of every byte already in `out`.
@@ -477,6 +561,62 @@ mod tests {
         let mut c = Cur::new(&[1, 2]);
         c.get::<u8>().unwrap();
         assert!(c.done().is_err());
+    }
+
+    /// The records encoder as it was before the per-dimension runs: one
+    /// `put` per field. Kept as the reference `put_records` is held to.
+    fn reference_put_records(p: &mut Vec<u8>, records: &[Record]) {
+        (records.len() as u32).put(p);
+        Record::put_all(records, p);
+    }
+
+    /// `n` records of dim `d`, ids and coordinates taken from `seed`, with
+    /// signed zeros, extremes and non-finite values among the coordinates
+    /// (the encoder writes whatever bits it is given).
+    fn records_of(d: usize, n: usize, seed: u64) -> Vec<Record> {
+        let odd = [-0.0, f64::MAX, f64::MIN_POSITIVE, f64::NAN, f64::INFINITY];
+        (0..n as u64)
+            .map(|i| {
+                let coords: Vec<f64> = (0..d)
+                    .map(|k| match (seed + i + k as u64) % 9 {
+                        j @ 0..=4 => odd[j as usize],
+                        j => (seed * 31 + i) as f64 * 0.25 - j as f64,
+                    })
+                    .collect();
+                Record::new(seed ^ (i << 7), Point::new(&coords))
+            })
+            .collect()
+    }
+
+    /// Exact bytes, appended after whatever the buffer already holds.
+    fn assert_same_section(records: &[Record]) {
+        let mut new = vec![0xa5, 0x5a];
+        let mut old = new.clone();
+        put_records(&mut new, records);
+        reference_put_records(&mut old, records);
+        assert_eq!(new, old, "{} records", records.len());
+        assert_eq!(new.len(), 2 + records_wire_len(records));
+    }
+
+    #[test]
+    fn put_records_matches_per_field_reference() {
+        assert_same_section(&[]);
+        for d in 1..=MAX_DIM {
+            for n in [1, 2, 7, 64] {
+                assert_same_section(&records_of(d, n, d as u64));
+            }
+        }
+        // Mixed dims: every dim 1..=6, runs of length 1 to 3 in both
+        // directions, and a dim that comes back after others.
+        let dims = [1, 2, 3, 4, 5, 6, 6, 5, 4, 3, 2, 1, 3];
+        let mut mixed = Vec::new();
+        for (step, d) in dims.into_iter().enumerate() {
+            mixed.extend(records_of(d, 1 + step % 3, step as u64));
+        }
+        assert_same_section(&mixed);
+        for cut in 0..mixed.len() {
+            assert_same_section(&mixed[cut..]);
+        }
     }
 
     #[test]

@@ -123,8 +123,7 @@ pub fn decode_page(page: &[u8], payload_bytes: usize) -> Vec<Record> {
 /// `query`, in page order, and returns how many records the page holds
 /// (the number scanned). Equivalent to [`decode_page`] followed by
 /// [`Rect::contains_closed`] on each record, without building the records
-/// that miss: coordinates are compared where they sit in the block, and a
-/// record is rejected at its first coordinate outside the box.
+/// that miss: coordinates are compared where they sit in the block.
 ///
 /// # Panics
 /// Panics where [`decode_page`] would (short page, impossible header), and
@@ -139,21 +138,46 @@ pub fn scan_page(page: &[u8], payload_bytes: usize, query: &Rect, out: &mut Vec<
         "page dimensionality must be in 1..={MAX_DIM}, got {dim}"
     );
     assert_eq!(dim, query.dim(), "page and query dimensionality differ");
-    let (lo, hi) = (query.lo().coords(), query.hi().coords());
-    'records: for rec in page[HEADER_BYTES..HEADER_BYTES + n * rec_size].chunks_exact(rec_size) {
-        let mut coords = [0.0f64; MAX_DIM];
-        for k in 0..dim {
-            let x = f64::from_bits(u64_at(rec, 8 + 8 * k));
-            // The same comparison `contains_closed` makes, so NaN and
-            // boundary coordinates get the same verdict.
-            if x < lo[k] || x > hi[k] {
-                continue 'records;
-            }
-            coords[k] = x;
-        }
-        out.push(Record::new(u64_at(rec, 0), Point::new(&coords[..dim])));
+    let body = &page[HEADER_BYTES..HEADER_BYTES + n * rec_size];
+    match dim {
+        1 => scan_body::<1>(body, rec_size, query, out),
+        2 => scan_body::<2>(body, rec_size, query, out),
+        3 => scan_body::<3>(body, rec_size, query, out),
+        4 => scan_body::<4>(body, rec_size, query, out),
+        5 => scan_body::<5>(body, rec_size, query, out),
+        6 => scan_body::<6>(body, rec_size, query, out),
+        d => unreachable!("checked above: {d}"),
     }
     n
+}
+
+/// The record loop of [`scan_page`] at a fixed dimensionality `D`: every
+/// record's `D` coordinates are read at fixed offsets and all of them are
+/// tested, without a branch per coordinate.
+fn scan_body<const D: usize>(body: &[u8], rec_size: usize, query: &Rect, out: &mut Vec<Record>) {
+    let lo: &[f64; D] = query.lo().coords().try_into().expect("query has D dims");
+    let hi: &[f64; D] = query.hi().coords().try_into().expect("query has D dims");
+    for rec in body.chunks_exact(rec_size) {
+        let (id, fields) = rec.split_first_chunk::<8>().expect("a record holds its id");
+        let fields: &[[u8; 8]; D] = fields.as_chunks::<8>().0[..D]
+            .try_into()
+            .expect("a record holds D coordinates");
+        let mut coords = [0.0f64; MAX_DIM];
+        let mut inside = true;
+        for k in 0..D {
+            let x = f64::from_le_bytes(fields[k]);
+            // The comparison `contains_closed` makes, so NaN and boundary
+            // coordinates get the same verdict.
+            inside &= !(x < lo[k] || x > hi[k]);
+            coords[k] = x;
+        }
+        if inside {
+            out.push(Record::new(
+                u64::from_le_bytes(*id),
+                Point::from_padded(coords, D),
+            ));
+        }
+    }
 }
 
 #[cfg(test)]

@@ -64,28 +64,49 @@ proptest! {
 
     /// The fused scan returns exactly what decode-then-filter returns: the
     /// same records in the same order and the page's record count as
-    /// `scanned`. Coordinates and query corners share a small integer
-    /// lattice, so records sit exactly on the closed boundaries all the time;
-    /// empty pages and empty answers come up too.
+    /// `scanned`, at every dimensionality the scan specialises for.
+    /// Coordinates and query corners share a small integer lattice, so
+    /// records sit exactly on the closed boundaries all the time; records
+    /// also carry NaN, ±∞ and −0.0, and corners ±∞ and −0.0 (a NaN corner
+    /// is no `Rect`). Empty pages and empty answers come up too.
     #[test]
     fn scan_page_matches_decode_then_filter(
-        dim in 1usize..=4,
-        cells in prop::collection::vec((any::<u64>(), prop::collection::vec(0u32..8, 4)), 0..40),
-        corner in prop::collection::vec((0u32..8, 0u32..5), 4),
+        dim in 1usize..=6,
+        cells in prop::collection::vec((any::<u64>(), prop::collection::vec(0u32..8, 6)), 0..40),
+        corner in prop::collection::vec((0u32..6, 0u32..4), 6),
         payload in 0usize..32,
     ) {
+        let coord = |v: u32| match v {
+            4 => f64::NAN,
+            5 => f64::INFINITY,
+            6 => f64::NEG_INFINITY,
+            7 => -0.0,
+            v => v as f64,
+        };
         let records: Vec<Record> = cells
             .iter()
             .map(|(id, c)| {
-                let coords: Vec<f64> = c[..dim].iter().map(|&v| v as f64).collect();
+                let coords: Vec<f64> = c[..dim].iter().map(|&v| coord(v)).collect();
                 Record::new(*id, Point::new(&coords))
             })
             .collect();
-        let lo: Vec<f64> = corner[..dim].iter().map(|&(l, _)| l as f64).collect();
-        let hi: Vec<f64> = corner[..dim].iter().map(|&(l, e)| (l + e) as f64).collect();
+        let lo_of = |l: u32| match l {
+            4 => f64::NEG_INFINITY,
+            5 => -0.0,
+            l => l as f64,
+        };
+        let hi_of = |l: u32, e: u32| if e == 3 { f64::INFINITY } else { lo_of(l) + e as f64 };
+        let lo: Vec<f64> = corner[..dim].iter().map(|&(l, _)| lo_of(l)).collect();
+        let hi: Vec<f64> = corner[..dim].iter().map(|&(l, e)| hi_of(l, e)).collect();
         let query = Rect::new(Point::new(&lo), Point::new(&hi));
         let page = encode_page(&records, dim, payload, 40 * Record::encoded_size(dim, payload));
 
+        // Compared as bits: NaN is unequal to itself, and −0.0 equal to 0.0.
+        let bits = |rs: &[Record]| -> Vec<(u64, Vec<u64>)> {
+            rs.iter()
+                .map(|r| (r.id, r.point.coords().iter().map(|x| x.to_bits()).collect()))
+                .collect()
+        };
         let expected: Vec<Record> = decode_page(&page, payload)
             .into_iter()
             .filter(|r| query.contains_closed(&r.point))
@@ -96,8 +117,8 @@ proptest! {
         let mut out = vec![sentinel];
         let scanned = scan_page(&page, payload, &query, &mut out);
         prop_assert_eq!(scanned, records.len());
-        prop_assert_eq!(out[0], sentinel);
-        prop_assert_eq!(&out[1..], &expected[..]);
+        prop_assert_eq!(bits(&out[..1]), bits(&[sentinel]));
+        prop_assert_eq!(bits(&out[1..]), bits(&expected));
     }
 
     /// Malformed pages: wherever `decode_page` panics (short page, a header

@@ -968,6 +968,50 @@ mod tests {
         let p = records_payload(1, &[(1, 2, vec![one, one]), (2, 1, vec![one])]);
         assert!(Response::decode(RESP_RECORDS, &p).is_err());
         assert_same_verdict(&p);
+        // Mixed dims: runs of 1 to 3 records of each dim 1..=6, a dim that
+        // changes mid-reply in both directions and comes back.
+        let dims = [3u16, 3, 1, 2, 2, 2, 6, 5, 5, 4, 1, 1, 6, 3];
+        let mixed: Vec<(u64, u16, Vec<u64>)> = dims
+            .iter()
+            .enumerate()
+            .map(|(i, &d)| {
+                let bits = (0..d)
+                    .map(|k| (i as f64 - k as f64 * 0.5).to_bits())
+                    .collect();
+                (i as u64, d, bits)
+            })
+            .collect();
+        let ok = records_payload(dims.len() as u32, &mixed);
+        assert!(Response::decode(RESP_RECORDS, &ok).is_ok());
+        assert_same_verdict(&ok);
+        // A row cut inside every run, at every byte; and a count that
+        // stops mid-run, short or long.
+        for cut in 0..ok.len() {
+            assert_same_verdict(&ok[..cut]);
+        }
+        for claimed in [1, 5, 8, dims.len() as u32 + 1] {
+            assert_same_verdict(&records_payload(claimed, &mixed));
+        }
+        // A non-finite coordinate in every row, so in the last row of each
+        // run too, at the row's first and last coordinate.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for row in 0..dims.len() {
+                for at in [0, dims[row] as usize - 1] {
+                    let mut planted = mixed.clone();
+                    planted[row].2[at] = bad.to_bits();
+                    let p = records_payload(dims.len() as u32, &planted);
+                    assert!(Response::decode(RESP_RECORDS, &p).is_err(), "row {row}");
+                    assert_same_verdict(&p);
+                }
+            }
+        }
+        // A dim outside 1..=MAX_DIM, or one whose record outruns the bytes,
+        // in the middle of a run.
+        for dim in [0, wide, 6] {
+            let mut planted = mixed.clone();
+            planted[4].1 = dim;
+            assert_same_verdict(&records_payload(dims.len() as u32, &planted));
+        }
     }
 
     proptest::proptest! {
