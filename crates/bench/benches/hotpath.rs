@@ -9,8 +9,10 @@
 //! serialized straight into the frame buffer) vs the encode-then-copy
 //! path.
 //!
-//! The rest are single-sided trajectory points: `store_read/alloc` (one
-//! file-backed block read into an owned `Vec`), the coordinator → worker
+//! The rest are single-sided trajectory points: `store_read/file` (one
+//! verified block read as the worker serves it, borrowed from the file's
+//! mapping) and `store_read/alloc` (the same read copied into an owned
+//! `Vec`, as the scrub path takes it), the coordinator → worker
 //! transport, alone (`dispatch/channel`, a 256-message burst) and under a
 //! whole query (`query_e2e/channel`), `elevator/read_batch` (worker
 //! disk-batch throughput), `frame_decode/records` (reading one framed
@@ -213,7 +215,8 @@ fn bench_reply_merge(c: &mut Criterion) {
     group.finish();
 }
 
-/// File-backed block reads into an owned `Vec`.
+/// Verified file-backed block reads: as served (`read_block`) and copied
+/// into an owned `Vec` (`get`).
 fn bench_store_read(c: &mut Criterion) {
     const BLOCKS: u32 = 256;
     const BLOCK_BYTES: usize = 4_096;
@@ -230,6 +233,13 @@ fn bench_store_read(c: &mut Criterion) {
     group.sample_size(300);
     group.throughput(Throughput::Bytes(BLOCK_BYTES as u64));
     let mut i = 0u32;
+    group.bench_function("file", |b| {
+        b.iter(|| {
+            let blk = i % BLOCKS;
+            i += 1;
+            black_box(store.read_block(blk).expect("read").len())
+        })
+    });
     group.bench_function("alloc", |b| {
         b.iter(|| {
             let blk = i % BLOCKS;

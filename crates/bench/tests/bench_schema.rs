@@ -17,6 +17,7 @@ const REQUIRED: &[&str] = &[
     "frame_decode/records_7k",
     "reply_merge/8x900",
     "store_read/alloc",
+    "store_read/file",
     "crc32/4k",
     "crc32/256k",
     "page_scan/fused",

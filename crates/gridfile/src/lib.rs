@@ -49,6 +49,7 @@ pub mod codec;
 pub mod directory;
 pub mod durable;
 pub mod file;
+pub mod mapped;
 pub mod page;
 pub mod persist;
 pub mod record;
@@ -61,6 +62,7 @@ pub use checksum::{crc32, Crc32};
 pub use directory::Directory;
 pub use durable::DurableGridFile;
 pub use file::{GridConfig, GridFile, GridFileStats, MutationEffect};
+pub use mapped::MappedFile;
 pub use persist::PersistError;
 pub use record::Record;
 pub use region::CellRegion;

@@ -244,8 +244,9 @@ pub struct EngineConfig {
     /// Network parameters.
     pub net: NetParams,
     /// When set, each worker's blocks are written to a real file
-    /// `<spill_dir>/worker-<i>.blocks` and served with positioned reads —
-    /// the paper's "separate files corresponding to every disk" layout.
+    /// `<spill_dir>/worker-<i>.blocks` and served from a read-only mapping
+    /// of it — the paper's "separate files corresponding to every disk"
+    /// layout. The directory is private to the engine.
     /// `None` keeps blocks in memory.
     pub spill_dir: Option<std::path::PathBuf>,
     /// Disks per worker (0 is treated as 1). The paper's SP-2 had seven

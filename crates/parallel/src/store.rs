@@ -3,10 +3,12 @@
 //!
 //! The paper's simulator "declusters [the dataset] to separate files
 //! corresponding to every disk being simulated". The file-backed store
-//! reproduces that layout: each worker owns one file of fixed-size blocks
-//! and serves reads with positioned I/O (`pread`), so the data path of the
-//! SPMD engine can exercise the real filesystem while timing stays on the
-//! virtual disk model.
+//! reproduces that layout: each worker owns one file of fixed-size blocks,
+//! a [`MappedFile`], and reads its blocks straight out of one read-only
+//! shared mapping of it, so the data path of the SPMD engine exercises the
+//! real filesystem and page cache while timing stays on the virtual disk
+//! model. The spill directory is private to the engine: another process
+//! that truncates or rewrites a block file is outside the contract.
 //!
 //! Writes come in runs: [`BlockStore::append_run`] appends consecutive
 //! blocks laid back to back in one buffer, and a file store writes the
@@ -23,28 +25,23 @@
 //! the coordinator can repair the block from its chained-declustering
 //! replica via [`BlockStore::overwrite`]. The sum is the workspace's one
 //! kernel, `pargrid_gridfile::crc32` (carry-less-multiply folding where the
-//! CPU has it, slice-by-16 elsewhere): verifying a 4 KB block costs a
-//! fraction of the `pread` that fetched it, so verify-on-read stays
+//! CPU has it, slice-by-16 elsewhere), and verify-on-read stays
 //! unconditional.
 //!
 //! Two read surfaces:
-//! - [`BlockStore::read_block`] — the hot path. Borrows in-memory blocks
-//!   outright and reads file-backed blocks into one fresh buffer. Errors
-//!   are the typed [`StoreError`].
+//! - [`BlockStore::read_block`] — the hot path. Borrows every block, in
+//!   memory or mapped (a positioned read into one buffer on targets
+//!   without the mapping). Errors are the typed [`StoreError`].
 //! - [`BlockStore::get`] — the owned-`Vec` surface (used by the
 //!   scrub/repair path, which ships bytes across threads), kept with its
 //!   original `io::Result` signature.
 
 use crate::error::StoreError;
-use pargrid_gridfile::crc32;
+use pargrid_gridfile::{crc32, MappedFile};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
 use std::io;
 use std::path::Path;
-
-#[cfg(unix)]
-use std::os::unix::fs::FileExt;
 
 /// Where a worker's blocks physically live.
 enum Backend {
@@ -53,8 +50,8 @@ enum Backend {
     /// Blocks in a single file of `block_bytes`-sized slots, block id =
     /// slot index.
     File {
-        /// The backing file.
-        file: File,
+        /// The backing file and its mapping.
+        file: MappedFile,
         /// Size of every block.
         block_bytes: usize,
         /// Number of blocks written.
@@ -85,12 +82,7 @@ impl BlockStore {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
+        let file = MappedFile::create(path)?;
         Ok(BlockStore {
             backend: Backend::File {
                 file,
@@ -132,7 +124,7 @@ impl BlockStore {
                     "block size mismatch: {size} vs {block_bytes}"
                 );
                 assert_eq!(first, *n_blocks, "file store requires sequential block ids");
-                write_all_at(file, run, first as u64 * *block_bytes as u64)?;
+                file.write_at(run, first as u64 * *block_bytes as u64)?;
                 *n_blocks += count as u32;
             }
         }
@@ -185,7 +177,7 @@ impl BlockStore {
                     ));
                 }
                 self.sums.insert(block, crc32(&bytes));
-                write_all_at(file, &bytes, block as u64 * *block_bytes as u64)
+                file.write_at(&bytes, block as u64 * *block_bytes as u64)
             }
         }
     }
@@ -232,22 +224,22 @@ impl BlockStore {
                     return false;
                 }
                 let offset = block as u64 * *block_bytes as u64;
-                let mut byte = [0u8; 1];
-                if read_exact_at(file, &mut byte, offset).is_err() {
+                let Ok(byte) = file.read_at(offset, 1).map(|b| b[0] ^ 0xFF) else {
                     return false;
-                }
-                byte[0] ^= 0xFF;
-                write_all_at(file, &byte, offset).is_ok()
+                };
+                file.write_at(&[byte], offset).is_ok()
             }
         }
     }
 
-    /// Reads a block's bytes, verifying the checksum. In-memory blocks come
-    /// back borrowed; file-backed blocks come back owned, read straight into
-    /// one buffer. A block that does not exist is [`StoreError::NotFound`]; one
-    /// whose bytes no longer match their recorded checksum is
-    /// [`StoreError::Corrupt`]. Neither panics, so a worker can answer the
-    /// affected request with an error reply and keep serving.
+    /// Reads a block's bytes, verifying the checksum. Every block comes back
+    /// borrowed: in-memory blocks from their map, file-backed blocks from
+    /// the file's mapping (owned, from one positioned read, on targets
+    /// without it). A block that does not exist is
+    /// [`StoreError::NotFound`]; one whose bytes no longer match their
+    /// recorded checksum is [`StoreError::Corrupt`]. Neither panics, so a
+    /// worker can answer the affected request with an error reply and keep
+    /// serving.
     pub fn read_block(&self, block: u32) -> Result<Cow<'_, [u8]>, StoreError> {
         let buf = match &self.backend {
             Backend::Memory(map) => {
@@ -265,10 +257,8 @@ impl BlockStore {
                 if block >= *n_blocks {
                     return Err(StoreError::NotFound { block });
                 }
-                let mut buf = vec![0; *block_bytes];
-                read_exact_at(file, &mut buf, block as u64 * *block_bytes as u64)
-                    .map_err(StoreError::Io)?;
-                Cow::Owned(buf)
+                file.read_at(block as u64 * *block_bytes as u64, *block_bytes)
+                    .map_err(StoreError::Io)?
             }
         };
         if let Some(&expected) = self.sums.get(&block) {
@@ -286,10 +276,10 @@ impl BlockStore {
 
     /// Reads a block into an owned `Vec`, verifying its checksum — the
     /// surface over [`BlockStore::read_block`] for callers that ship the
-    /// bytes elsewhere (scrub repair). A file-backed block is not copied
-    /// again. Errors map through
-    /// [`StoreError`]'s [`io::Error`] conversion (`NotFound` →
-    /// `io::ErrorKind::NotFound`, `Corrupt` → `io::ErrorKind::InvalidData`).
+    /// bytes elsewhere (scrub repair): one copy of the verified bytes.
+    /// Errors map through [`StoreError`]'s [`io::Error`] conversion
+    /// (`NotFound` → `io::ErrorKind::NotFound`, `Corrupt` →
+    /// `io::ErrorKind::InvalidData`).
     pub fn get(&self, block: u32) -> io::Result<Vec<u8>> {
         self.read_block(block)
             .map(Cow::into_owned)
@@ -321,32 +311,6 @@ impl BlockStore {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-#[cfg(unix)]
-fn write_all_at(file: &File, buf: &[u8], offset: u64) -> io::Result<()> {
-    file.write_all_at(buf, offset)
-}
-
-#[cfg(unix)]
-fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
-    file.read_exact_at(buf, offset)
-}
-
-#[cfg(not(unix))]
-fn write_all_at(file: &File, buf: &[u8], offset: u64) -> io::Result<()> {
-    use std::io::{Seek, SeekFrom, Write};
-    let mut f = file;
-    f.seek(SeekFrom::Start(offset))?;
-    f.write_all(buf)
-}
-
-#[cfg(not(unix))]
-fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
-    use std::io::{Read, Seek, SeekFrom};
-    let mut f = file;
-    f.seek(SeekFrom::Start(offset))?;
-    f.read_exact(buf)
 }
 
 #[cfg(test)]
@@ -435,6 +399,17 @@ mod tests {
             s.read_block(9),
             Err(StoreError::NotFound { block: 9 })
         ));
+    }
+
+    #[test]
+    #[cfg(all(unix, target_pointer_width = "64"))]
+    fn read_block_borrows_file_blocks() {
+        let dir = std::env::temp_dir().join("pargrid_store_borrow_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut s = BlockStore::file(dir.join("w.blocks"), 3).expect("create");
+        s.put(0, vec![1, 2, 3]).expect("put");
+        assert!(matches!(s.read_block(0), Ok(Cow::Borrowed(&[1, 2, 3]))));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -528,5 +503,93 @@ mod tests {
             io::ErrorKind::InvalidInput
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every store's answer for `block`, as comparable values.
+    fn verdict(store: &BlockStore, block: u32) -> Result<Vec<u8>, String> {
+        match store.read_block(block) {
+            Ok(bytes) => Ok(bytes.into_owned()),
+            Err(e @ (StoreError::NotFound { .. } | StoreError::Corrupt { .. })) => {
+                Err(format!("{e:?}"))
+            }
+            Err(e) => panic!("block {block}: unexpected {e}"),
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// A file store and a memory store fed the same appends, upserts,
+        /// overwrites and corruptions answer every read alike: the same
+        /// bytes, `NotFound`, or `Corrupt` with the same sums. Blocks of
+        /// 8,200 bytes straddle pages, and every case's file grows past the
+        /// 1 MiB and 2 MiB mapping sizes. A step is `(kind, count, pick,
+        /// fill)`: kinds 0–2 append a run of `count` blocks, 3 upserts, 4
+        /// overwrites and 5 corrupts the block `pick` selects.
+        #[test]
+        fn file_store_is_the_memory_store(
+            steps in prop::collection::vec(
+                (0u8..6, 1usize..=64, any::<u32>(), any::<u8>()),
+                48..64usize,
+            ),
+        ) {
+            const SIZE: usize = 8_200;
+            let dir = std::env::temp_dir()
+                .join(format!("pargrid_store_model_{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut file = BlockStore::file(dir.join("w.blocks"), SIZE).expect("create");
+            let mut mem = BlockStore::memory();
+            let block = |id: u32, fill: u8| -> Vec<u8> {
+                let mut bytes = vec![fill; SIZE];
+                bytes[SIZE / 2..SIZE / 2 + 4].copy_from_slice(&id.to_le_bytes());
+                bytes
+            };
+            let mut n = 0u32;
+            for &(kind, count, pick, fill) in &steps {
+                // An existing block, or one or two past the end.
+                let target = pick % (n + 2);
+                let touched = match kind {
+                    0..=2 => {
+                        let run: Vec<u8> =
+                            (n..n + count as u32).flat_map(|id| block(id, fill)).collect();
+                        file.append_run(n, count, &run).expect("file run");
+                        mem.append_run(n, count, &run).expect("memory run");
+                        n += count as u32;
+                        n - count as u32..n
+                    }
+                    3 => {
+                        let id = target.min(n);
+                        file.upsert(id, block(id, fill)).expect("file upsert");
+                        mem.upsert(id, block(id, fill)).expect("memory upsert");
+                        n = n.max(id + 1);
+                        id..id + 1
+                    }
+                    4 => {
+                        let (f, m) = (
+                            file.overwrite(target, block(target, fill)),
+                            mem.overwrite(target, block(target, fill)),
+                        );
+                        prop_assert_eq!(f.map_err(|e| e.kind()), m.map_err(|e| e.kind()));
+                        target..target + 1
+                    }
+                    _ => {
+                        prop_assert_eq!(file.corrupt(target), mem.corrupt(target));
+                        target..target + 1
+                    }
+                };
+                for id in touched.chain([pick % (n + 2)]) {
+                    prop_assert_eq!(verdict(&file, id), verdict(&mem, id), "block {}", id);
+                }
+            }
+            prop_assert!(n as usize * SIZE > 2 << 20, "{} blocks stay under 2 MiB", n);
+            prop_assert_eq!(file.len(), mem.len());
+            for id in 0..n + 2 {
+                prop_assert_eq!(verdict(&file, id), verdict(&mem, id), "block {}", id);
+            }
+            drop(file);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

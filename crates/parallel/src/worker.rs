@@ -352,10 +352,10 @@ impl WorkerState {
                     // checksum failure is additionally reported so the
                     // coordinator can scrub the block back to health.
                     //
-                    // `read_block` borrows in-memory pages and reads file
-                    // pages into one buffer, dropped with `page`. The scan is
-                    // fused with the filter: it reads coordinates out of
-                    // the verified block and builds records only for hits.
+                    // `read_block` borrows the page, from memory or from
+                    // the spill file's mapping. The scan is fused with the
+                    // filter: it reads coordinates out of the verified
+                    // block and builds records only for hits.
                     match self.store.read_block(b) {
                         Ok(page) => {
                             let page = page.as_ref();
