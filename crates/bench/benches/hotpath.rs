@@ -23,14 +23,15 @@
 //!
 //! The per-record stages of a `scan`-sized reply: `page_scan/fused` (the
 //! worker's filter of one block, records built for the hits only),
-//! `reply_merge/8x900` (the coordinator's merge of eight worker parts into
-//! the id-sorted answer), `frame_encode/*` (the records section written row
-//! by row) and `frame_decode/records_7k` (`Response::decode` of the
-//! 7,200-record payload, one run of 3-D rows); the scan, the encoder and
-//! the decoder run at a fixed dimension count. And the three stages of the `pargrid-e2e`
-//! benchmark's set-up on its own 400k-record instance:
-//! `bulk_load/dsmc3d_400k`, `decluster/minimax_4.7k_x8` and
-//! `engine_build/file_backed_dsmc3d_400k` (page encode and spill).
+//! `reply_merge/8x900` (the coordinator's assembly of eight worker parts,
+//! tagged as slots 0–7, into one vector in slot order), `frame_encode/*`
+//! (the records section written row by row) and `frame_decode/records_7k`
+//! (`Response::decode` of the 7,200-record payload, one run of 3-D rows);
+//! the scan, the encoder and the decoder run at a fixed dimension count.
+//! And the three stages of the `pargrid-e2e` benchmark's set-up on its own
+//! 400k-record instance: `bulk_load/dsmc3d_400k`,
+//! `decluster/minimax_4.7k_x8` and `engine_build/file_backed_dsmc3d_400k`
+//! (page encode and spill).
 //!
 //! Regenerate the trajectory file with:
 //!
@@ -48,7 +49,7 @@ use pargrid_gridfile::page::{encode_page, scan_page};
 use pargrid_gridfile::{crc32, Record};
 use pargrid_net::frame::encode_frame;
 use pargrid_net::{read_frame, RecordsReply, Response};
-use pargrid_parallel::merge::merge_by_id;
+use pargrid_parallel::merge::{assemble, Part};
 use pargrid_parallel::{BlockStore, DiskModel, DiskParams, EngineConfig, ParallelGridFile};
 use pargrid_sim::QueryWorkload;
 use std::hint::black_box;
@@ -188,13 +189,16 @@ fn bench_frame(c: &mut Criterion) {
 }
 
 /// The coordinator's reply assembly for a `scan`-sized query: eight worker
-/// parts of 900 records, ids in no order (as pages yield them), merged
-/// into one id-sorted vector.
+/// parts of 900 records, ids in no order (as pages yield them), arrived in
+/// no slot order, concatenated into one vector in slot order.
 fn bench_reply_merge(c: &mut Criterion) {
     let mut x = 42u64;
-    let parts: Vec<Vec<Record>> = (0..8)
-        .map(|_| {
-            (0..900)
+    let mut parts: Vec<Part> = [5, 2, 7, 0, 3, 6, 1, 4]
+        .into_iter()
+        .map(|slot| Part {
+            slot,
+            seq: slot as u64,
+            records: (0..900)
                 .map(|_| {
                     x = x
                         .wrapping_mul(6364136223846793005)
@@ -202,7 +206,7 @@ fn bench_reply_merge(c: &mut Criterion) {
                     let id = (x >> 33) % 400_000;
                     Record::new(id, Point::new3(id as f64, 0.5, 1.0))
                 })
-                .collect()
+                .collect(),
         })
         .collect();
 
@@ -210,7 +214,7 @@ fn bench_reply_merge(c: &mut Criterion) {
     group.sample_size(200);
     group.throughput(Throughput::Elements(7_200));
     group.bench_function("8x900", |b| {
-        b.iter(|| black_box(merge_by_id(black_box(&parts))))
+        b.iter(|| black_box(assemble(black_box(&mut parts))))
     });
     group.finish();
 }

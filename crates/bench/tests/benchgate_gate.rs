@@ -22,12 +22,29 @@ fn doc(rows: &[(&str, f64)]) -> String {
     )
 }
 
+/// A test's scratch directory, removed when the test ends, passing or
+/// panicking.
+struct Scratch(PathBuf);
+
+impl std::ops::Deref for Scratch {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Fresh scratch directory per test (parallel test threads share a tmpdir).
-fn scratch(name: &str) -> PathBuf {
+fn scratch(name: &str) -> Scratch {
     let d = std::env::temp_dir().join(format!("pargrid-benchgate-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).expect("create scratch dir");
-    d
+    Scratch(d)
 }
 
 fn run_gate(baseline: &Path, candidate: &Path) -> Output {

@@ -614,7 +614,10 @@ fn xorshift(state: &mut u64) -> u64 {
 mod tests {
     use super::*;
     use crate::{WorkerConfig, WorkerServer};
+    use pargrid_core::{DeclusterInput, DeclusterMethod, EdgeWeight};
+    use pargrid_geom::Rect;
     use pargrid_parallel::disk::DiskParams;
+    use pargrid_parallel::{EngineConfig, ParallelGridFile};
 
     /// A proxy whose engine vanished (every sender dropped, nothing
     /// queued, no `Shutdown` ever sent) must end, not heartbeat forever.
@@ -634,6 +637,57 @@ mod tests {
             proxy.join().expect("proxy joins");
         }
         worker.shutdown();
+    }
+
+    /// A remote engine and an in-process engine over the same assignment
+    /// answer with the same sequence: grouped by slot in ascending order,
+    /// whatever order the proxies deliver the replies in.
+    #[test]
+    fn remote_and_in_process_engines_answer_in_the_same_order() {
+        let ds = pargrid_datagen::hot2d(3);
+        let grid = Arc::new(ds.build_grid_file());
+        let input = DeclusterInput::from_grid_file(&grid);
+        let assignment = DeclusterMethod::Minimax(EdgeWeight::Proximity).assign(&input, 4, 1);
+        let patient = EngineConfig::default().resilience(|r| r.with_fail_timeout_ms(10_000));
+        let local = ParallelGridFile::build(Arc::clone(&grid), &assignment, patient.clone());
+        let mut hosts: Vec<WorkerServer> = (0..2)
+            .map(|_| WorkerServer::start("127.0.0.1:0", WorkerConfig::default()).expect("start"))
+            .collect();
+        let addrs = hosts.iter().map(|h| h.local_addr().to_string()).collect();
+        let backend = Arc::new(RemoteBackend::new(addrs, 1));
+        let remote = ParallelGridFile::build(
+            Arc::clone(&grid),
+            &assignment,
+            patient.with_backend(backend),
+        );
+
+        let (lo, d) = (ds.domain.lo(), &ds.domain);
+        for [fx, fy, fw] in [
+            [0.0, 0.0, 1.0],
+            [0.25, 0.25, 0.5],
+            [0.4, 0.45, 0.15],
+            [0.6, 0.1, 0.3],
+        ] {
+            let at = |f: f64, i: usize| lo.get(i) + f * d.side(i);
+            let q = Rect::new2(at(fx, 0), at(fy, 1), at(fx + fw, 0), at(fy + fw, 1));
+            let want = local.query(&q);
+            let got = remote.query(&q);
+            assert!(!got.incomplete);
+            assert_eq!(got.records, want.records, "query {q:?}");
+            let slots: Vec<u32> = got
+                .records
+                .iter()
+                .map(|r| assignment.disk_of_id(grid.bucket_of_point(&r.point)))
+                .collect();
+            assert!(
+                slots.windows(2).all(|w| w[0] <= w[1]),
+                "query {q:?}: {slots:?}"
+            );
+        }
+        remote.shutdown();
+        for h in &mut hosts {
+            h.shutdown();
+        }
     }
 
     /// Killing one worker process takes down exactly the slots it hosts:

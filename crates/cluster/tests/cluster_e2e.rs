@@ -13,8 +13,9 @@ use pargrid_cluster::prelude::*;
 use pargrid_core::{DeclusterInput, DeclusterMethod, EdgeWeight};
 use pargrid_datagen::Dataset;
 use pargrid_geom::{Point, Rect};
-use pargrid_gridfile::GridFile;
+use pargrid_gridfile::{GridFile, Record};
 use pargrid_parallel::disk::DiskParams;
+use pargrid_parallel::merge::same_records;
 use pargrid_parallel::{EngineConfig, ParallelGridFile};
 
 /// A small deterministic dataset: `n` points on a jittered diagonal so
@@ -30,17 +31,16 @@ fn tiny_grid(n: usize) -> GridFile {
     Dataset::new("e2e", points, domain, 1024, 16).build_grid_file()
 }
 
-/// Expected ids for a range query against [`tiny_grid`].
-fn oracle_ids(n: usize, lo: [f64; 2], hi: [f64; 2]) -> Vec<u64> {
-    let mut ids: Vec<u64> = (0..n as u64)
-        .filter(|&i| {
+/// Expected records for a range query against [`tiny_grid`].
+fn oracle(n: usize, lo: [f64; 2], hi: [f64; 2]) -> Vec<Record> {
+    (0..n as u64)
+        .filter_map(|i| {
             let t = i as f64 / n as f64 * 1000.0;
             let y = (t * 7.0 + 13.0) % 1000.0;
-            t >= lo[0] && t <= hi[0] && y >= lo[1] && y <= hi[1]
+            (t >= lo[0] && t <= hi[0] && y >= lo[1] && y <= hi[1])
+                .then(|| Record::new(i, Point::new2(t, y)))
         })
-        .collect();
-    ids.sort_unstable();
-    ids
+        .collect()
 }
 
 /// Fast virtual disks so tests aren't dominated by simulated seek time.
@@ -109,8 +109,10 @@ fn single_coordinator_serves_over_remote_workers() {
     ] {
         let reply = client.range_query(&lo, &hi).expect("range query");
         assert!(!reply.incomplete, "no worker should have failed");
-        let got: Vec<u64> = reply.records.iter().map(|r| r.id).collect();
-        assert_eq!(got, oracle_ids(n, lo, hi), "query [{lo:?}..{hi:?}]");
+        assert!(
+            same_records(&reply.records, &oracle(n, lo, hi)),
+            "query [{lo:?}..{hi:?}]"
+        );
     }
     // Both worker processes actually executed dispatches.
     assert!(w1.executed() > 0, "worker 1 saw traffic");
@@ -247,13 +249,12 @@ fn failover_preserves_acknowledged_writes() {
     let reply = client
         .range_query(&[0.0, 0.0], &[250.0, 1000.0])
         .expect("query after failover");
-    let got: Vec<u64> = reply
+    let got: Vec<Record> = reply
         .records
-        .iter()
-        .map(|r| r.id)
-        .filter(|&id| id < 10_000)
+        .into_iter()
+        .filter(|r| r.id < 10_000)
         .collect();
-    assert_eq!(got, oracle_ids(n, [0.0, 0.0], [250.0, 1000.0]));
+    assert!(same_records(&got, &oracle(n, [0.0, 0.0], [250.0, 1000.0])));
     // Debug builds are slow; the release-mode experiment asserts the
     // sub-second bound. Here just sanity-bound it.
     assert!(

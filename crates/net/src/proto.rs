@@ -202,7 +202,8 @@ pub struct RecordsReply {
     pub total_blocks: u64,
     /// Buffer-cache hits.
     pub cache_hits: u64,
-    /// Matching records, sorted by id.
+    /// Matching records, as [`pargrid_parallel::QueryOutcome::records`]
+    /// holds them: a set, grouped by serving slot in plan order.
     pub records: Vec<Record>,
 }
 

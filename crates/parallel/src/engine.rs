@@ -10,10 +10,10 @@
 //! 2. involved workers read their blocks (virtual disk time, LRU cache),
 //!    decode the real pages and filter records,
 //! 3. replies stream back; the coordinator keeps each accepted reply (or
-//!    hedge fallback) as its own part and, once nothing is awaited, merges
-//!    the parts into the id-sorted answer in one linear pass
-//!    ([`crate::merge`]) — every caller (sessions, the workload runners, the
-//!    server, the cluster backend) gets its records through that one merge.
+//!    hedge fallback) as its own part and, once nothing is awaited,
+//!    concatenates the parts in slot order ([`crate::merge`]) — every caller
+//!    (sessions, the workload runners, the server, the cluster backend) gets
+//!    the same sequence for the same query, layout and worker health.
 //!
 //! The engine is a **shared service**: every query method takes `&self`, so
 //! any number of threads can hold the same engine and open independent
@@ -66,7 +66,7 @@ use crate::backend::SlotHandle;
 use crate::disk::DiskParams;
 use crate::error::EngineError;
 use crate::fault::FaultPlan;
-use crate::merge::merge_by_id;
+use crate::merge::{assemble, Part};
 use crate::message::{FromWorker, QueryPriority, ReadRequest, ToWorker};
 use crate::stats::{EngineStats, SharedStats};
 use crate::worker::WorkerState;
@@ -330,9 +330,9 @@ impl EngineConfig {
 /// Result of a single query.
 #[derive(Clone, Debug)]
 pub struct QueryOutcome {
-    /// Qualifying records, merged from all workers: sorted by id
-    /// (non-decreasing). The order among records that share an id is
-    /// unspecified — it follows reply arrival order.
+    /// Qualifying records, a set in the paper's sense: grouped by serving
+    /// slot in ascending order, each slot's records in plan order. No
+    /// consumer reads the order; it does not depend on reply arrival.
     pub records: Vec<Record>,
     /// Grid-directory buckets the query touched (sorted by id).
     pub buckets: Vec<u32>,
@@ -519,11 +519,11 @@ struct PlannedRead {
     buckets: Vec<u32>,
 }
 
-/// A primary's answer held back while its hedge is in flight: merged
-/// verbatim if the hedge fails or stalls, superseded by the (faster) hedge
+/// A primary's answer held back while its hedge is in flight: kept as a
+/// part if the hedge fails or stalls, superseded by the (faster) hedge
 /// reply otherwise.
 struct HedgeFallback {
-    records: Vec<Record>,
+    part: Part,
     service_us: u64,
 }
 
@@ -562,6 +562,15 @@ impl Outstanding {
             hedge_fallback: None,
         }
     }
+
+    /// `records` as this dispatch's answer, tagged for assembly.
+    fn part(&self, records: Vec<Record>) -> Part {
+        Part {
+            slot: self.worker,
+            seq: self.seq,
+            records,
+        }
+    }
 }
 
 /// Coordinator-side state of one in-flight query.
@@ -583,9 +592,9 @@ struct PendingQuery {
     cache_hits: u64,
     comm_us: u64,
     max_worker_us: u64,
-    /// Accepted worker answers, one part per reply (or hedge fallback) in
-    /// arrival order; merged once, in [`PendingQuery::into_outcome`].
-    parts: Vec<Vec<Record>>,
+    /// Accepted worker answers, one part per reply (or hedge fallback);
+    /// assembled once, in [`PendingQuery::into_outcome`].
+    parts: Vec<Part>,
     retries: u64,
     hedges: u64,
     incomplete: bool,
@@ -612,16 +621,16 @@ impl PendingQuery {
         }
     }
 
-    /// Merges a hedge's held-back primary answer (the hedge lost, stalled
+    /// Keeps a hedge's held-back primary answer (the hedge lost, stalled
     /// past the deadline, or died).
     fn absorb_fallback(&mut self, fb: HedgeFallback) {
         self.max_worker_us = self.max_worker_us.max(fb.service_us);
-        self.parts.push(fb.records);
+        self.parts.push(fb.part);
     }
 
-    fn into_outcome(self) -> QueryOutcome {
+    fn into_outcome(mut self) -> QueryOutcome {
         QueryOutcome {
-            records: merge_by_id(&self.parts),
+            records: assemble(&mut self.parts),
             buckets: self.buckets,
             response_blocks: self.response_blocks,
             total_blocks: self.total_blocks,
@@ -1777,7 +1786,7 @@ impl ParallelGridFile {
         let Some(pos) = p.awaiting.iter().position(|o| o.seq == reply.seq) else {
             return;
         };
-        let o = p.awaiting.remove(pos);
+        let mut o = p.awaiting.remove(pos);
         p.total_blocks += reply.blocks_requested;
         p.cache_hits += reply.cache_hits;
         let reply_bytes = 32 + reply.records.len() * self.record_bytes;
@@ -1794,13 +1803,13 @@ impl ParallelGridFile {
             );
         }
         let service_us = reply.disk_us + reply.cpu_us;
-        if let Some(fb) = o.hedge_fallback {
+        if let Some(fb) = o.hedge_fallback.take() {
             // A hedge resolved: take its answer at the faster of the two
             // service times, or the primary's held answer if the hedge
             // itself failed.
             if reply.error.is_none() {
                 p.max_worker_us = p.max_worker_us.max(service_us.min(fb.service_us));
-                p.parts.push(reply.records);
+                p.parts.push(o.part(reply.records));
             } else {
                 p.absorb_fallback(fb);
             }
@@ -1849,11 +1858,12 @@ impl ParallelGridFile {
                                 w as u32,
                                 service_us,
                             );
-                            let mut hedge = Outstanding::new(w, seq, o.buckets, blocks);
-                            hedge.hedge_fallback = Some(HedgeFallback {
-                                records: reply.records,
+                            let fallback = HedgeFallback {
+                                part: o.part(reply.records),
                                 service_us,
-                            });
+                            };
+                            let mut hedge = Outstanding::new(w, seq, o.buckets, blocks);
+                            hedge.hedge_fallback = Some(fallback);
                             p.awaiting.push(hedge);
                             return;
                         }
@@ -1862,7 +1872,7 @@ impl ParallelGridFile {
             }
         }
         p.max_worker_us = p.max_worker_us.max(service_us);
-        p.parts.push(reply.records);
+        p.parts.push(o.part(reply.records));
     }
 
     /// Collects replies until no pending query awaits a worker. On each
@@ -2246,6 +2256,7 @@ impl Drop for ParallelGridFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge::same_records;
     use pargrid_core::{DeclusterInput, DeclusterMethod, EdgeWeight};
     use pargrid_geom::Point;
     use pargrid_gridfile::{GridConfig, Record};
@@ -2332,14 +2343,12 @@ mod tests {
         let (_gf, engine, recs) = build_engine(4);
         let q = Rect::new2(20.0, 20.0, 60.0, 60.0);
         let out = engine.query(&q);
-        let mut expected: Vec<u64> = recs
+        let expected: Vec<Record> = recs
             .iter()
             .filter(|r| q.contains_closed(&r.point))
-            .map(|r| r.id)
+            .copied()
             .collect();
-        expected.sort_unstable();
-        let got: Vec<u64> = out.records.iter().map(|r| r.id).collect();
-        assert_eq!(got, expected);
+        assert!(same_records(&out.records, &expected));
         assert!(out.response_blocks > 0);
         assert!(out.total_blocks >= out.response_blocks);
         assert!(out.elapsed_us > out.comm_us);
@@ -2393,7 +2402,7 @@ mod tests {
             let out = engine.query(q);
             let (_, mut expected) = gf.range_query(q);
             expected.sort_unstable_by_key(|r| r.id);
-            assert_eq!(out.records, expected, "query {i}");
+            assert!(same_records(&out.records, &expected), "query {i}");
         }
     }
 
@@ -2526,7 +2535,7 @@ mod tests {
             }
             for (join, expect) in joins.into_iter().zip(&expected) {
                 for got in join.join().expect("client thread") {
-                    assert_eq!(&got, expect);
+                    assert!(same_records(&got, expect));
                 }
             }
         });
@@ -2773,7 +2782,10 @@ mod tests {
             let out = engine.query(q);
             let (_, mut expected) = gf.range_query(q);
             expected.sort_unstable_by_key(|r| r.id);
-            assert_eq!(out.records, expected, "degraded answers must be exact");
+            assert!(
+                same_records(&out.records, &expected),
+                "degraded answers must be exact"
+            );
             assert!(!out.incomplete);
             saw_retry |= out.retries > 0;
         }
@@ -2800,7 +2812,7 @@ mod tests {
         for (q, out) in w.queries.iter().zip(&outcomes) {
             let (_, mut expected) = gf.range_query(q);
             expected.sort_unstable_by_key(|r| r.id);
-            assert_eq!(out.records, expected);
+            assert!(same_records(&out.records, &expected));
             assert!(!out.incomplete);
         }
         assert!(tp.retries > 0 || tp.failed_over_blocks > 0);
@@ -2840,7 +2852,7 @@ mod tests {
         let out = engine.query(&q);
         let (_, mut expected) = gf.range_query(&q);
         expected.sort_unstable_by_key(|r| r.id);
-        assert_eq!(out.records, expected);
+        assert!(same_records(&out.records, &expected));
         assert!(out.retries >= 1);
         assert!(!out.incomplete);
         let stats = engine.stats();
@@ -2848,7 +2860,7 @@ mod tests {
         assert!(stats.workers[1].error_replies >= 1);
         // Subsequent queries are healthy again (poison was query 0 only).
         let again = engine.query(&q);
-        assert_eq!(again.records, expected);
+        assert!(same_records(&again.records, &expected));
         assert_eq!(again.retries, 0);
     }
 
@@ -2882,7 +2894,7 @@ mod tests {
         let out = engine.query(&q);
         let (_, mut expected) = gf.range_query(&q);
         expected.sort_unstable_by_key(|r| r.id);
-        assert_eq!(out.records, expected);
+        assert!(same_records(&out.records, &expected));
         assert_eq!(engine.stats().live_workers(), 4);
     }
 
@@ -2921,7 +2933,10 @@ mod tests {
         let (gf, engine, _r) = build_engine_cfg(4, EngineConfig::default());
         let q = Rect::new2(0.0, 0.0, 100.0, 100.0);
         let expected = oracle(&gf, &q);
-        assert_eq!(engine.query(&q).records, expected, "all slots free");
+        assert!(
+            same_records(&engine.query(&q).records, &expected),
+            "all slots free"
+        );
         let batches = |w: usize| engine.shared.workers[w].batches.load(Ordering::Relaxed);
         let before: Vec<u64> = (0..4).map(batches).collect();
         let crate::backend::Slot::Local(local) = &engine.slots[0].0 else {
@@ -2938,7 +2953,7 @@ mod tests {
             assert_eq!(batches(0), before[0], "slot 0 waits for its lock");
             drop(held);
             let out = query.join().expect("query thread");
-            assert_eq!(out.records, expected);
+            assert!(same_records(&out.records, &expected));
             assert!(!out.incomplete);
         });
         assert_eq!(batches(0), before[0] + 1, "slot 0 served once");
@@ -2959,7 +2974,7 @@ mod tests {
         let (gf, engine, _r) = build_engine_cfg(4, cfg);
         let q = Rect::new2(0.0, 0.0, 100.0, 100.0);
         let out = engine.query(&q);
-        assert_eq!(out.records, oracle(&gf, &q));
+        assert!(same_records(&out.records, &oracle(&gf, &q)));
         assert!(!out.incomplete);
         assert_eq!(out.retries, 0, "retransmit is not a failover");
         let stats = engine.stats();
@@ -3004,7 +3019,7 @@ mod tests {
         let ids: Vec<u64> = out.records.iter().map(|r| r.id).collect();
         let unique: HashSet<u64> = ids.iter().copied().collect();
         assert_eq!(ids.len(), unique.len(), "duplicate records merged");
-        assert_eq!(out.records, oracle(&gf, &q));
+        assert!(same_records(&out.records, &oracle(&gf, &q)));
         assert!(!out.incomplete);
     }
 
@@ -3017,7 +3032,7 @@ mod tests {
         let (gf, engine, _r) = build_engine_cfg(4, cfg);
         let q = Rect::new2(0.0, 0.0, 100.0, 100.0);
         let out = engine.query(&q);
-        assert_eq!(out.records, oracle(&gf, &q));
+        assert!(same_records(&out.records, &oracle(&gf, &q)));
         assert!(!out.incomplete);
         // Worker 0 may still hold retransmits it has not read. Shutdown
         // queues behind them, so once it returns every one was deduped.
@@ -3045,8 +3060,62 @@ mod tests {
         let (outcomes, tp) = engine.run_workload_concurrent(&workload, 4);
         assert_eq!(tp.queries, 12);
         for (q, out) in workload.queries.iter().zip(&outcomes) {
-            assert_eq!(out.records, oracle(&gf, q), "query {q:?}");
+            assert!(same_records(&out.records, &oracle(&gf, q)), "query {q:?}");
             assert!(!out.incomplete);
+        }
+    }
+
+    #[test]
+    fn answer_order_is_the_same_on_every_path() {
+        // The contract on `QueryOutcome::records`: grouped by serving slot
+        // in ascending order, each slot's hits in plan order (its buckets
+        // ascending, each bucket's records in page order). Sessions, the
+        // concurrent runner and fault plans that delay, reorder or
+        // duplicate replies all give that one sequence.
+        let w = QueryWorkload::square(&Rect::new2(0.0, 0.0, 100.0, 100.0), 0.3, 12, 41);
+        let (gf, engine, _r) = build_engine(4);
+        let in_plan_order: Vec<Vec<Record>> = {
+            let cat = engine.catalog.read().expect("catalog lock");
+            w.queries
+                .iter()
+                .map(|q| {
+                    let mut buckets = gf.range_query_buckets(q);
+                    buckets.sort_unstable_by_key(|b| (cat.placement[b].primary.0, *b));
+                    buckets
+                        .iter()
+                        .flat_map(|&b| gf.bucket_records(b))
+                        .filter(|r| q.contains_closed(&r.point))
+                        .copied()
+                        .collect()
+                })
+                .collect()
+        };
+        let mut session = engine.session();
+        let mut paths: Vec<(&str, Vec<Vec<Record>>)> = vec![(
+            "session",
+            w.queries.iter().map(|q| session.query(q).records).collect(),
+        )];
+        let mut reorder = FaultPlan::none().with_delay(0, 0, 40);
+        let mut duplicate = FaultPlan::none();
+        for worker in 0..4 {
+            reorder = reorder.with_reorder(worker, 0);
+            duplicate = duplicate.with_duplicate(worker, 3);
+        }
+        for (name, faults) in [
+            ("runner", FaultPlan::none()),
+            ("runner, slot 0 late and replies reordered", reorder),
+            ("runner, requests duplicated", duplicate),
+        ] {
+            let (_g, engine, _r) =
+                build_engine_cfg(4, fast_cfg().resilience(|r| r.with_faults(faults)));
+            let (outcomes, _) = engine.run_workload_concurrent(&w, 4);
+            paths.push((name, outcomes.into_iter().map(|o| o.records).collect()));
+        }
+        for (name, answers) in &paths {
+            for (k, (q, got)) in w.queries.iter().zip(answers).enumerate() {
+                assert_eq!(got, &in_plan_order[k], "{name}, query {k}");
+                assert!(same_records(got, &oracle(&gf, q)), "{name}, query {k}");
+            }
         }
     }
 
@@ -3060,7 +3129,7 @@ mod tests {
         let (gf, engine, _r) = build_replicated_engine(4, cfg);
         let q = Rect::new2(0.0, 0.0, 100.0, 100.0);
         let out = engine.query(&q);
-        assert_eq!(out.records, oracle(&gf, &q));
+        assert!(same_records(&out.records, &oracle(&gf, &q)));
         assert!(!out.incomplete);
         assert!(out.retries >= 1, "replica must have answered");
         let stats = engine.stats();
@@ -3069,7 +3138,7 @@ mod tests {
         // the block reads clean: no retries, still exact.
         std::thread::sleep(Duration::from_millis(50));
         let out2 = engine.query(&q);
-        assert_eq!(out2.records, oracle(&gf, &q));
+        assert!(same_records(&out2.records, &oracle(&gf, &q)));
         assert_eq!(out2.retries, 0, "corruption must be repaired in place");
         assert_eq!(engine.stats().scrubbed, stats.scrubbed);
     }
@@ -3108,7 +3177,7 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.live_workers(), 4, "poison is per-query, not fatal");
         let out2 = engine.query(&q);
-        assert_eq!(out2.records, expected);
+        assert!(same_records(&out2.records, &expected));
         assert!(!out2.incomplete);
     }
 
@@ -3134,7 +3203,7 @@ mod tests {
         assert!(stats.deadline_expired >= 1, "stats: {stats:?}");
         // Query 1 is unfaulted and fast: well inside the deadline.
         let out2 = engine.query(&q);
-        assert_eq!(out2.records, oracle(&gf, &q));
+        assert!(same_records(&out2.records, &oracle(&gf, &q)));
         assert!(!out2.incomplete);
     }
 
@@ -3189,7 +3258,7 @@ mod tests {
             })
             .expect("some record resolves to a hedgeable worker-0 request");
         let out = engine.query(&target);
-        assert_eq!(out.records, oracle(&gf, &target));
+        assert!(same_records(&out.records, &oracle(&gf, &target)));
         assert!(!out.incomplete);
         assert!(out.hedges >= 1, "outcome: {out:?}");
         assert_eq!(out.retries, 0, "a hedge is speculation, not failover");
@@ -3229,13 +3298,8 @@ mod tests {
     }
 
     /// Everything the whole domain holds, via the engine.
-    fn all_ids(engine: &ParallelGridFile) -> Vec<u64> {
-        engine
-            .query(&Rect::new2(0.0, 0.0, 100.0, 100.0))
-            .records
-            .iter()
-            .map(|r| r.id)
-            .collect()
+    fn all_records(engine: &ParallelGridFile) -> Vec<Record> {
+        engine.query(&Rect::new2(0.0, 0.0, 100.0, 100.0)).records
     }
 
     #[test]
@@ -3266,21 +3330,19 @@ mod tests {
         let (_gf, engine, recs) = build_engine(4);
         // Hammer one spot: capacity-8 buckets must split repeatedly.
         let mut created = 0usize;
+        let mut expected = recs.clone();
         for i in 0..120u64 {
             let p = Point::new2(30.0 + (i % 40) as f64 * 0.01, 70.0 + (i / 40) as f64 * 0.01);
             let out = engine.insert(Record::new(20_000 + i, p)).unwrap();
             created += out.created_buckets.len();
+            expected.push(Record::new(20_000 + i, p));
         }
         assert!(created > 0, "120 clustered inserts must split buckets");
         assert_eq!(engine.len(), recs.len() as u64 + 120);
-
-        let expected: Vec<u64> = {
-            let mut ids: Vec<u64> = recs.iter().map(|r| r.id).collect();
-            ids.extend(20_000..20_120);
-            ids.sort_unstable();
-            ids
-        };
-        assert_eq!(all_ids(&engine), expected, "no records lost or duplicated");
+        assert!(
+            same_records(&all_records(&engine), &expected),
+            "no records lost or duplicated"
+        );
 
         // Drain the hot spot again: merges must free buckets.
         let mut freed = 0usize;
@@ -3291,12 +3353,10 @@ mod tests {
             freed += out.freed_buckets.len();
         }
         assert!(freed > 0, "draining the hot spot must merge buckets");
-        let expected: Vec<u64> = {
-            let mut ids: Vec<u64> = recs.iter().map(|r| r.id).collect();
-            ids.sort_unstable();
-            ids
-        };
-        assert_eq!(all_ids(&engine), expected, "back to the original set");
+        assert!(
+            same_records(&all_records(&engine), &recs),
+            "back to the original set"
+        );
         engine.snapshot_grid().check_invariants();
         assert_eq!(engine.shutdown(), 4);
     }
@@ -3307,9 +3367,11 @@ mod tests {
             4,
             fast_cfg().resilience(|r| r.with_faults(FaultPlan::kill_first(1))),
         );
+        let mut expected = recs.clone();
         for i in 0..90u64 {
             let p = Point::new2(60.0 + (i % 30) as f64 * 0.01, 20.0 + (i / 30) as f64 * 0.01);
             engine.insert(Record::new(30_000 + i, p)).unwrap();
+            expected.push(Record::new(30_000 + i, p));
         }
         // Every bucket — including split-created ones — has two copies on
         // distinct workers.
@@ -3330,16 +3392,15 @@ mod tests {
         }
         // Worker 0 dies after its first reply; chained replicas must still
         // answer with the full record set (including every fresh insert).
-        let mut expected: Vec<u64> = recs.iter().map(|r| r.id).collect();
-        expected.extend(30_000..30_090);
-        expected.sort_unstable();
         // First query trips the kill fault; the second plans around the
         // corpse entirely.
         let _ = engine.query(&Rect::new2(0.0, 0.0, 100.0, 100.0));
         let out = engine.query(&Rect::new2(0.0, 0.0, 100.0, 100.0));
         assert!(!out.incomplete, "replicas must cover the dead worker");
-        let got: Vec<u64> = out.records.iter().map(|r| r.id).collect();
-        assert_eq!(got, expected, "failover reads lose or duplicate nothing");
+        assert!(
+            same_records(&out.records, &expected),
+            "failover reads lose or duplicate nothing"
+        );
         assert_eq!(engine.shutdown(), 4);
     }
 

@@ -1,53 +1,65 @@
 //! Assembling a query's answer from its workers' replies.
 //!
-//! Each worker returns its hits in block order, so a reply *part* is not
-//! sorted and the parts overlap in id range; the answer contract is one
-//! vector sorted by id ([`crate::QueryOutcome::records`]). A record is 64
-//! bytes, so the merge never moves records to order them: it sorts 16-byte
-//! `(id, &record)` keys with a least-significant-digit radix sort — linear
-//! in the number of records, and only as many byte passes as the largest id
-//! has significant bytes (3 for a 400k-record file) — and then copies each
-//! record exactly once, into a vector allocated at its final size.
+//! An answer is a set, as in the paper: the coordinator forwards the
+//! qualifying records its workers return, and nothing downstream reads
+//! their order (the benchmark's oracle is an order-free fingerprint, the
+//! CLI and `repro` count records). So the coordinator does not sort. Each
+//! accepted reply (or hedge fallback) is one [`Part`], tagged with the slot
+//! that served it and its dispatch seq; [`assemble`] orders the parts by
+//! `(slot, seq)` — a few dozen at most — and copies each record exactly
+//! once, into a vector allocated at its final size. A worker returns its
+//! hits in the request's block order, which is the plan's bucket order, so
+//! the answer is grouped by slot in ascending order and each slot's records
+//! are in plan order: the same query against the same layout and worker
+//! health gives the same sequence on every path, however its replies
+//! arrive.
+//!
+//! [`same_records`] is the comparison that contract supports: multiset
+//! equality.
 
 use pargrid_gridfile::Record;
 
-/// Merges reply parts into one vector sorted by id (non-decreasing).
-///
-/// Equivalent to concatenating the parts and sorting by id. Records with
-/// equal ids keep the order of the concatenation, but callers must not rely
-/// on it: which part a worker's reply becomes depends on arrival order.
-pub fn merge_by_id(parts: &[Vec<Record>]) -> Vec<Record> {
-    let total = parts.iter().map(Vec::len).sum();
-    let mut keys: Vec<(u64, &Record)> = Vec::with_capacity(total);
-    // OR of all ids: has the same highest set bit as the largest id.
-    let mut id_bits = 0u64;
-    for r in parts.iter().flatten() {
-        id_bits |= r.id;
-        keys.push((r.id, r));
+/// One accepted worker answer to a query.
+#[derive(Clone, Debug)]
+pub struct Part {
+    /// Slot that served the dispatch.
+    pub slot: usize,
+    /// The dispatch's sequence number.
+    pub seq: u64,
+    /// Its hits, in the request's block order.
+    pub records: Vec<Record>,
+}
+
+/// Concatenates `parts` in `(slot, seq)` order into one exact-size vector.
+/// Sorts `parts` in place.
+pub fn assemble(parts: &mut [Part]) -> Vec<Record> {
+    parts.sort_unstable_by_key(|p| (p.slot, p.seq));
+    let mut out = Vec::with_capacity(parts.iter().map(|p| p.records.len()).sum());
+    for p in parts.iter() {
+        out.extend_from_slice(&p.records);
     }
-    let mut scratch = keys.clone();
-    let mut shift = 0;
-    while shift < u64::BITS && id_bits >> shift != 0 {
-        let digit = |id: u64| (id >> shift) as usize & 0xFF;
-        // Counting sort on this byte: bucket sizes, then bucket starts,
-        // then a stable scatter.
-        let mut next = [0usize; 256];
-        for &(id, _) in &keys {
-            next[digit(id)] += 1;
-        }
-        let mut start = 0;
-        for n in &mut next {
-            start += std::mem::replace(n, start);
-        }
-        for &key in &keys {
-            let slot = &mut next[digit(key.0)];
-            scratch[*slot] = key;
-            *slot += 1;
-        }
-        std::mem::swap(&mut keys, &mut scratch);
-        shift += 8;
-    }
-    keys.iter().map(|&(_, r)| *r).collect()
+    out
+}
+
+/// True when `a` and `b` hold the same multiset of records, compared
+/// exactly: by id and by the bits of every coordinate.
+pub fn same_records(a: &[Record], b: &[Record]) -> bool {
+    let key = |r: &Record| {
+        (
+            r.id,
+            r.point
+                .coords()
+                .iter()
+                .map(|c| c.to_bits())
+                .collect::<Vec<_>>(),
+        )
+    };
+    let canonical = |records: &[Record]| {
+        let mut keys: Vec<_> = records.iter().map(key).collect();
+        keys.sort_unstable();
+        keys
+    };
+    a.len() == b.len() && canonical(a) == canonical(b)
 }
 
 #[cfg(test)]
@@ -62,46 +74,43 @@ mod tests {
         Record::new(id, Point::new2(tag as f64, (id % 1000) as f64))
     }
 
-    /// The merge this module replaced: concatenate, then comparison-sort.
-    /// Both it and the radix merge are stable over the concatenation, so the
-    /// results are equal element for element — stronger than the contract
-    /// (sorted by id, same multiset), which leaves tie order open.
-    fn assert_same_answer(parts: &[Vec<Record>]) {
-        let mut expected: Vec<Record> = parts.iter().flatten().copied().collect();
-        expected.sort_by_key(|r| r.id);
-        assert_eq!(merge_by_id(parts), expected);
+    fn part(slot: usize, seq: u64, records: Vec<Record>) -> Part {
+        Part { slot, seq, records }
     }
 
     #[test]
     fn degenerate_shapes() {
-        assert!(merge_by_id(&[]).is_empty());
-        assert!(merge_by_id(&[vec![], vec![]]).is_empty());
-        assert_same_answer(&[vec![rec(5, 0)]]);
-        assert_same_answer(&[vec![], vec![rec(0, 0)], vec![]]);
-        assert_same_answer(&[vec![rec(3, 0), rec(1, 1), rec(2, 2)]]);
+        assert!(assemble(&mut []).is_empty());
+        assert!(assemble(&mut [part(1, 0, vec![]), part(0, 1, vec![])]).is_empty());
+        let one = vec![rec(3, 0), rec(1, 1), rec(2, 2)];
+        assert_eq!(assemble(&mut [part(5, 9, one.clone())]), one);
     }
 
     #[test]
-    fn wide_ids_and_duplicates() {
-        let writer = |client: u64, n: u64| 1u64 << 40 | client << 32 | n;
-        assert_same_answer(&[
-            vec![rec(u64::MAX, 0), rec(writer(1, 7), 1), rec(12, 2)],
-            vec![rec(writer(0, 7), 3), rec(12, 4), rec(0, 5)],
-            vec![rec(u64::MAX, 6), rec(u64::MAX - 1, 7), rec(1 << 63, 8)],
-        ]);
+    fn slot_order_then_seq_order_within_a_slot() {
+        let mut parts = [
+            part(2, 4, vec![rec(7, 0)]),
+            part(0, 9, vec![rec(u64::MAX, 1), rec(0, 2)]),
+            part(2, 3, vec![rec(7, 3)]),
+            part(1, 0, vec![]),
+            part(0, 1, vec![rec(5, 4)]),
+        ];
+        assert_eq!(
+            assemble(&mut parts),
+            [rec(5, 4), rec(u64::MAX, 1), rec(0, 2), rec(7, 3), rec(7, 0)]
+        );
     }
 
     #[test]
-    fn a_scan_sized_reply() {
-        // 8 parts of 900, ids a permutation of 0..7200 (7919 is coprime).
-        let parts: Vec<Vec<Record>> = (0..8u64)
-            .map(|w| {
-                (0..900u64)
-                    .map(|i| rec((i * 8 + w) * 7919 % 7200, 0))
-                    .collect()
-            })
-            .collect();
-        assert_same_answer(&parts);
+    fn same_records_is_exact_multiset_equality() {
+        let a = [rec(1, 0), rec(1, 1), rec(2, 0)];
+        assert!(same_records(&a, &[rec(2, 0), rec(1, 1), rec(1, 0)]));
+        assert!(!same_records(&a, &[rec(2, 0), rec(1, 0), rec(1, 0)]));
+        assert!(!same_records(&a, &a[..2]));
+        // Coordinates compare by bits, so -0.0 is not 0.0.
+        let zero = Record::new(1, Point::new2(0.0, 0.0));
+        let neg = Record::new(1, Point::new2(-0.0, 0.0));
+        assert!(!same_records(&[zero], &[neg]));
     }
 
     /// Ids drawn from the spaces real files use: dense small ids, a handful
@@ -120,26 +129,53 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
+        /// Any arrival order of the same tagged parts assembles to the
+        /// same vector: the parts sorted by `(slot, seq)` and
+        /// concatenated, which holds the concatenation's multiset.
         #[test]
-        fn merge_equals_concatenate_and_sort(
+        fn assembly_ignores_arrival_order(
             shape in prop::collection::vec(
-                prop::collection::vec(id_strategy(), 0..40usize),
-                0..10usize,
+                (0usize..6, prop::collection::vec(id_strategy(), 0..40usize)),
+                0..=12usize,
             ),
+            shuffle in any::<u64>(),
         ) {
+            // Seqs are unique, as dispatch seqs are; slots repeat.
             let mut tag = 0u32;
-            let parts: Vec<Vec<Record>> = shape
+            let parts: Vec<Part> = shape
                 .iter()
-                .map(|ids| {
-                    ids.iter()
+                .enumerate()
+                .map(|(seq, (slot, ids))| {
+                    let records = ids
+                        .iter()
                         .map(|&id| {
                             tag += 1;
                             rec(id, tag)
                         })
-                        .collect()
+                        .collect();
+                    part(*slot, seq as u64 * 7 % 13, records)
                 })
                 .collect();
-            assert_same_answer(&parts);
+
+            let mut arrived = parts.clone();
+            let mut x = shuffle;
+            for i in (1..arrived.len()).rev() {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                arrived.swap(i, (x >> 33) as usize % (i + 1));
+            }
+            let got = assemble(&mut arrived);
+
+            let mut ordered = parts.clone();
+            ordered.sort_by_key(|p| (p.slot, p.seq));
+            let expected: Vec<Record> =
+                ordered.iter().flat_map(|p| p.records.iter().copied()).collect();
+            prop_assert_eq!(&got, &expected);
+            prop_assert_eq!(&assemble(&mut parts.clone()), &got);
+
+            let mut sorted: Vec<Record> =
+                parts.iter().flat_map(|p| p.records.iter().copied()).collect();
+            sorted.sort_by_key(|r| r.id);
+            prop_assert!(same_records(&got, &sorted));
         }
     }
 }

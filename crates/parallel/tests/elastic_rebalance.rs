@@ -6,6 +6,7 @@
 use pargrid_core::{DeclusterInput, DeclusterMethod, EdgeWeight};
 use pargrid_datagen::hot2d;
 use pargrid_gridfile::{GridFile, Record};
+use pargrid_parallel::merge::same_records;
 use pargrid_parallel::{EngineConfig, EngineError, ParallelGridFile, RebalanceOp};
 use pargrid_sim::QueryWorkload;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -43,7 +44,10 @@ fn grow_and_shrink_under_live_queries_stay_exact() {
                 let k = i % w.queries.len();
                 let out = engine.query(&w.queries[k]);
                 assert!(!out.incomplete, "incomplete reply during migration");
-                assert_eq!(out.records, oracle[k], "incorrect reply during migration");
+                assert!(
+                    same_records(&out.records, &oracle[k]),
+                    "incorrect reply during migration"
+                );
                 i += 1;
             }
         });
@@ -78,11 +82,11 @@ fn grow_and_shrink_under_live_queries_stay_exact() {
         );
     }
 
-    // Post-rebalance answers are still byte-identical.
+    // Post-rebalance answers still hold the same records.
     for (q, expect) in w.queries.iter().zip(&oracle) {
         let out = engine.query(q);
         assert!(!out.incomplete);
-        assert_eq!(out.records, *expect);
+        assert!(same_records(&out.records, expect));
     }
     let stats = engine.stats();
     assert!(stats.rebalance_moves > 0);

@@ -1,6 +1,7 @@
 //! Cross-crate integration: the whole pipeline from dataset generation to
 //! parallel execution, checking consistency between layers.
 
+use pargrid::parallel::merge::same_records;
 use pargrid::prelude::*;
 use pargrid::sim::{evaluate, metrics::query_response};
 use std::sync::Arc;
@@ -48,16 +49,18 @@ fn engine_queries_match_sequential_ground_truth() {
         let workload = QueryWorkload::square(&ds.domain, 0.05, 20, 11);
         for q in &workload.queries {
             let out = engine.query(q);
-            let mut expected: Vec<u64> = ds
+            let expected: Vec<Record> = ds
                 .points
                 .iter()
                 .enumerate()
                 .filter(|(_, p)| q.contains_closed(p))
-                .map(|(i, _)| i as u64)
+                .map(|(i, p)| Record::new(i as u64, *p))
                 .collect();
-            expected.sort_unstable();
-            let got: Vec<u64> = out.records.iter().map(|r| r.id).collect();
-            assert_eq!(got, expected, "{} query {q:?}", ds.name);
+            assert!(
+                same_records(&out.records, &expected),
+                "{} query {q:?}",
+                ds.name
+            );
         }
     }
 }
