@@ -14,8 +14,8 @@
 //! mapping) and `store_read/alloc` (the same read copied into an owned
 //! `Vec`, as the scrub path takes it), the coordinator → worker
 //! transport, alone (`dispatch/channel`, a 256-message burst) and under a
-//! whole query (`query_e2e/channel`), `elevator/read_batch` (worker
-//! disk-batch throughput), `frame_decode/records` (reading one framed
+//! whole query (`query_e2e/channel`), `elevator/read_batch` (the cost
+//! model's disk-batch throughput), `frame_decode/records` (reading one framed
 //! reply), `bulk_load/grid_file`, and the checksum kernel under every block
 //! read and frame, `crc32/4k` (one block) and `crc32/256k` (one large
 //! reply), through the public `crc32` with whichever kernel this CPU
@@ -50,8 +50,8 @@ use pargrid_gridfile::{crc32, Record};
 use pargrid_net::frame::encode_frame;
 use pargrid_net::{read_frame, RecordsReply, Response};
 use pargrid_parallel::merge::{assemble, Part};
-use pargrid_parallel::{BlockStore, DiskModel, DiskParams, EngineConfig, ParallelGridFile};
-use pargrid_sim::QueryWorkload;
+use pargrid_parallel::{BlockStore, EngineConfig, ParallelGridFile};
+use pargrid_sim::{DiskModel, DiskParams, QueryWorkload};
 use std::hint::black_box;
 use std::sync::{mpsc, Arc};
 
@@ -115,7 +115,7 @@ fn bench_query_e2e(c: &mut Criterion) {
     group.finish();
 }
 
-/// Worker elevator pass: one sorted sweep over a shuffled block batch.
+/// Cost-model elevator pass: one sorted sweep over a shuffled block batch.
 fn bench_elevator(c: &mut Criterion) {
     const BATCH: usize = 4_096;
     let template: Vec<u32> = (0..BATCH as u64)

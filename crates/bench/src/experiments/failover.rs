@@ -27,7 +27,6 @@ use pargrid_cluster::{
 use pargrid_core::{DeclusterInput, DeclusterMethod, EdgeWeight};
 use pargrid_datagen::Dataset;
 use pargrid_geom::Rect;
-use pargrid_parallel::disk::DiskParams;
 use pargrid_parallel::{EngineConfig, ParallelGridFile};
 use pargrid_sim::table::ResultTable;
 use rand::rngs::StdRng;
@@ -84,17 +83,6 @@ fn free_addr() -> String {
     format!("127.0.0.1:{}", a.port())
 }
 
-/// Fast virtual disks: the experiment measures control-plane recovery,
-/// not simulated seek time.
-fn fast_disks() -> DiskParams {
-    DiskParams {
-        miss_us: 200,
-        sequential_us: 40,
-        hit_us: 5,
-        cache_pages: 512,
-    }
-}
-
 fn builder(seed: u64) -> EngineBuilder {
     Box::new(move |gf, backend| {
         let input = DeclusterInput::from_grid_file(&gf);
@@ -116,14 +104,7 @@ struct Cluster {
 
 fn start_cluster(ds: &Dataset, seed: u64) -> Cluster {
     let workers: Vec<WorkerServer> = (0..WORKERS)
-        .map(|_| {
-            let cfg = WorkerConfig {
-                disks: 2,
-                disk_params: fast_disks(),
-                ..WorkerConfig::default()
-            };
-            WorkerServer::start("127.0.0.1:0", cfg).expect("start worker")
-        })
+        .map(|_| WorkerServer::start("127.0.0.1:0", WorkerConfig::default()).expect("start worker"))
         .collect();
     let worker_addrs: Vec<String> = workers.iter().map(|w| w.local_addr().to_string()).collect();
     let addrs: Vec<(String, String)> = (0..2).map(|_| (free_addr(), free_addr())).collect();

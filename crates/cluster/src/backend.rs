@@ -505,8 +505,6 @@ impl HostProxy {
                 let c = &self.slots[self.index(req.worker)].counters;
                 c.blocks_fetched
                     .fetch_add(w.blocks_requested, Ordering::Relaxed);
-                c.cache_hits.fetch_add(w.cache_hits, Ordering::Relaxed);
-                c.disk_busy_us.fetch_add(w.disk_us, Ordering::Relaxed);
                 if w.error.is_some() {
                     c.error_replies.fetch_add(1, Ordering::Relaxed);
                 }
@@ -515,8 +513,6 @@ impl HostProxy {
                     seq: w.seq,
                     worker_id: req.worker,
                     blocks_requested: w.blocks_requested,
-                    cache_hits: w.cache_hits,
-                    disk_us: w.disk_us,
                     cpu_us: w.cpu_us,
                     records: w.records,
                     corrupt_blocks: w.corrupt_blocks,
@@ -530,8 +526,6 @@ impl HostProxy {
                 seq: req.seq,
                 worker_id: req.worker,
                 blocks_requested: req.blocks.len() as u64,
-                cache_hits: 0,
-                disk_us: 0,
                 cpu_us: 0,
                 records: Vec::new(),
                 corrupt_blocks: Vec::new(),
@@ -616,7 +610,6 @@ mod tests {
     use crate::{WorkerConfig, WorkerServer};
     use pargrid_core::{DeclusterInput, DeclusterMethod, EdgeWeight};
     use pargrid_geom::Rect;
-    use pargrid_parallel::disk::DiskParams;
     use pargrid_parallel::{EngineConfig, ParallelGridFile};
 
     /// A proxy whose engine vanished (every sender dropped, nothing
@@ -627,7 +620,7 @@ mod tests {
             WorkerServer::start("127.0.0.1:0", WorkerConfig::default()).expect("start");
         let backend = RemoteBackend::new(vec![worker.local_addr().to_string()], 1);
         let slots = (0..2).map(|w| {
-            let state = WorkerState::new(w, 0, DiskParams::default());
+            let state = WorkerState::new(w, 0);
             (state, Arc::new(WorkerCounters::default()))
         });
         let (senders, handles) = backend.spawn(slots.collect());
@@ -707,7 +700,7 @@ mod tests {
         let slots = counters
             .iter()
             .enumerate()
-            .map(|(w, c)| (WorkerState::new(w, 0, DiskParams::default()), Arc::clone(c)));
+            .map(|(w, c)| (WorkerState::new(w, 0), Arc::clone(c)));
         let (senders, mut handles) = backend.spawn(slots.collect());
         assert_eq!(handles.len(), 2, "one proxy per host");
         let gauges = || -> Vec<f64> { backend.alive_gauges().iter().map(|g| g.1).collect() };

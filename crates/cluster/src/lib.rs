@@ -10,7 +10,7 @@
 //! * [`worker::WorkerServer`] — a standalone worker process. Owns block
 //!   pages uploaded by its coordinator, services dispatches through the
 //!   exact same `WorkerState` code path as an in-process worker thread
-//!   (same elevator batches, same dedup window, same virtual disks), and
+//!   (same batches, same dedup window), and
 //!   participates as a *voter* in coordinator elections.
 //! * [`backend::RemoteBackend`] — a [`pargrid_parallel::WorkerBackend`]
 //!   whose "worker threads" are proxies speaking TCP to worker

@@ -4,8 +4,9 @@
 //! It holds one [`WorkerState`] per engine slot (a process can host
 //! several slots), built from pages its coordinator uploads with
 //! `WriteBlocks`, and services reads through the *same* `service_dispatch`
-//! path an in-process worker uses — same elevator pass, same virtual
-//! disks, same seen-seq dedup window. A coordinator's proxy holds one
+//! path an in-process worker uses — same reads, same seen-seq dedup
+//! window. It keeps no cost model: its replies carry 0 in the wire's
+//! virtual disk-time and cache-hit fields. A coordinator's proxy holds one
 //! connection per worker process and joins every slot it hosts on it; a
 //! `DispatchBatch` frame carries reads for any of those slots and is
 //! answered with one frame per item, all in one write. A single-slot
@@ -49,10 +50,7 @@ use pargrid_gridfile::persist::write_durably;
 use pargrid_net::cluster_proto::{BatchItem, ClusterRequest, ClusterResponse, WireReply};
 use pargrid_net::frame::{read_frame, FrameError};
 use pargrid_net::server::wake_accept;
-use pargrid_parallel::disk::DiskParams;
-use pargrid_parallel::message::QueryPriority;
 use pargrid_parallel::worker::WorkerState;
-use pargrid_parallel::BlockStore;
 
 /// Deterministic inbound-frame dropper: a programmable network partition.
 /// Each received frame is silently discarded with probability `rate`
@@ -69,10 +67,6 @@ pub struct ChaosDrop {
 /// Tunables for [`WorkerServer::start`].
 #[derive(Clone, Debug)]
 pub struct WorkerConfig {
-    /// Virtual disks per hosted slot (the paper's SP-2 had 7 per node).
-    pub disks: usize,
-    /// Virtual disk cost model.
-    pub disk_params: DiskParams,
     /// Optional partition injection.
     pub chaos: Option<ChaosDrop>,
     /// How long a freshly started worker refuses to vote when it has no
@@ -95,8 +89,6 @@ pub struct WorkerConfig {
 impl Default for WorkerConfig {
     fn default() -> Self {
         WorkerConfig {
-            disks: 1,
-            disk_params: DiskParams::default(),
             chaos: None,
             vote_grace_ms: 750,
             state_path: None,
@@ -423,14 +415,9 @@ fn serve_batch(
             out.extend_from_slice(cached);
             continue;
         }
-        let prio = if item.priority == 0 {
-            QueryPriority::Interactive
-        } else {
-            QueryPriority::Batch
-        };
         let Some(reply) =
             slot.state
-                .service_dispatch(item.query_id, item.seq, &item.blocks, &item.rect, prio)
+                .service_dispatch(item.query_id, item.seq, &item.blocks, &item.rect)
         else {
             // Seen seq but evicted from the reply cache: the proxy
             // retransmitted something ancient. Refuse loudly rather than
@@ -445,8 +432,8 @@ fn serve_batch(
             seq: reply.seq,
             worker: reply.worker_id as u32,
             blocks_requested: reply.blocks_requested,
-            cache_hits: reply.cache_hits,
-            disk_us: reply.disk_us,
+            cache_hits: 0,
+            disk_us: 0,
             cpu_us: reply.cpu_us,
             corrupt_blocks: reply.corrupt_blocks,
             error: reply.error,
@@ -487,17 +474,10 @@ fn handle(shared: &Shared, req: ClusterRequest, joined: &mut Vec<u32>) -> Cluste
                 plane.term = plane.term.max(epoch);
                 persist(shared, &plane);
             }
-            let cfg = &shared.cfg;
             let cur_epoch = plane.epoch;
             let entry = plane.slots.entry(slot).or_insert_with(|| Slot {
-                state: WorkerState::with_disks(
-                    slot as usize,
-                    payload_bytes as usize,
-                    cfg.disk_params,
-                    BlockStore::memory(),
-                    cfg.disks.max(1),
-                )
-                .with_seen_seq_window(seen_seq_window.max(1) as usize),
+                state: WorkerState::new(slot as usize, payload_bytes as usize)
+                    .with_seen_seq_window(seen_seq_window.max(1) as usize),
                 replies: HashMap::new(),
                 reply_order: VecDeque::new(),
                 reply_cap: seen_seq_window.max(1) as usize,

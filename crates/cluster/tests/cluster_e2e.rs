@@ -14,7 +14,6 @@ use pargrid_core::{DeclusterInput, DeclusterMethod, EdgeWeight};
 use pargrid_datagen::Dataset;
 use pargrid_geom::{Point, Rect};
 use pargrid_gridfile::{GridFile, Record};
-use pargrid_parallel::disk::DiskParams;
 use pargrid_parallel::merge::same_records;
 use pargrid_parallel::{EngineConfig, ParallelGridFile};
 
@@ -41,16 +40,6 @@ fn oracle(n: usize, lo: [f64; 2], hi: [f64; 2]) -> Vec<Record> {
                 .then(|| Record::new(i, Point::new2(t, y)))
         })
         .collect()
-}
-
-/// Fast virtual disks so tests aren't dominated by simulated seek time.
-fn fast_disks() -> DiskParams {
-    DiskParams {
-        miss_us: 200,
-        sequential_us: 40,
-        hit_us: 5,
-        cache_pages: 512,
-    }
 }
 
 fn test_builder() -> EngineBuilder {
@@ -81,20 +70,12 @@ fn wait_for<F: FnMut() -> bool>(what: &str, timeout: Duration, mut f: F) {
     panic!("timed out waiting for {what}");
 }
 
-fn worker_cfg() -> WorkerConfig {
-    WorkerConfig {
-        disks: 2,
-        disk_params: fast_disks(),
-        ..WorkerConfig::default()
-    }
-}
-
 #[test]
 fn single_coordinator_serves_over_remote_workers() {
     let n = 600;
     let gf = tiny_grid(n);
-    let w1 = WorkerServer::start("127.0.0.1:0", worker_cfg()).expect("worker 1");
-    let w2 = WorkerServer::start("127.0.0.1:0", worker_cfg()).expect("worker 2");
+    let w1 = WorkerServer::start("127.0.0.1:0", WorkerConfig::default()).expect("worker 1");
+    let w2 = WorkerServer::start("127.0.0.1:0", WorkerConfig::default()).expect("worker 2");
     let mut cfg = CoordinatorConfig::new(0, free_addr(), free_addr());
     cfg.workers = vec![w1.local_addr().to_string(), w2.local_addr().to_string()];
     let coord = Coordinator::start(cfg, gf, test_builder()).expect("coordinator");
@@ -146,7 +127,7 @@ fn failover_preserves_acknowledged_writes() {
     let n = 400;
     let gf = tiny_grid(n);
     let workers: Vec<WorkerServer> = (0..3)
-        .map(|_| WorkerServer::start("127.0.0.1:0", worker_cfg()).expect("worker"))
+        .map(|_| WorkerServer::start("127.0.0.1:0", WorkerConfig::default()).expect("worker"))
         .collect();
     let worker_addrs: Vec<String> = workers.iter().map(|w| w.local_addr().to_string()).collect();
 
@@ -274,8 +255,8 @@ fn mutations_refused_when_a_joined_standby_goes_dark() {
     // Reads keep serving throughout; refused inserts never surface.
     let n = 300;
     let gf = tiny_grid(n);
-    let w1 = WorkerServer::start("127.0.0.1:0", worker_cfg()).expect("worker 1");
-    let w2 = WorkerServer::start("127.0.0.1:0", worker_cfg()).expect("worker 2");
+    let w1 = WorkerServer::start("127.0.0.1:0", WorkerConfig::default()).expect("worker 1");
+    let w2 = WorkerServer::start("127.0.0.1:0", WorkerConfig::default()).expect("worker 2");
     let worker_addrs = vec![w1.local_addr().to_string(), w2.local_addr().to_string()];
     let (c0_client, c0_peer) = (free_addr(), free_addr());
     let (c1_client, c1_peer) = (free_addr(), free_addr());

@@ -22,7 +22,6 @@ use pargrid_core::{DeclusterInput, DeclusterMethod, EdgeWeight};
 use pargrid_datagen::Dataset;
 use pargrid_geom::{Point, Rect};
 use pargrid_gridfile::GridFile;
-use pargrid_parallel::disk::DiskParams;
 use pargrid_parallel::{EngineConfig, ParallelGridFile};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -68,15 +67,6 @@ fn base_ids(lo: [f64; 2], hi: [f64; 2]) -> Vec<u64> {
         .collect()
 }
 
-fn fast_disks() -> DiskParams {
-    DiskParams {
-        miss_us: 200,
-        sequential_us: 40,
-        hit_us: 5,
-        cache_pages: 512,
-    }
-}
-
 /// Replicated build: every bucket has a chained-declustered secondary on
 /// a different slot, so losing one worker process keeps service complete.
 fn replicated_builder() -> EngineBuilder {
@@ -106,8 +96,6 @@ fn start_cluster(chaos: Chaos, seed: u64) -> SoakCluster {
     let workers: Vec<WorkerServer> = (0..3)
         .map(|i| {
             let cfg = WorkerConfig {
-                disks: 2,
-                disk_params: fast_disks(),
                 chaos: (chaos == Chaos::Partition).then_some(ChaosDrop {
                     seed: seed ^ (i as u64 + 1),
                     rate: 0.01,

@@ -225,7 +225,8 @@ pub struct WireReply {
     pub worker: u32,
     /// Blocks the dispatch asked for.
     pub blocks_requested: u64,
-    /// Buffer-cache hits among them.
+    /// Buffer-cache hits among them. Workers keep no cost model and send 0
+    /// here and in `disk_us`; the fields stay for the wire format.
     pub cache_hits: u64,
     /// Virtual disk time charged to this request, microseconds.
     pub disk_us: u64,

@@ -1,8 +1,7 @@
 //! `pargrid-net`: the TCP serving layer in front of the parallel grid file.
 //!
-//! Everything below the engine is virtual-time simulation; this crate is the
-//! real network boundary the ROADMAP's "serving heavy traffic" north star
-//! needs. It is built on `std::net` only — the repo's offline constraint
+//! This crate is the real network boundary the ROADMAP's "serving heavy
+//! traffic" north star needs. It is built on `std::net` only — the repo's offline constraint
 //! rules out tokio-shaped dependencies, and a thread-per-connection blocking
 //! design is exactly the coordinator/worker SPMD shape of the paper's SP-2
 //! program anyway.

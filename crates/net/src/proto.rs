@@ -186,8 +186,9 @@ pub struct MutationAck {
     pub freed: u32,
 }
 
-/// A successful query answer plus the engine's virtual cost accounting, so
-/// remote clients see the same per-query economics as in-process sessions.
+/// A successful query answer plus the engine's block counts. The three
+/// virtual fields (`elapsed_us`, `comm_us`, `cache_hits`) stay in the wire
+/// format; a served query charges no cost model and sends 0 in them.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RecordsReply {
     /// True if some blocks could not be served (worker deaths, deadline).

@@ -1,8 +1,8 @@
 //! The worker-launch seam: how the engine turns its loaded
 //! [`WorkerState`]s into running service loops.
 //!
-//! The engine builds one `WorkerState` per slot (store loaded, disks
-//! modeled, faults armed) and hands them all to a [`WorkerBackend`], which
+//! The engine builds one `WorkerState` per slot (store loaded, faults
+//! armed) and hands them all to a [`WorkerBackend`], which
 //! chooses the slot layout and returns one [`SlotHandle`] per slot. The
 //! default [`InProcessBackend`] makes a fault-free slot its lock: no thread
 //! and no channel, every message applied by its sender, on the sender's
@@ -129,7 +129,6 @@ impl WorkerBackend for InProcessBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::DiskParams;
     use crate::fault::FaultKind;
     use crate::message::{FromWorker, QueryPriority, ReadRequest};
     use crossbeam::channel::unbounded;
@@ -159,9 +158,8 @@ mod tests {
     #[test]
     fn only_a_fault_armed_slot_gets_a_thread() {
         let counters = || Arc::new(WorkerCounters::default());
-        let plain = WorkerState::new(0, 0, DiskParams::default());
-        let armed = WorkerState::new(1, 0, DiskParams::default())
-            .with_faults(vec![FaultKind::PoisonQuery(7)]);
+        let plain = WorkerState::new(0, 0);
+        let armed = WorkerState::new(1, 0).with_faults(vec![FaultKind::PoisonQuery(7)]);
         let (slots, threads) =
             InProcessBackend.spawn(vec![(plain, counters()), (armed, counters())]);
         assert!(slots[0].is_local(), "a fault-free slot is its lock");
@@ -192,7 +190,7 @@ mod tests {
 
     #[test]
     fn local_slot_applies_each_message_on_its_sender() {
-        let mut state = WorkerState::new(0, 0, DiskParams::default());
+        let mut state = WorkerState::new(0, 0);
         let (block, bytes) = page(1).pop().expect("one block");
         state.store.put(block, bytes).expect("put");
         let slot = SlotHandle(Slot::Local(LocalSlot::new(state, None)));

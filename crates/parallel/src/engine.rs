@@ -1,16 +1,14 @@
 //! The coordinator and the public engine API.
 //!
-//! `ParallelGridFile::build` declusters a grid file onto `P` worker slots
-//! (one or more simulated disks each — the paper's simulation study assumes
-//! one disk per processor, its SP-2 hardware had seven), then the query API
-//! drives the SPMD protocol:
+//! `ParallelGridFile::build` declusters a grid file onto `P` worker slots,
+//! then the query API drives the SPMD protocol:
 //!
 //! 1. the coordinator translates the range query into block requests using
 //!    the grid directory (which the paper stores on the coordinator's disk),
-//! 2. involved workers read their blocks (virtual disk time, LRU cache),
-//!    decode the real pages and filter records,
-//! 3. replies stream back; the coordinator keeps each accepted reply (or
-//!    hedge fallback) as its own part and, once nothing is awaited,
+//! 2. involved workers read and verify their blocks, decode the real pages
+//!    and filter records,
+//! 3. replies stream back; the coordinator keeps each accepted reply as its
+//!    own part and, once nothing is awaited,
 //!    concatenates the parts in slot order ([`crate::merge`]) — every caller
 //!    (sessions, the workload runners, the server, the cluster backend) gets
 //!    the same sequence for the same query, layout and worker health.
@@ -18,10 +16,8 @@
 //! The engine is a **shared service**: every query method takes `&self`, so
 //! any number of threads can hold the same engine and open independent
 //! [`QuerySession`]s against it. Each session owns a private reply channel;
-//! workers answer to whichever session asked. A worker services each
-//! dispatch — one per worker per admission round, however many queries the
-//! round holds — as one elevator batch (see [`crate::worker`]), while the
-//! queries' virtual completion times stay independently accounted.
+//! workers answer to whichever session asked, one dispatch per worker per
+//! admission round, however many queries the round holds.
 //!
 //! The engine is also **fault-tolerant** when built over a
 //! [`ReplicatedAssignment`] ([`ParallelGridFile::build_replicated`]): every
@@ -31,8 +27,7 @@
 //! a per-request timeout: a worker that fail-stops mid-query is detected via
 //! its published dead flag (or, for a silently crashed thread, a strike
 //! limit), and its stranded buckets are retried — once — against their other
-//! copy, with the extra round trip charged to the query's communication
-//! time. Without replicas a failure marks the affected queries
+//! copy. Without replicas a failure marks the affected queries
 //! [`QueryOutcome::incomplete`] instead of panicking.
 //!
 //! Beyond fail-stop, the engine is hardened against a **hostile
@@ -41,8 +36,9 @@
 //! (never positionally) and redeliveries are deduped at the worker; lost
 //! messages are retransmitted under bounded exponential backoff; block
 //! corruption is caught by store checksums, answered from the replica, and
-//! scrubbed back to health; straggler workers can be hedged against their
-//! replicas ([`LatencyConfig::hedge_threshold`]); and a per-query real-time
+//! scrubbed back to health; a request outstanding too long on the wall
+//! clock is hedged against its replica ([`LatencyConfig::hedge_threshold`]);
+//! and a per-query real-time
 //! deadline ([`LatencyConfig::deadline_us`]) bounds how long any of this is
 //! allowed to take before the query is answered explicitly incomplete.
 //!
@@ -56,14 +52,17 @@
 //! takes. Sessions and the concurrent runner dispatch through one round
 //! function: admit, one `Process` message per involved worker, collect.
 //!
-//! Virtual elapsed time of a query = slowest worker's (disk + CPU) time plus
-//! communication time; communication = one broadcast latency plus each
-//! reply's (latency + bytes / bandwidth), serialized at the coordinator's
-//! adapter — which is why the paper's communication column grows with the
-//! query ratio `r` (§ 3.5: "the size of answer sets tends to grow").
+//! The SP-2 cost model ([`pargrid_sim::cost`]) is charged in one place: the
+//! workload runners, which replay each round's accepted reads through it
+//! once the round's replies are in. A query's virtual elapsed time there is
+//! the slowest worker's (disk + CPU) charge plus its communication time:
+//! one latency per message sent (broadcast, retransmits, failovers, hedges)
+//! plus each reply's (latency + bytes / bandwidth), serialized at the
+//! coordinator's adapter — which is why the paper's communication column
+//! grows with the query ratio `r` (§ 3.5: "the size of answer sets tends to
+//! grow"). Sessions drop the log: the serving path runs on the real clock.
 
 use crate::backend::SlotHandle;
-use crate::disk::DiskParams;
 use crate::error::EngineError;
 use crate::fault::FaultPlan;
 use crate::merge::{assemble, Part};
@@ -82,12 +81,13 @@ use pargrid_gridfile::{GridFile, MutationEffect, Record};
 #[cfg(feature = "obs")]
 use pargrid_obs::{Event, Recorder, SpanKind, NO_ID};
 use pargrid_rebalance::{plan_rebalance, CopyKind, RepairConfig};
+use pargrid_sim::cost::{CostModel, DiskParams, NetParams, Read};
 use pargrid_sim::{QueryWorkload, ThroughputStats};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Default for [`ResilienceConfig::max_timeout_strikes`]: with the default
 /// 200 ms poll timeout, ten seconds of total silence.
@@ -106,27 +106,9 @@ const MAX_RETRANSMITS: u32 = 3;
 /// faults that outweigh the syscalls saved.
 const SPILL_RUN_BLOCKS: usize = 64;
 
-/// Service-time samples required before hedging decisions trust the p95.
+/// Reply-latency samples required before hedging decisions trust the p95.
 #[cfg(feature = "obs")]
 const HEDGE_MIN_SAMPLES: u64 = 16;
-
-/// Interconnect cost model (SP-2-class switch).
-#[derive(Clone, Copy, Debug)]
-pub struct NetParams {
-    /// Per-message latency in virtual microseconds.
-    pub latency_us: u64,
-    /// Bandwidth in bytes per virtual microsecond (35 ≈ 35 MB/s).
-    pub bytes_per_us: u64,
-}
-
-impl Default for NetParams {
-    fn default() -> Self {
-        NetParams {
-            latency_us: 40,
-            bytes_per_us: 35,
-        }
-    }
-}
 
 /// Fault-survival policy: injected faults, the reply-timeout poll and the
 /// strike limit. Grouped out of [`EngineConfig`] so the knobs that only
@@ -183,17 +165,16 @@ impl ResilienceConfig {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LatencyConfig {
     /// Per-query real-time deadline budget, microseconds. When it expires,
-    /// still-missing replies are abandoned: hedged requests fall back to
-    /// their primary's held answer, anything else marks the query
+    /// still-missing replies are abandoned and the query is marked
     /// [`QueryOutcome::incomplete`]. `None` (default) waits indefinitely.
     pub deadline_us: Option<u64>,
-    /// Hedged-read trigger — the straggler defense. When a reply's virtual
-    /// service time exceeds `threshold x p95` of the engine's recent
-    /// service times and the request's buckets share one live replica
-    /// worker, the replica is speculatively dispatched and the query is
-    /// charged the faster of the two answers. `None` (default) disables
-    /// hedging; requires the `obs` feature (the p95 baseline comes from its
-    /// histograms) and a replicated build.
+    /// Hedged-read trigger — the straggler defense. A request still
+    /// outstanding after `threshold x p95` of the engine's recent reply
+    /// latencies (wall clock) is re-sent under a fresh seq to the live
+    /// worker holding the other copy of all its buckets; the first good
+    /// answer of the two wins. `None` (default) disables hedging; requires
+    /// the `obs` feature (the p95 baseline comes from its histograms) and a
+    /// replicated build.
     pub hedge_threshold: Option<f64>,
 }
 
@@ -235,13 +216,14 @@ impl ObsConfig {
     }
 }
 
-/// Engine configuration: the hardware model (disk, net, store layout), the
-/// worker backend, and three grouped policy sub-configs.
+/// Engine configuration: the SP-2 cost model the workload runners charge
+/// (disk, net, disks per worker), the store layout, the worker backend, and
+/// three grouped policy sub-configs.
 #[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
-    /// Disk model parameters (per worker).
+    /// Cost-model disk parameters (per worker).
     pub disk: DiskParams,
-    /// Network parameters.
+    /// Cost-model network parameters.
     pub net: NetParams,
     /// When set, each worker's blocks are written to a real file
     /// `<spill_dir>/worker-<i>.blocks` and served from a read-only mapping
@@ -249,8 +231,9 @@ pub struct EngineConfig {
     /// layout. The directory is private to the engine.
     /// `None` keeps blocks in memory.
     pub spill_dir: Option<std::path::PathBuf>,
-    /// Disks per worker (0 is treated as 1). The paper's SP-2 had seven
-    /// disks per processor; its simulation study assumes one.
+    /// Cost-model disks per worker (0 is treated as 1), striped round-robin
+    /// (`disk = block mod D`). The paper's SP-2 had seven disks per
+    /// processor; its simulation study assumes one.
     pub disks_per_worker: usize,
     /// Extra worker slots spawned idle at build time, holding no data until
     /// a [`ParallelGridFile::rebalance`] with [`RebalanceOp::AddWorkers`]
@@ -273,7 +256,7 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// In-memory configuration with default disk and network models.
+    /// In-memory configuration with the default cost model.
     pub fn in_memory() -> Self {
         Self::default()
     }
@@ -340,10 +323,11 @@ pub struct QueryOutcome {
     pub response_blocks: u64,
     /// Total blocks requested across workers.
     pub total_blocks: u64,
-    /// Buffer-cache hits among them.
+    /// Buffer-cache hits among them, as the cost model charged them. The
+    /// three virtual fields are 0 outside the workload runners.
     pub cache_hits: u64,
     /// Virtual elapsed time of the query (microseconds), accounted
-    /// independently of any concurrently-serviced queries: the slowest
+    /// independently of the other queries of its round: the slowest
     /// involved worker's own disk + CPU charges plus this query's
     /// communication time.
     pub elapsed_us: u64,
@@ -519,12 +503,13 @@ struct PlannedRead {
     buckets: Vec<u32>,
 }
 
-/// A primary's answer held back while its hedge is in flight: kept as a
-/// part if the hedge fails or stalls, superseded by the (faster) hedge
-/// reply otherwise.
-struct HedgeFallback {
-    part: Part,
-    service_us: u64,
+/// One accepted reply as the cost model replays it.
+struct Served {
+    slot: usize,
+    seq: u64,
+    blocks: Vec<u32>,
+    records: u64,
+    cpu_us: u64,
 }
 
 /// One outstanding dispatch of a pending query.
@@ -544,9 +529,12 @@ struct Outstanding {
     backoff: u32,
     /// Retransmits already spent (bounded by [`MAX_RETRANSMITS`]).
     retransmits: u32,
-    /// Present when this dispatch is a hedge: the primary's held-back
-    /// answer to fall back on.
-    hedge_fallback: Option<HedgeFallback>,
+    /// When it was first sent: hedging's clock.
+    sent: Instant,
+    /// Whether hedging has considered it (a hedge never is).
+    hedged: bool,
+    /// The other request of a hedged pair.
+    partner: Option<u64>,
 }
 
 impl Outstanding {
@@ -559,16 +547,9 @@ impl Outstanding {
             strikes: 0,
             backoff: 1,
             retransmits: 0,
-            hedge_fallback: None,
-        }
-    }
-
-    /// `records` as this dispatch's answer, tagged for assembly.
-    fn part(&self, records: Vec<Record>) -> Part {
-        Part {
-            slot: self.worker,
-            seq: self.seq,
-            records,
+            sent: Instant::now(),
+            hedged: false,
+            partner: None,
         }
     }
 }
@@ -582,19 +563,23 @@ struct PendingQuery {
     /// Touched buckets, sorted.
     buckets: Vec<u32>,
     /// When the query was admitted — the deadline budget's clock.
-    started: std::time::Instant,
+    started: Instant,
     /// Outstanding requests, matched to replies by dispatch seq.
     awaiting: Vec<Outstanding>,
     /// Buckets already failed over once (one-retry policy).
     retried: HashSet<u32>,
     response_blocks: u64,
     total_blocks: u64,
-    cache_hits: u64,
-    comm_us: u64,
-    max_worker_us: u64,
-    /// Accepted worker answers, one part per reply (or hedge fallback);
-    /// assembled once, in [`PendingQuery::into_outcome`].
+    /// Messages the cost model charges one latency each: the broadcast,
+    /// retransmits, failovers and hedges.
+    messages: u64,
+    /// Error replies, each charged as an empty reply.
+    errors: u64,
+    /// Accepted worker answers, one part per reply; assembled once, in
+    /// [`PendingQuery::into_outcome`].
     parts: Vec<Part>,
+    /// The accepted replies' reads, for a runner's replay.
+    served: Vec<Served>,
     retries: u64,
     hedges: u64,
     incomplete: bool,
@@ -606,37 +591,32 @@ impl PendingQuery {
             round_pos,
             rect,
             buckets,
-            started: std::time::Instant::now(),
+            started: Instant::now(),
             awaiting: Vec::new(),
             retried: HashSet::new(),
             response_blocks: 0,
             total_blocks: 0,
-            cache_hits: 0,
-            comm_us: 0,
-            max_worker_us: 0,
+            messages: 0,
+            errors: 0,
             parts: Vec::new(),
+            served: Vec::new(),
             retries: 0,
             hedges: 0,
             incomplete: false,
         }
     }
 
-    /// Keeps a hedge's held-back primary answer (the hedge lost, stalled
-    /// past the deadline, or died).
-    fn absorb_fallback(&mut self, fb: HedgeFallback) {
-        self.max_worker_us = self.max_worker_us.max(fb.service_us);
-        self.parts.push(fb.part);
-    }
-
-    fn into_outcome(mut self) -> QueryOutcome {
+    /// The query's answer, with its virtual `(elapsed_us, comm_us,
+    /// cache_hits)` as a runner's replay charged them.
+    fn into_outcome(mut self, (elapsed_us, comm_us, cache_hits): (u64, u64, u64)) -> QueryOutcome {
         QueryOutcome {
             records: assemble(&mut self.parts),
             buckets: self.buckets,
             response_blocks: self.response_blocks,
             total_blocks: self.total_blocks,
-            cache_hits: self.cache_hits,
-            elapsed_us: self.max_worker_us + self.comm_us,
-            comm_us: self.comm_us,
+            cache_hits,
+            elapsed_us,
+            comm_us,
             retries: self.retries,
             hedges: self.hedges,
             incomplete: self.incomplete,
@@ -665,6 +645,9 @@ pub struct ParallelGridFile {
     domain: Rect,
     net: NetParams,
     record_bytes: usize,
+    /// The SP-2 cost model, charged by the workload runners once per round
+    /// and told about every block rewrite. No session or worker takes it.
+    cost: Mutex<CostModel>,
     /// One handle per worker slot: every message goes through its `send`,
     /// which bounces once the slot has stopped.
     slots: Vec<SlotHandle>,
@@ -686,7 +669,7 @@ pub struct ParallelGridFile {
     replicated: bool,
     #[cfg(feature = "obs")]
     hedge_threshold: Option<f64>,
-    /// Per-request virtual service times (disk + CPU) across all queries —
+    /// Wall-clock reply latencies of accepted requests across all queries —
     /// the recent-latency baseline hedging compares against.
     #[cfg(feature = "obs")]
     service_hist: pargrid_obs::AtomicHistogram,
@@ -746,14 +729,8 @@ impl ParallelGridFile {
                     )
                     .expect("cannot create worker block file"),
                 };
-                WorkerState::with_disks(
-                    w,
-                    payload,
-                    config.disk,
-                    store,
-                    config.disks_per_worker.max(1),
-                )
-                .with_faults(config.resilience.faults.for_worker(w))
+                WorkerState::with_store(w, payload, store)
+                    .with_faults(config.resilience.faults.for_worker(w))
             })
             .collect();
         let mut next_block = vec![0u32; n_workers];
@@ -821,13 +798,6 @@ impl ParallelGridFile {
             flush(state, next, run);
         }
 
-        #[cfg(feature = "obs")]
-        if let Some(rec) = &config.obs.recorder {
-            for state in &mut workers {
-                state.recorder = Some(Arc::clone(rec));
-            }
-        }
-
         let shared = Arc::new(SharedStats::new(n_workers));
         let backend: Arc<dyn crate::backend::WorkerBackend> = config
             .backend
@@ -854,6 +824,11 @@ impl ParallelGridFile {
             wal: Mutex::new(None),
             domain,
             net: config.net,
+            cost: Mutex::new(CostModel::new(
+                n_workers,
+                config.disks_per_worker,
+                config.disk,
+            )),
             slots,
             handles: std::sync::Mutex::new(handles),
             shut_down: AtomicBool::new(false),
@@ -1120,9 +1095,8 @@ impl ParallelGridFile {
             }
         }
         for (w, (blocks, bkts)) in regroup {
-            // The retry costs another dispatch message; its reply's cost is
-            // charged on arrival like any other.
-            p.comm_us += self.net.latency_us;
+            // The retry costs another dispatch message.
+            p.messages += 1;
             p.retries += 1;
             self.shared.retries.fetch_add(1, Ordering::Relaxed);
             #[cfg(feature = "obs")]
@@ -1191,9 +1165,8 @@ impl ParallelGridFile {
                 .push(Outstanding::new(w, seq, read.buckets, read.blocks));
         }
         if !requests.is_empty() {
-            // One broadcast latency for the dispatch; each reply adds its
-            // own latency + transfer time as it arrives.
-            p.comm_us += self.net.latency_us;
+            // One broadcast message for the dispatch.
+            p.messages += 1;
         }
         (query_id, p, requests)
     }
@@ -1232,7 +1205,6 @@ impl ParallelGridFile {
     /// declustering's least-loaded fallback means a request's buckets need
     /// not all share one replica worker; hedging fires only when they do,
     /// so a hedge is always one message to one machine.
-    #[cfg(feature = "obs")]
     fn hedge_target(&self, buckets: &[u32], from_worker: usize) -> Option<(usize, Vec<u32>)> {
         let cat = self.catalog.read().expect("engine catalog lock");
         let mut target: Option<(usize, Vec<u32>)> = None;
@@ -1257,9 +1229,8 @@ impl ParallelGridFile {
     /// Scrubs checksum-failed blocks on `worker` back to health: fetches
     /// the affected buckets' bytes from their other copy (both copies chunk
     /// a bucket's records identically, so their block lists align
-    /// positionally) and overwrites the corrupt blocks in place. Repair I/O
-    /// is background scrub traffic — uncharged on the virtual clock.
-    /// Skipped silently when no live other copy exists; the corruption then
+    /// positionally) and overwrites the corrupt blocks in place. Skipped
+    /// silently when no live other copy exists; the corruption then
     /// simply resurfaces on the next read of the block.
     fn repair_blocks(&self, query_id: u64, worker: usize, corrupt: &[u32], buckets: &[u32]) {
         let _ = query_id;
@@ -1325,13 +1296,7 @@ impl ParallelGridFile {
                 continue;
             }
             let n = writes.len() as u64;
-            if self.slots[worker]
-                .send(ToWorker::WriteRaw {
-                    worker,
-                    blocks: writes,
-                })
-                .is_ok()
-            {
+            if self.write_blocks(worker, writes) {
                 repaired += n;
             }
         }
@@ -1491,14 +1456,10 @@ impl ParallelGridFile {
         }
 
         for (w, blocks) in writes.into_iter().enumerate() {
-            if blocks.is_empty() {
-                continue;
-            }
-            let write = ToWorker::WriteRaw { worker: w, blocks };
-            if self.slots[w].send(write).is_err() {
-                // Transport gone: the worker is dead. Reads fail over to
-                // the other copy (which did get its write).
-                self.shared.workers[w].dead.store(true, Ordering::Relaxed);
+            // A dead worker's reads fail over to the other copy (which did
+            // get its write).
+            if !blocks.is_empty() {
+                self.write_blocks(w, blocks);
             }
         }
 
@@ -1508,6 +1469,25 @@ impl ParallelGridFile {
             created_buckets: effect.created.clone(),
             freed_buckets: effect.freed.clone(),
         }
+    }
+
+    /// Sends `blocks` to worker `w` as one write and invalidates them in the
+    /// cost model's cache, so a rewritten block is charged as a miss. A
+    /// bounced write marks the worker dead. Returns whether it was sent.
+    fn write_blocks(&self, w: usize, blocks: Vec<(u32, Vec<u8>)>) -> bool {
+        let ids: Vec<u32> = blocks.iter().map(|&(b, _)| b).collect();
+        if self.slots[w]
+            .send(ToWorker::WriteRaw { worker: w, blocks })
+            .is_err()
+        {
+            self.shared.workers[w].dead.store(true, Ordering::Relaxed);
+            return false;
+        }
+        let mut cost = self.cost.lock().expect("engine cost model lock");
+        for b in ids {
+            cost.invalidate(w, b);
+        }
+        true
     }
 
     /// Encodes bucket `b`'s records into page images, one per block. An
@@ -1743,13 +1723,7 @@ impl ParallelGridFile {
             // after the flip is dispatched after this write is applied or
             // sent ahead of it. The source copy's blocks stay orphaned on
             // disk for queries planned before the flip.
-            let write = ToWorker::WriteRaw {
-                worker: to,
-                blocks: writes,
-            };
-            if self.slots[to].send(write).is_err() {
-                self.shared.workers[to].dead.store(true, Ordering::Relaxed);
-            }
+            self.write_blocks(to, writes);
             drop(cat);
             self.shared.rebalance_moves.fetch_add(1, Ordering::Relaxed);
             self.shared
@@ -1786,12 +1760,8 @@ impl ParallelGridFile {
         let Some(pos) = p.awaiting.iter().position(|o| o.seq == reply.seq) else {
             return;
         };
-        let mut o = p.awaiting.remove(pos);
+        let o = p.awaiting.remove(pos);
         p.total_blocks += reply.blocks_requested;
-        p.cache_hits += reply.cache_hits;
-        let reply_bytes = 32 + reply.records.len() * self.record_bytes;
-        p.comm_us +=
-            self.net.latency_us + (reply_bytes as u64).div_ceil(self.net.bytes_per_us.max(1));
         // Checksum failures are scrubbed from the replica regardless of how
         // the query itself gets answered.
         if !reply.corrupt_blocks.is_empty() {
@@ -1802,86 +1772,138 @@ impl ParallelGridFile {
                 &o.buckets,
             );
         }
-        let service_us = reply.disk_us + reply.cpu_us;
-        if let Some(fb) = o.hedge_fallback.take() {
-            // A hedge resolved: take its answer at the faster of the two
-            // service times, or the primary's held answer if the hedge
-            // itself failed.
-            if reply.error.is_none() {
-                p.max_worker_us = p.max_worker_us.max(service_us.min(fb.service_us));
-                p.parts.push(o.part(reply.records));
-            } else {
-                p.absorb_fallback(fb);
+        // The other request of a hedged pair, if it is still out.
+        let partner = o
+            .partner
+            .and_then(|seq| p.awaiting.iter().position(|x| x.seq == seq));
+        if reply.error.is_some() {
+            p.errors += 1;
+            if partner.is_none() {
+                self.fail_over(
+                    reply.query_id,
+                    p,
+                    reply.worker_id,
+                    &o.buckets,
+                    reply_tx,
+                    priority,
+                );
             }
             return;
         }
-        if reply.error.is_some() {
-            p.max_worker_us = p.max_worker_us.max(service_us);
-            self.fail_over(
-                reply.query_id,
-                p,
-                reply.worker_id,
-                &o.buckets,
-                reply_tx,
-                priority,
-            );
-            return;
+        // The first good answer of a hedged pair wins; the other's late
+        // reply finds nothing awaited and is dropped.
+        if let Some(i) = partner {
+            p.awaiting.remove(i);
         }
         #[cfg(feature = "obs")]
-        if let Some(threshold) = self.hedge_threshold {
-            self.service_hist.record(service_us);
-            if self.replicated && self.service_hist.count() >= HEDGE_MIN_SAMPLES {
-                let p95 = self.service_hist.snapshot().quantile(0.95);
-                if service_us as f64 > threshold * p95 as f64 {
-                    if let Some((w, blocks)) = self.hedge_target(&o.buckets, reply.worker_id) {
-                        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-                        let request = ReadRequest {
-                            worker: w,
-                            query_id: reply.query_id,
-                            seq,
-                            blocks: blocks.clone(),
-                            query: p.rect,
-                            reply: reply_tx.clone(),
-                            priority,
-                        };
-                        if self.slots[w].send(ToWorker::Process(vec![request])).is_ok() {
-                            // The hedge costs one more dispatch message.
-                            // The slow primary's answer is held back as the
-                            // fallback; the query is charged the faster of
-                            // the two when the hedge resolves.
-                            p.comm_us += self.net.latency_us;
-                            p.hedges += 1;
-                            self.shared.hedges.fetch_add(1, Ordering::Relaxed);
-                            self.trace_instant(
-                                SpanKind::Hedge,
-                                reply.query_id,
-                                w as u32,
-                                service_us,
-                            );
-                            let fallback = HedgeFallback {
-                                part: o.part(reply.records),
-                                service_us,
-                            };
-                            let mut hedge = Outstanding::new(w, seq, o.buckets, blocks);
-                            hedge.hedge_fallback = Some(fallback);
-                            p.awaiting.push(hedge);
-                            return;
-                        }
-                    }
-                }
-            }
+        if self.hedge_threshold.is_some() {
+            self.service_hist
+                .record(o.sent.elapsed().as_micros() as u64);
         }
-        p.max_worker_us = p.max_worker_us.max(service_us);
-        p.parts.push(o.part(reply.records));
+        p.served.push(Served {
+            slot: o.worker,
+            seq: o.seq,
+            records: reply.records.len() as u64,
+            cpu_us: reply.cpu_us,
+            blocks: o.blocks,
+        });
+        p.parts.push(Part {
+            slot: o.worker,
+            seq: o.seq,
+            records: reply.records,
+        });
     }
 
-    /// Collects replies until no pending query awaits a worker. On each
-    /// empty-timeout poll, in order: queries past their deadline budget
-    /// abandon whatever is still missing; outstanding requests on live
-    /// workers are redelivered under backed-off, bounded retransmission
-    /// (the lost-message defense); and requests stranded on dead — or, at
-    /// the strike limit, merely silent — workers are failed over to their
-    /// replicas.
+    /// How long a request may be outstanding before it is hedged:
+    /// `threshold x p95` of recent reply latencies, once there are enough
+    /// of them on a replicated engine.
+    #[cfg(feature = "obs")]
+    fn hedge_after(&self) -> Option<Duration> {
+        let threshold = self.hedge_threshold?;
+        if !self.replicated || self.service_hist.count() < HEDGE_MIN_SAMPLES {
+            return None;
+        }
+        let p95 = self.service_hist.snapshot().quantile(0.95);
+        Some(Duration::from_micros((threshold * p95 as f64) as u64))
+    }
+
+    #[cfg(not(feature = "obs"))]
+    fn hedge_after(&self) -> Option<Duration> {
+        None
+    }
+
+    /// Hedges every request outstanding past [`Self::hedge_after`] (Dean &
+    /// Barroso, "The Tail at Scale", CACM 2013): re-sends it under a fresh
+    /// seq to the live worker holding the other copy of all its buckets, so
+    /// a hedge is always one message to one machine. Returns when the next
+    /// request not yet due falls due.
+    fn hedge(
+        &self,
+        pending: &mut HashMap<u64, PendingQuery>,
+        reply_tx: &Sender<FromWorker>,
+        priority: QueryPriority,
+    ) -> Option<Instant> {
+        let after = self.hedge_after()?;
+        let now = Instant::now();
+        let mut next: Option<Instant> = None;
+        for (&qid, p) in pending.iter_mut() {
+            let mut hedges = Vec::new();
+            for o in p.awaiting.iter_mut().filter(|o| !o.hedged) {
+                let due = o.sent + after;
+                if due > now {
+                    next = Some(next.map_or(due, |n| n.min(due)));
+                    continue;
+                }
+                o.hedged = true;
+                let Some((w, blocks)) = self.hedge_target(&o.buckets, o.worker) else {
+                    continue;
+                };
+                let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+                let request = ReadRequest {
+                    worker: w,
+                    query_id: qid,
+                    seq,
+                    blocks: blocks.clone(),
+                    query: p.rect,
+                    reply: reply_tx.clone(),
+                    priority,
+                };
+                if self.slots[w]
+                    .send(ToWorker::Process(vec![request]))
+                    .is_err()
+                {
+                    self.shared.workers[w].dead.store(true, Ordering::Relaxed);
+                    continue;
+                }
+                self.shared.hedges.fetch_add(1, Ordering::Relaxed);
+                #[cfg(feature = "obs")]
+                self.trace_instant(
+                    SpanKind::Hedge,
+                    qid,
+                    w as u32,
+                    now.duration_since(o.sent).as_micros() as u64,
+                );
+                o.partner = Some(seq);
+                let mut hedge = Outstanding::new(w, seq, o.buckets.clone(), blocks);
+                hedge.hedged = true;
+                hedge.partner = Some(o.seq);
+                hedges.push(hedge);
+            }
+            p.messages += hedges.len() as u64;
+            p.hedges += hedges.len() as u64;
+            p.awaiting.extend(hedges);
+        }
+        next
+    }
+
+    /// Collects replies until no pending query awaits a worker, hedging
+    /// requests that fall due on the way. On each empty-timeout poll, in
+    /// order: queries past their deadline budget abandon whatever is still
+    /// missing; outstanding requests on live workers are redelivered under
+    /// backed-off, bounded retransmission (the lost-message defense); and
+    /// requests stranded on dead — or, at the strike limit, merely silent —
+    /// workers are failed over to their replicas. A wake-up for a hedge is
+    /// not a poll.
     fn collect(
         &self,
         reply_rx: &Receiver<FromWorker>,
@@ -1891,14 +1913,26 @@ impl ParallelGridFile {
     ) {
         let timeout = Duration::from_millis(self.fail_timeout_ms.max(1));
         let mut strikes = 0u32;
+        let mut poll_at = Instant::now() + timeout;
         while pending.values().any(|p| !p.awaiting.is_empty()) {
-            match reply_rx.recv_timeout(timeout) {
+            // Replies already in are taken first: only a request still out
+            // when the collector would block is a hedging candidate.
+            let next = reply_rx.try_recv().or_else(|_| {
+                let wake = self
+                    .hedge(pending, reply_tx, priority)
+                    .map_or(poll_at, |h| h.min(poll_at));
+                reply_rx.recv_timeout(wake.saturating_duration_since(Instant::now()))
+            });
+            match next {
                 Ok(reply) => {
                     strikes = 0;
+                    poll_at = Instant::now() + timeout;
                     self.process_reply(reply, pending, reply_tx, priority);
                 }
                 Err(RecvTimeoutError::Disconnected) => return,
+                Err(RecvTimeoutError::Timeout) if Instant::now() < poll_at => {}
                 Err(RecvTimeoutError::Timeout) => {
+                    poll_at = Instant::now() + timeout;
                     strikes += 1;
                     let force = strikes >= self.max_timeout_strikes;
                     let ids: Vec<u64> = pending.keys().copied().collect();
@@ -1910,28 +1944,20 @@ impl ParallelGridFile {
                             continue;
                         }
                         // 1. Deadline budget: abandon whatever is missing.
-                        // A hedge never loses the answer — the primary's
-                        // reply is already in hand.
                         if let Some(d) = self.deadline_us {
                             if p.started.elapsed().as_micros() as u64 > d {
                                 self.shared.deadline_expired.fetch_add(1, Ordering::Relaxed);
-                                for o in std::mem::take(&mut p.awaiting) {
-                                    match o.hedge_fallback {
-                                        Some(fb) => p.absorb_fallback(fb),
-                                        None => p.incomplete = true,
-                                    }
-                                }
+                                p.awaiting.clear();
+                                p.incomplete = true;
                                 continue;
                             }
                         }
                         // 2. Bounded, backed-off retransmits to live
                         // workers: the request or its reply may have been
                         // lost; the worker dedups redeliveries by seq, so
-                        // redelivering serviced work is harmless. Hedges
-                        // are not retransmitted — their fallback answer
-                        // makes the dead sweep below lossless.
+                        // redelivering serviced work is harmless.
                         for o in p.awaiting.iter_mut() {
-                            if o.hedge_fallback.is_some() || !self.shared.is_alive(o.worker) {
+                            if !self.shared.is_alive(o.worker) {
                                 continue;
                             }
                             o.strikes += 1;
@@ -1941,7 +1967,7 @@ impl ParallelGridFile {
                             o.strikes = 0;
                             o.backoff = o.backoff.saturating_mul(2).min(16);
                             o.retransmits += 1;
-                            p.comm_us += self.net.latency_us;
+                            p.messages += 1;
                             self.shared.retransmits.fetch_add(1, Ordering::Relaxed);
                             #[cfg(feature = "obs")]
                             self.trace_instant(
@@ -1988,12 +2014,17 @@ impl ParallelGridFile {
                                 .dead
                                 .store(true, Ordering::Relaxed);
                         }
-                        for o in doomed {
-                            match o.hedge_fallback {
-                                Some(fb) => p.absorb_fallback(fb),
-                                None => {
-                                    self.fail_over(qid, p, o.worker, &o.buckets, reply_tx, priority)
-                                }
+                        for (k, o) in doomed.iter().enumerate() {
+                            // A hedged pair fails over once, and only when
+                            // neither of its requests is left.
+                            let left = |seq| {
+                                p.awaiting
+                                    .iter()
+                                    .chain(&doomed[k + 1..])
+                                    .any(|x| x.seq == seq)
+                            };
+                            if !o.partner.is_some_and(left) {
+                                self.fail_over(qid, p, o.worker, &o.buckets, reply_tx, priority);
                             }
                         }
                     }
@@ -2005,8 +2036,8 @@ impl ParallelGridFile {
         }
     }
 
-    /// One admission round — a session's query, or a window of the
-    /// concurrent runner's: admits `rects` in order, sends one `Process`
+    /// One admission round — a session's query, or a window of a
+    /// runner's: admits `rects` in order, sends one `Process`
     /// message per involved worker (counted into the runner's `batches`
     /// when given) — `try_send` first, then `send` for those a held slot
     /// handed back, so a query serves every free slot before it waits —
@@ -2076,14 +2107,15 @@ impl ParallelGridFile {
         self.session().query(rect)
     }
 
-    /// Runs a whole workload sequentially, accumulating the Tables 4–5
-    /// columns.
+    /// Runs a whole workload one query at a time — the window-1 case of
+    /// [`ParallelGridFile::run_workload_concurrent`] — accumulating the
+    /// Tables 4–5 columns.
     pub fn run_workload(&self, workload: &QueryWorkload) -> RunStats {
-        let mut session = self.session();
-        for q in &workload.queries {
-            session.query(q);
+        let mut stats = RunStats::default();
+        for out in &self.run_workload_concurrent(workload, 1).0 {
+            stats.absorb(out);
         }
-        session.stats
+        stats
     }
 
     /// Runs a workload with up to `in_flight` queries admitted at once,
@@ -2091,8 +2123,9 @@ impl ParallelGridFile {
     ///
     /// The coordinator admits the workload in rounds of `in_flight` queries:
     /// each round's block requests are grouped per worker and dispatched as
-    /// one batch, which the worker's disks service in elevator (sorted)
-    /// order. Admission rounds are the unit of determinism — batch
+    /// one batch. Once a round's replies are in, the runner charges the SP-2
+    /// cost model with the round's accepted reads, each worker's as one
+    /// elevator batch. Admission rounds are the unit of determinism — batch
     /// composition depends only on the workload and the window, never on
     /// thread timing — so repeated runs produce identical block counts,
     /// cache behavior, and virtual times.
@@ -2112,12 +2145,6 @@ impl ParallelGridFile {
         let n_workers = self.n_workers();
         let (reply_tx, reply_rx) = unbounded();
         let mut outcomes: Vec<QueryOutcome> = Vec::with_capacity(workload.len());
-        let busy0: Vec<u64> = self
-            .shared
-            .workers
-            .iter()
-            .map(|w| w.busy_wall_us.load(Ordering::Relaxed))
-            .collect();
         let retries0 = self.shared.retries.load(Ordering::Relaxed);
         let failed0 = self.shared.failed_over_blocks.load(Ordering::Relaxed);
         let retransmits0 = self.shared.retransmits.load(Ordering::Relaxed);
@@ -2138,25 +2165,19 @@ impl ParallelGridFile {
                 QueryPriority::Batch,
                 Some(&mut tp),
             );
-            for (_query_id, p) in finished {
+            let costs = self.charge(&finished, QueryPriority::Batch, &mut tp.worker_busy_us);
+            for ((_query_id, p), cost) in finished.into_iter().zip(costs) {
                 tp.queries += 1;
-                tp.comm_us += p.comm_us;
                 tp.total_blocks += p.total_blocks;
-                tp.cache_hits += p.cache_hits;
-                let out = p.into_outcome();
+                let out = p.into_outcome(cost);
+                tp.comm_us += out.comm_us;
+                tp.cache_hits += out.cache_hits;
                 #[cfg(feature = "obs")]
                 self.trace_reply(_query_id, round_start, &out);
                 outcomes.push(out);
             }
         }
 
-        // Per-worker busy time is the workers' own wall accounting (max over
-        // a batch's disks + CPU), taken as a delta over this run. Summing
-        // per-reply disk+CPU here would double-count a multi-disk worker's
-        // parallel seeks and overstate utilization.
-        for (w, b0) in busy0.iter().enumerate() {
-            tp.worker_busy_us[w] = self.shared.workers[w].busy_wall_us.load(Ordering::Relaxed) - b0;
-        }
         tp.retries = self.shared.retries.load(Ordering::Relaxed) - retries0;
         tp.failed_over_blocks = self.shared.failed_over_blocks.load(Ordering::Relaxed) - failed0;
         tp.retransmits = self.shared.retransmits.load(Ordering::Relaxed) - retransmits0;
@@ -2165,6 +2186,63 @@ impl ParallelGridFile {
         tp.worker_alive = (0..n_workers).map(|w| self.shared.is_alive(w)).collect();
         tp.makespan_us = tp.worker_busy_us.iter().copied().max().unwrap_or(0) + tp.comm_us;
         (outcomes, tp)
+    }
+
+    /// Charges a finished round to the cost model — the one place it is
+    /// charged — adding each worker's busy time to `busy_us` and returning
+    /// each query's `(elapsed_us, comm_us, cache_hits)`. The round's
+    /// accepted reads go in seq order, which is admission order, so each
+    /// worker's elevator batch breaks ties as its dispatch listed them.
+    fn charge(
+        &self,
+        finished: &[(u64, PendingQuery)],
+        priority: QueryPriority,
+        busy_us: &mut [u64],
+    ) -> Vec<(u64, u64, u64)> {
+        let mut served: Vec<(usize, &Served)> = finished
+            .iter()
+            .enumerate()
+            .flat_map(|(q, (_, p))| p.served.iter().map(move |s| (q, s)))
+            .collect();
+        served.sort_unstable_by_key(|(_, s)| s.seq);
+        let reads: Vec<Read<'_>> = served
+            .iter()
+            .map(|(_, s)| Read {
+                worker: s.slot,
+                blocks: &s.blocks,
+                interactive: priority == QueryPriority::Interactive,
+                cpu_us: s.cpu_us,
+            })
+            .collect();
+        #[cfg(feature = "obs")]
+        let recorder = self.recorder.as_deref();
+        #[cfg(not(feature = "obs"))]
+        let recorder = None;
+        let cost = self
+            .cost
+            .lock()
+            .expect("engine cost model lock")
+            .charge_round(&reads, recorder);
+        for (busy, wall) in busy_us.iter_mut().zip(&cost.wall_us) {
+            *busy += wall;
+        }
+        let mut charged: Vec<(u64, u64, u64)> = finished
+            .iter()
+            .map(|(_, p)| {
+                let comm = p.messages * self.net.latency_us + p.errors * self.net.reply_us(0);
+                (0, comm, 0)
+            })
+            .collect();
+        for ((q, s), c) in served.iter().zip(&cost.reads) {
+            let (worker_us, comm, hits) = &mut charged[*q];
+            *worker_us = (*worker_us).max(c.disk_us + s.cpu_us);
+            *comm += self.net.reply_us(s.records * self.record_bytes as u64);
+            *hits += c.cache_hits;
+        }
+        charged
+            .into_iter()
+            .map(|(worker_us, comm, hits)| (worker_us + comm, comm, hits))
+            .collect()
     }
 }
 
@@ -2183,19 +2261,20 @@ pub struct QuerySession<'e> {
 
 impl QuerySession<'_> {
     /// Sets the scheduling class of this session's requests (default
-    /// [`QueryPriority::Interactive`]).
+    /// [`QueryPriority::Interactive`]). Workers serve requests as they
+    /// arrive; only the cost model's replay, which sessions do not run,
+    /// orders by class.
     pub fn with_priority(mut self, priority: QueryPriority) -> Self {
         self.priority = priority;
         self
     }
 
     /// Executes one range query through the SPMD protocol: a one-query
-    /// admission round.
+    /// admission round. The cost model is not charged: the outcome's
+    /// virtual fields are 0.
     pub fn query(&mut self, rect: &Rect) -> QueryOutcome {
-        let engine = self.engine;
-        #[cfg(feature = "obs")]
-        let start_us = engine.recorder.as_ref().map_or(0, |r| r.now());
-        let (_query_id, p) = engine
+        let (_, p) = self
+            .engine
             .run_round(
                 std::slice::from_ref(rect),
                 (&self.reply_tx, &self.reply_rx),
@@ -2204,9 +2283,7 @@ impl QuerySession<'_> {
             )
             .pop()
             .expect("one query in, one out");
-        let outcome = p.into_outcome();
-        #[cfg(feature = "obs")]
-        engine.trace_reply(_query_id, start_us, &outcome);
+        let outcome = p.into_outcome((0, 0, 0));
         self.stats.absorb(&outcome);
         outcome
     }
@@ -2351,7 +2428,6 @@ mod tests {
         assert!(same_records(&out.records, &expected));
         assert!(out.response_blocks > 0);
         assert!(out.total_blocks >= out.response_blocks);
-        assert!(out.elapsed_us > out.comm_us);
         assert!(!out.buckets.is_empty());
         assert_eq!(out.retries, 0);
         assert!(!out.incomplete);
@@ -2436,34 +2512,18 @@ mod tests {
     }
 
     #[test]
-    fn reply_transfer_time_rounds_up() {
-        // One worker, one bucket, zero matching records: the 32-byte reply
-        // header must cost ceil(32/35) = 1 µs, not be truncated to zero.
-        // Total comm = broadcast latency + reply latency + 1.
-        let (_gf, engine, recs) = build_engine(1);
-        // Find a thin slice with no records but inside the domain so a
-        // bucket is touched.
-        let mut q = None;
-        for i in 0..1000 {
-            let x = i as f64 / 10.0;
-            let cand = Rect::new2(x, 0.0, x, 0.0);
-            if recs.iter().all(|r| !cand.contains_closed(&r.point)) {
-                q = Some(cand);
-                break;
-            }
-        }
-        let out = engine.query(&q.expect("an empty point query exists"));
-        assert!(out.records.is_empty());
-        assert!(out.total_blocks > 0, "a bucket was still read");
-        assert_eq!(out.comm_us, 40 + 40 + 1);
-    }
-
-    #[test]
     fn repeated_queries_hit_worker_caches() {
         let (_gf, engine, _recs) = build_engine(4);
         let q = Rect::new2(10.0, 10.0, 50.0, 50.0);
-        let first = engine.query(&q);
-        let second = engine.query(&q);
+        let (outcomes, _) = engine.run_workload_concurrent(
+            &QueryWorkload {
+                queries: vec![q; 2],
+            },
+            1,
+        );
+        let [first, second] = &outcomes[..] else {
+            panic!("two queries in, two out");
+        };
         assert_eq!(first.cache_hits, 0);
         assert_eq!(second.cache_hits, second.total_blocks);
         assert!(second.elapsed_us < first.elapsed_us);
@@ -2496,7 +2556,7 @@ mod tests {
         let stats = session.stats();
         assert_eq!(stats.queries, 2);
         assert!(stats.total_blocks > 0);
-        assert!(stats.cache_hits > 0, "second query should hit cache");
+        assert_eq!(stats.elapsed_us, 0, "a session charges no cost model");
         let engine_stats = engine.stats();
         assert_eq!(engine_stats.queries, 2);
         assert_eq!(engine_stats.total_blocks(), stats.total_blocks);
@@ -2549,9 +2609,9 @@ mod tests {
         let w = QueryWorkload::square(&Rect::new2(0.0, 0.0, 100.0, 100.0), 0.05, 40, 21);
         let (outcomes, tp) = conc.run_workload_concurrent(&w, 8);
         assert_eq!(outcomes.len(), 40);
+        let (serial, _) = seq.run_workload_concurrent(&w, 1);
         let mut sequential_us = 0;
-        for (q, out) in w.queries.iter().zip(&outcomes) {
-            let s = seq.query(q);
+        for (s, out) in serial.iter().zip(&outcomes) {
             assert_eq!(s.records, out.records);
             assert_eq!(s.total_blocks, out.total_blocks);
             sequential_us += s.elapsed_us;
@@ -2644,46 +2704,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_disk_busy_time_is_wall_not_sum() {
-        // The busy-time regression: with seven disks per worker the old
-        // accounting summed per-disk maxima per query and could report
-        // utilization far above 1.0. Wall accounting keeps every worker's
-        // busy time within the makespan, and strictly below the per-disk
-        // sum whenever the disks actually overlapped.
-        let w = QueryWorkload::square(&Rect::new2(0.0, 0.0, 100.0, 100.0), 0.08, 30, 11);
-        let (_g, engine, _r) = build_engine_cfg(6, EngineConfig::sp2_seven_disks());
-        let (_outcomes, tp) = engine.run_workload_concurrent(&w, 8);
-        for (wi, u) in tp.utilization().iter().enumerate() {
-            assert!(*u <= 1.0 + 1e-9, "worker {wi} utilization {u} exceeds 1.0");
-        }
-        let stats = engine.stats();
-        let wall: u64 = stats.workers.iter().map(|ws| ws.busy_wall_us).sum();
-        let disk_sum: u64 = stats.workers.iter().map(|ws| ws.disk_busy_us).sum();
-        assert!(
-            wall < disk_sum,
-            "seven parallel disks must make wall time {wall} \
-             strictly less than the per-disk sum {disk_sum}"
-        );
-    }
-
-    #[test]
-    fn single_disk_wall_time_covers_disk_busy() {
-        // With one disk per worker there is no overlap to discount: wall
-        // busy time is at least the disk busy time (it adds CPU).
-        let w = QueryWorkload::square(&Rect::new2(0.0, 0.0, 100.0, 100.0), 0.08, 20, 11);
-        let (_g, engine, _r) = build_engine(4);
-        let (_outcomes, _tp) = engine.run_workload_concurrent(&w, 4);
-        for ws in &engine.stats().workers {
-            assert!(
-                ws.busy_wall_us >= ws.disk_busy_us,
-                "wall {} below disk busy {}",
-                ws.busy_wall_us,
-                ws.disk_busy_us
-            );
-        }
-    }
-
-    #[test]
     fn file_backed_store_matches_memory() {
         let dir = std::env::temp_dir().join("pargrid_engine_spill_test");
         let _ = std::fs::remove_dir_all(&dir);
@@ -2748,6 +2768,40 @@ mod tests {
         drop(engine);
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(digests, GOLDEN_SPILL_FNV1A, "{digests:x?}");
+    }
+
+    /// FNV-1a-64 over every runner outcome's `(elapsed_us, comm_us,
+    /// cache_hits)` and the run's `makespan_us`, for
+    /// [`runner_virtual_times_match_the_golden`]: under the default and the
+    /// SP-2 configuration, window 1 then window 8 on one engine, as the
+    /// build that charged the model inside its workers computed them.
+    const GOLDEN_RUNNER_FNV1A: [u64; 4] = [
+        0xc20c_395c_ab52_e4f9,
+        0x9297_c85e_9e79_d35e,
+        0x693d_2ee6_9ae8_ef6b,
+        0x4801_2240_6d40_09dd,
+    ];
+
+    #[test]
+    fn runner_virtual_times_match_the_golden() {
+        let w = QueryWorkload::square(&Rect::new2(0.0, 0.0, 100.0, 100.0), 0.08, 40, 23);
+        let mut digests = Vec::new();
+        for config in [EngineConfig::default(), EngineConfig::sp2_seven_disks()] {
+            let (_g, engine, _r) = build_engine_cfg(6, config);
+            for window in [1, 8] {
+                let (outcomes, tp) = engine.run_workload_concurrent(&w, window);
+                let words = outcomes
+                    .iter()
+                    .flat_map(|o| [o.elapsed_us, o.comm_us, o.cache_hits])
+                    .chain([tp.makespan_us]);
+                digests.push(words.fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+                    v.to_le_bytes().iter().fold(h, |h, &b| {
+                        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+                    })
+                }));
+            }
+        }
+        assert_eq!(digests, GOLDEN_RUNNER_FNV1A, "{digests:#x?}");
     }
 
     #[test]
@@ -3210,43 +3264,34 @@ mod tests {
     #[cfg(feature = "obs")]
     #[test]
     fn slow_primary_is_hedged_against_its_replica() {
-        // Worker 0's disk runs 60x slow. After a healthy warmup fills the
-        // service-time baseline, a query landing on worker 0 exceeds
-        // 2 x p95 and is hedged to the replica; the answer stays exact and
-        // the query is charged the faster of the two copies.
+        // Worker 0 is a straggler: it holds every reply for 20000x the
+        // batch's service time. After a warmup that avoids it fills the
+        // latency baseline, a query whose one request lands on worker 0 is
+        // hedged to the replica once it has waited 2 x p95 on the wall
+        // clock. The replica's answer wins: the query returns exact while
+        // the primary still holds its reply, which arrives later and is
+        // dropped.
         let cfg = fast_cfg()
             .latency(|l| l.with_hedging(2.0))
-            .resilience(|r| r.with_faults(FaultPlan::none().with_slow_disk(0, 60)));
+            .resilience(|r| r.with_faults(FaultPlan::none().with_slow_disk(0, 20_000)));
         let (gf, engine, recs) = build_replicated_engine(4, cfg);
-
         let tiny = |r: &Record| {
-            Rect::new2(
-                r.point.coords()[0] - 0.01,
-                r.point.coords()[1] - 0.01,
-                r.point.coords()[0] + 0.01,
-                r.point.coords()[1] + 0.01,
-            )
+            let [x, y] = [r.point.coords()[0], r.point.coords()[1]];
+            Rect::new2(x - 0.01, y - 0.01, x + 0.01, y + 0.01)
         };
-        // Warmup: queries that avoid the slow worker keep the p95 healthy.
+        let mut session = engine.session();
         let mut warmed = 0;
-        for r in &recs {
-            let q = tiny(r);
+        for q in recs.iter().map(tiny) {
             let (_b, plan, _inc) = engine.plan(&q);
             if !plan.is_empty() && !plan.contains_key(&0) {
-                engine.query(&q);
+                session.query(&q);
                 warmed += 1;
-                if warmed >= 24 {
+                if warmed == 24 {
                     break;
                 }
             }
         }
-        assert!(
-            engine.service_hist.count() >= HEDGE_MIN_SAMPLES,
-            "warmup too small: {} samples",
-            engine.service_hist.count()
-        );
-        // A request served by worker 0 alone, whose buckets share one live
-        // replica worker — the hedgeable shape.
+        assert!(engine.service_hist.count() >= HEDGE_MIN_SAMPLES);
         let target = recs
             .iter()
             .map(tiny)
@@ -3257,12 +3302,20 @@ mod tests {
                     && engine.hedge_target(&plan[&0].buckets, 0).is_some()
             })
             .expect("some record resolves to a hedgeable worker-0 request");
-        let out = engine.query(&target);
+        let out = session.query(&target);
         assert!(same_records(&out.records, &oracle(&gf, &target)));
         assert!(!out.incomplete);
-        assert!(out.hedges >= 1, "outcome: {out:?}");
+        assert_eq!(out.hedges, 1, "outcome: {out:?}");
         assert_eq!(out.retries, 0, "a hedge is speculation, not failover");
-        assert!(engine.stats().hedges >= 1);
+        assert!(
+            session.reply_rx.is_empty(),
+            "the query returned before the primary's held reply"
+        );
+        let late = session
+            .reply_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the primary replies in the end");
+        assert_eq!(late.worker_id, 0);
     }
 
     #[test]

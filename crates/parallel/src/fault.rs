@@ -25,9 +25,10 @@
 //!   stored block *without* updating its checksum, so the next read fails
 //!   verification; the coordinator serves the affected buckets from the
 //!   replica and scrubs the bad block back to health.
-//! * **straggler** ([`FaultKind::SlowDisk`]) — multiplies every disk service
-//!   time on the worker, turning it into a tail-latency straggler; the
-//!   coordinator hedges slow primaries against their replicas.
+//! * **straggler** ([`FaultKind::SlowDisk`]) — the worker holds each
+//!   batch's replies for a multiple of the time it took to serve it, a real
+//!   tail-latency straggler; the coordinator hedges requests outstanding too
+//!   long on the wall clock against their replicas.
 //!
 //! All triggers key off deterministic quantities (lifetime blocks read,
 //! engine-assigned query sequence numbers), so injected failures reproduce
@@ -45,7 +46,7 @@ pub enum FaultKind {
     /// sequence number is `>= q`.
     DieAtQuery(u64),
     /// Reply with an error (no records) to requests of query number `q`,
-    /// after disk time has been charged — the poison-message hook.
+    /// after its blocks were read — the poison-message hook.
     PoisonQuery(u64),
     /// Silently discard the first `times` deliveries of requests for query
     /// number `query`: no service, no reply — a lost message. Coordinator
@@ -79,8 +80,9 @@ pub enum FaultKind {
     /// serviced, without updating its checksum — silent block corruption,
     /// caught by the store's verify-on-read and repaired from the replica.
     CorruptBlock(u32),
-    /// Multiply every disk service time on this worker by `factor` — a
-    /// straggler disk. Answered by hedged reads when hedging is enabled.
+    /// Hold each batch's replies for `factor - 1` times the batch's
+    /// measured service time, so the worker answers `factor` times slower —
+    /// a straggler. Answered by hedged reads when hedging is enabled.
     SlowDisk(u64),
 }
 
@@ -208,7 +210,7 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a straggler fault: `worker`'s disks run `factor`× slower.
+    /// Adds a straggler fault: `worker` answers `factor`× slower.
     pub fn with_slow_disk(mut self, worker: usize, factor: u64) -> Self {
         self.faults.push(WorkerFault {
             worker,

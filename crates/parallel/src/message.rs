@@ -19,10 +19,10 @@ use pargrid_gridfile::Record;
 
 /// Scheduling class of a request within a worker's batch.
 ///
-/// When a worker drains its queue into one elevator pass, interactive
-/// requests are serviced in a first pass and batch requests in a second, so
-/// a long analytical scan cannot delay a short interactive query that is
-/// already queued.
+/// The cost model's elevator pass (see [`pargrid_sim::cost`]) charges
+/// interactive reads in a first pass and batch reads in a second, so a
+/// long analytical scan cannot delay a short interactive query batched
+/// with it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum QueryPriority {
     /// Serviced first (sessions default to this).
@@ -50,7 +50,7 @@ pub struct ReadRequest {
     pub query: Rect,
     /// Where to send the [`FromWorker`] reply.
     pub reply: Sender<FromWorker>,
-    /// Scheduling class (interactive requests are serviced before batch
+    /// Scheduling class (interactive requests are charged before batch
     /// requests within one elevator pass).
     pub priority: QueryPriority,
 }
@@ -58,15 +58,14 @@ pub struct ReadRequest {
 /// Messages the coordinator sends to a worker.
 #[derive(Debug)]
 pub enum ToWorker {
-    /// Service the given requests as one batch: all blocks of all requests
-    /// go through the disks in one elevator (sorted) pass, but virtual time
-    /// and cache hits are accounted per request. Each admission round — a
-    /// session's query, a window of the concurrent runner's — sends one per
-    /// involved worker; every retry, retransmit and hedge sends one more. A
-    /// fault-free in-process slot serves it on the sender's thread, under
-    /// the slot's lock (see [`crate::backend::SlotHandle`]); a slot behind a
-    /// channel drains any further messages already waiting before starting
-    /// the pass, so concurrent sessions batch together there.
+    /// Service the given requests as one batch, each answered on its own
+    /// reply channel. Each admission round — a session's query, a window
+    /// of a runner's — sends one per involved worker; every retry,
+    /// retransmit and hedge sends one more. A fault-free in-process slot
+    /// serves it on the sender's thread, under the slot's lock (see
+    /// [`crate::backend::SlotHandle`]); a slot behind a channel drains any
+    /// further messages already waiting first, so concurrent sessions
+    /// batch together there.
     Process(Vec<ReadRequest>),
     /// Read raw block bytes (no decoding, no filtering) for the repair
     /// path: the coordinator fetches a healthy replica's copy of corrupted
@@ -116,11 +115,8 @@ pub struct FromWorker {
     pub worker_id: usize,
     /// Blocks requested of this worker for the query.
     pub blocks_requested: u64,
-    /// How many of those were buffer-cache hits.
-    pub cache_hits: u64,
-    /// Virtual disk time consumed by this query's blocks (microseconds).
-    pub disk_us: u64,
-    /// Virtual CPU time for decoding and filtering (microseconds).
+    /// Virtual CPU time for decoding and filtering (microseconds): the
+    /// cost model's per-record constant times the records scanned.
     pub cpu_us: u64,
     /// The qualifying records.
     pub records: Vec<Record>,
@@ -128,8 +124,7 @@ pub struct FromWorker {
     /// request. The coordinator repairs them from the replica copy (scrub).
     pub corrupt_blocks: Vec<u32>,
     /// Set when the worker could not serve the request (unreadable block,
-    /// injected poison). `records` is empty; disk time already spent stays
-    /// charged. The coordinator retries the affected buckets against their
+    /// injected poison). `records` is empty. The coordinator retries the affected buckets against their
     /// replicas, if any.
     pub error: Option<String>,
 }

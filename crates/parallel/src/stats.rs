@@ -1,6 +1,6 @@
 //! Shared engine counters and their snapshot types.
 //!
-//! Workers publish lifetime totals and gauges into lock-free atomics after
+//! Workers publish lifetime totals into lock-free atomics after
 //! every batch they service; the coordinator-side handle exposes them as an
 //! [`EngineStats`] snapshot via `ParallelGridFile::stats`. This is what lets
 //! the engine API take `&self`: observability no longer requires exclusive
@@ -12,19 +12,8 @@ use std::sync::Arc;
 /// One worker's atomically-published counters.
 #[derive(Debug, Default)]
 pub struct WorkerCounters {
-    /// Lifetime blocks fetched (cache hits included).
+    /// Lifetime blocks fetched.
     pub blocks_fetched: AtomicU64,
-    /// Lifetime buffer-cache hits.
-    pub cache_hits: AtomicU64,
-    /// Lifetime virtual disk busy time, microseconds (summed over the
-    /// worker's disks).
-    pub disk_busy_us: AtomicU64,
-    /// Lifetime virtual *wall* busy time, microseconds: per batch, the
-    /// maximum over the worker's disks of that batch's charges (they seek in
-    /// parallel) plus the batch's CPU time. For one disk this equals
-    /// `disk_busy_us` + CPU; for `D` disks it is what the node actually
-    /// spends, unlike the per-disk sum.
-    pub busy_wall_us: AtomicU64,
     /// Set when the worker fail-stops (injected fault, a threaded or remote
     /// slot's loop lost, or a send that bounced off a stopped slot). The
     /// coordinator plans queries around dead workers and fails their
@@ -44,10 +33,6 @@ pub struct WorkerCounters {
     /// Largest batch serviced so far (requests in one batch, high-water
     /// mark).
     pub max_batch: AtomicU64,
-    /// Current pages in the fullest of this worker's LRU caches (gauge).
-    pub cache_len: AtomicU64,
-    /// High-water mark of `cache_len`.
-    pub max_cache_len: AtomicU64,
 }
 
 /// Counters shared between the engine handle and its worker slots.
@@ -122,17 +107,12 @@ impl SharedStats {
                 .iter()
                 .map(|w| WorkerStats {
                     blocks_fetched: w.blocks_fetched.load(Ordering::Relaxed),
-                    cache_hits: w.cache_hits.load(Ordering::Relaxed),
-                    disk_busy_us: w.disk_busy_us.load(Ordering::Relaxed),
-                    busy_wall_us: w.busy_wall_us.load(Ordering::Relaxed),
                     alive: !w.dead.load(Ordering::Relaxed),
                     error_replies: w.error_replies.load(Ordering::Relaxed),
                     dup_requests_dropped: w.dup_requests_dropped.load(Ordering::Relaxed),
                     batches: w.batches.load(Ordering::Relaxed),
                     batched_requests: w.batched_requests.load(Ordering::Relaxed),
                     max_batch: w.max_batch.load(Ordering::Relaxed),
-                    cache_len: w.cache_len.load(Ordering::Relaxed),
-                    max_cache_len: w.max_cache_len.load(Ordering::Relaxed),
                 })
                 .collect(),
         }
@@ -142,15 +122,8 @@ impl SharedStats {
 /// Point-in-time view of one worker's counters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// Lifetime blocks fetched (cache hits included).
+    /// Lifetime blocks fetched.
     pub blocks_fetched: u64,
-    /// Lifetime buffer-cache hits.
-    pub cache_hits: u64,
-    /// Lifetime virtual disk busy time, microseconds (summed over disks).
-    pub disk_busy_us: u64,
-    /// Lifetime virtual wall busy time, microseconds (parallel disks count
-    /// once per batch; includes CPU).
-    pub busy_wall_us: u64,
     /// Whether the worker is still alive.
     pub alive: bool,
     /// Error replies sent.
@@ -163,27 +136,18 @@ pub struct WorkerStats {
     pub batched_requests: u64,
     /// Largest batch serviced.
     pub max_batch: u64,
-    /// Current pages in the fullest local LRU cache.
-    pub cache_len: u64,
-    /// High-water mark of `cache_len`.
-    pub max_cache_len: u64,
 }
 
 impl Default for WorkerStats {
     fn default() -> Self {
         WorkerStats {
             blocks_fetched: 0,
-            cache_hits: 0,
-            disk_busy_us: 0,
-            busy_wall_us: 0,
             alive: true,
             error_replies: 0,
             dup_requests_dropped: 0,
             batches: 0,
             batched_requests: 0,
             max_batch: 0,
-            cache_len: 0,
-            max_cache_len: 0,
         }
     }
 }
@@ -217,20 +181,6 @@ impl EngineStats {
     /// Total blocks fetched across workers.
     pub fn total_blocks(&self) -> u64 {
         self.workers.iter().map(|w| w.blocks_fetched).sum()
-    }
-
-    /// Total cache hits across workers.
-    pub fn total_cache_hits(&self) -> u64 {
-        self.workers.iter().map(|w| w.cache_hits).sum()
-    }
-
-    /// Busy time of the busiest worker, microseconds.
-    pub fn max_disk_busy_us(&self) -> u64 {
-        self.workers
-            .iter()
-            .map(|w| w.disk_busy_us)
-            .max()
-            .unwrap_or(0)
     }
 
     /// Number of workers still alive.
@@ -268,7 +218,6 @@ mod tests {
         shared.workers[1]
             .blocks_fetched
             .store(40, Ordering::Relaxed);
-        shared.workers[1].cache_hits.store(7, Ordering::Relaxed);
         shared.workers[0].batches.store(2, Ordering::Relaxed);
         shared.workers[0]
             .batched_requests
@@ -276,7 +225,6 @@ mod tests {
         let snap = shared.snapshot();
         assert_eq!(snap.queries, 5);
         assert_eq!(snap.total_blocks(), 40);
-        assert_eq!(snap.total_cache_hits(), 7);
         assert_eq!(snap.mean_batch(), 3.0);
     }
 
@@ -303,7 +251,6 @@ mod tests {
     fn empty_engine_stats_are_zero() {
         let snap = SharedStats::new(0).snapshot();
         assert_eq!(snap.total_blocks(), 0);
-        assert_eq!(snap.max_disk_busy_us(), 0);
         assert_eq!(snap.mean_batch(), 0.0);
     }
 }

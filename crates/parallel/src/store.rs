@@ -6,8 +6,8 @@
 //! reproduces that layout: each worker owns one file of fixed-size blocks,
 //! a [`MappedFile`], and reads its blocks straight out of one read-only
 //! shared mapping of it, so the data path of the SPMD engine exercises the
-//! real filesystem and page cache while timing stays on the virtual disk
-//! model. The spill directory is private to the engine: another process
+//! real filesystem and page cache, while the paper's timings come from the
+//! cost model ([`pargrid_sim::cost`]). The spill directory is private to the engine: another process
 //! that truncates or rewrites a block file is outside the contract.
 //!
 //! Writes come in runs: [`BlockStore::append_run`] appends consecutive

@@ -1,4 +1,4 @@
-//! Workers: own a local disk array, serve batched block-read requests,
+//! Workers: own a local block store, serve batched block-read requests,
 //! filter records, ship qualifying records back to whichever session asked.
 //!
 //! One service function, [`WorkerState::serve`], answers every read batch.
@@ -7,12 +7,10 @@
 //! read, a runner's batch and a mutation's block writes alike. A
 //! fault-armed slot runs [`run_worker`]'s thread loop instead, which owns
 //! its state, blocks on the slot's channel, then drains every message
-//! already waiting. Either way a batch is serviced as **one elevator
-//! batch**: all requests' blocks go through the disks in sorted order
-//! (interactive requests in a first pass, batch requests in a second), but
-//! virtual time and cache hits are attributed to each request
-//! individually, so per-query response-time metrics stay paper-faithful
-//! while concurrent queries share arm movement.
+//! already waiting. Either way a worker reads, verifies, scans and replies:
+//! it keeps no clock but the real one. The SP-2 disk model that Tables 4–5
+//! need is charged after the fact by the engine's workload runners (see
+//! [`pargrid_sim::cost`]).
 //!
 //! Requests are **idempotent at the worker**: each carries an engine-global
 //! dispatch sequence number, and a worker remembers the seqs it has already
@@ -21,10 +19,9 @@
 //! merely slow cannot cause the same blocks to be read and returned twice.
 
 use crate::backend::SlotHandle;
-use crate::disk::{DiskModel, DiskParams};
 use crate::error::StoreError;
 use crate::fault::FaultKind;
-use crate::message::{FromWorker, QueryPriority, RawBlocks, ReadRequest, ToWorker};
+use crate::message::{FromWorker, RawBlocks, ReadRequest, ToWorker};
 use crate::stats::WorkerCounters;
 use crate::store::BlockStore;
 use crossbeam::channel::{unbounded, SendError};
@@ -34,6 +31,7 @@ use pargrid_gridfile::Record;
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// Virtual CPU cost of decoding and filtering one record, nanoseconds.
 /// (A ~60 MHz POWER2 node touching a 50-byte record: a few hundred ns.)
@@ -55,16 +53,9 @@ struct RequestSpec<'a> {
     seq: u64,
     blocks: &'a [u32],
     query: &'a Rect,
-    priority: QueryPriority,
 }
 
-/// A worker's local state: its disk blocks and disk array.
-///
-/// The paper's SP-2 had **seven disks per processor** (§4, "16 processor
-/// SP-2 with 112 disks"); a worker therefore owns `D >= 1` independent
-/// disks, blocks striped across them round-robin (`disk = block mod D`). A
-/// batch's service time is the *maximum* over the worker's disks — they
-/// seek in parallel.
+/// A worker's local state: its blocks and its injected faults.
 pub struct WorkerState {
     /// This worker's index.
     pub worker_id: usize,
@@ -72,8 +63,6 @@ pub struct WorkerState {
     pub store: BlockStore,
     /// Record payload size (needed to decode pages).
     pub payload_bytes: usize,
-    /// The worker's disks (one or more).
-    pub disks: Vec<DiskModel>,
     /// Injected faults applying to this worker (empty = healthy).
     pub faults: Vec<FaultKind>,
     /// Remaining silent-discard deliveries per query number (the
@@ -87,77 +76,38 @@ pub struct WorkerState {
     seen_seq_window: usize,
     /// Whether the one-shot [`FaultKind::CorruptBlock`] faults have fired.
     corruption_done: bool,
-    /// Cumulative wall busy time, which advances the recorder's global
-    /// virtual clock (fetch_max across workers).
-    #[cfg(feature = "obs")]
-    busy_accum: u64,
-    /// Trace recorder (installed by the engine when configured with one).
-    #[cfg(feature = "obs")]
-    pub recorder: Option<Arc<pargrid_obs::Recorder>>,
+    /// Lifetime blocks read, the [`FaultKind::DieAfterBlocks`] trigger.
+    blocks_read: u64,
 }
 
 impl WorkerState {
-    /// Creates a single-disk worker with an empty in-memory store.
-    pub fn new(worker_id: usize, payload_bytes: usize, disk_params: DiskParams) -> Self {
-        Self::with_store(worker_id, payload_bytes, disk_params, BlockStore::memory())
+    /// Creates a worker with an empty in-memory store.
+    pub fn new(worker_id: usize, payload_bytes: usize) -> Self {
+        Self::with_store(worker_id, payload_bytes, BlockStore::memory())
     }
 
-    /// Creates a single-disk worker over an explicit store.
-    pub fn with_store(
-        worker_id: usize,
-        payload_bytes: usize,
-        disk_params: DiskParams,
-        store: BlockStore,
-    ) -> Self {
-        Self::with_disks(worker_id, payload_bytes, disk_params, store, 1)
-    }
-
-    /// Creates a worker with `n_disks` local disks (the SP-2's 7-per-node
-    /// configuration uses 7).
-    ///
-    /// # Panics
-    /// Panics if `n_disks` is zero.
-    pub fn with_disks(
-        worker_id: usize,
-        payload_bytes: usize,
-        disk_params: DiskParams,
-        store: BlockStore,
-        n_disks: usize,
-    ) -> Self {
-        assert!(n_disks >= 1, "a worker needs at least one disk");
+    /// Creates a worker over an explicit store.
+    pub fn with_store(worker_id: usize, payload_bytes: usize, store: BlockStore) -> Self {
         WorkerState {
             worker_id,
             store,
             payload_bytes,
-            disks: (0..n_disks).map(|_| DiskModel::new(disk_params)).collect(),
             faults: Vec::new(),
             drop_budget: Vec::new(),
             seen_seqs: HashSet::new(),
             seen_order: VecDeque::new(),
             seen_seq_window: DEFAULT_SEEN_SEQ_WINDOW,
             corruption_done: false,
-            #[cfg(feature = "obs")]
-            busy_accum: 0,
-            #[cfg(feature = "obs")]
-            recorder: None,
+            blocks_read: 0,
         }
     }
 
-    /// Installs injected faults (see [`crate::fault::FaultPlan`]). Straggler
-    /// faults take effect immediately (the disks slow down); drop budgets
-    /// are armed; everything else fires from the message loop.
+    /// Installs injected faults (see [`crate::fault::FaultPlan`]). Drop
+    /// budgets are armed; everything else fires from the message loop.
     pub fn with_faults(mut self, faults: Vec<FaultKind>) -> Self {
         for f in &faults {
-            match *f {
-                FaultKind::SlowDisk(factor) => {
-                    for d in &mut self.disks {
-                        d.set_slowdown(factor);
-                    }
-                }
-                FaultKind::DropRequest { query, times } => {
-                    self.drop_budget.push((query, times));
-                }
-                _ => {}
+            if let FaultKind::DropRequest { query, times } = *f {
+                self.drop_budget.push((query, times));
             }
         }
         self.faults = faults;
@@ -173,17 +123,12 @@ impl WorkerState {
         self
     }
 
-    /// Lifetime blocks read across the worker's disks.
-    fn blocks_read_total(&self) -> u64 {
-        self.disks.iter().map(DiskModel::blocks_read).sum()
-    }
-
     /// Whether an injected fail-stop triggers for this batch: either the
     /// lifetime block count has been reached, or a request at/past the kill
     /// query number arrived.
     fn should_die(&self, batch: &[ReadRequest]) -> bool {
         self.faults.iter().any(|f| match *f {
-            FaultKind::DieAfterBlocks(n) => self.blocks_read_total() >= n,
+            FaultKind::DieAfterBlocks(n) => self.blocks_read >= n,
             FaultKind::DieAtQuery(q) => batch.iter().any(|r| r.query_id >= q),
             _ => false,
         })
@@ -256,7 +201,6 @@ impl WorkerState {
         seq: u64,
         blocks: &[u32],
         query: &Rect,
-        priority: QueryPriority,
     ) -> Option<FromWorker> {
         if self.seen_seqs.contains(&seq) {
             return None;
@@ -267,7 +211,6 @@ impl WorkerState {
                 seq,
                 blocks,
                 query,
-                priority,
             }])
             .pop()
             .expect("one request in, one reply out");
@@ -296,61 +239,28 @@ impl WorkerState {
             seq: query_id,
             blocks: &blocks,
             query,
-            priority: QueryPriority::Interactive,
         }])
         .pop()
         .expect("one request in, one reply out")
     }
 
-    /// Services several requests as one combined elevator batch.
-    ///
-    /// Per disk, all requests' blocks are issued in sorted order (stripe
-    /// `b % D` to disk, local index `b / D`), interactive pass before batch
-    /// pass. Each block's cost is charged to the request that asked for it;
-    /// a request's disk time is the maximum over disks of its own charges,
-    /// since the disks seek in parallel.
+    /// Services several requests in order. An unreadable block fails only
+    /// its own request.
     fn service_batch(&mut self, requests: &[RequestSpec<'_>]) -> Vec<FromWorker> {
-        let d = self.disks.len();
-        let mut disk_us = vec![0u64; requests.len() * d];
-        let mut hits = vec![0u64; requests.len()];
-        for pass in [QueryPriority::Interactive, QueryPriority::Batch] {
-            // Per disk: (local block, request index), sorted for the
-            // elevator. The request index tiebreak keeps duplicate blocks
-            // deterministically ordered.
-            let mut per_disk: Vec<Vec<(u32, usize)>> = vec![Vec::new(); d];
-            for (idx, req) in requests.iter().enumerate() {
-                if req.priority != pass {
-                    continue;
-                }
-                for &b in req.blocks {
-                    per_disk[b as usize % d].push((b / d as u32, idx));
-                }
-            }
-            for (di, list) in per_disk.iter_mut().enumerate() {
-                list.sort_unstable();
-                for &(local, idx) in list.iter() {
-                    let cost = self.disks[di].read_block(local);
-                    disk_us[idx * d + di] += cost.us;
-                    hits[idx] += cost.hit as u64;
-                }
-            }
-        }
-
         requests
             .iter()
-            .enumerate()
-            .map(|(idx, req)| {
+            .map(|req| {
+                self.blocks_read += req.blocks.len() as u64;
                 let mut records = Vec::new();
                 let mut scanned = 0u64;
                 let mut error = None;
                 let mut corrupt_blocks = Vec::new();
                 for &b in req.blocks {
-                    // An unreadable block fails only this request — disk
-                    // time already charged in the elevator pass stays
-                    // charged, the batch's other requests are unaffected,
-                    // and the coordinator can retry against a replica. A
-                    // checksum failure is additionally reported so the
-                    // coordinator can scrub the block back to health.
+                    // An unreadable block fails only this request — the
+                    // batch's other requests are unaffected, and the
+                    // coordinator can retry against a replica. A checksum
+                    // failure is additionally reported so the coordinator
+                    // can scrub the block back to health.
                     //
                     // `read_block` borrows the page, from memory or from
                     // the spill file's mapping. The scan is fused with the
@@ -396,12 +306,6 @@ impl WorkerState {
                     seq: req.seq,
                     worker_id: self.worker_id,
                     blocks_requested: req.blocks.len() as u64,
-                    cache_hits: hits[idx],
-                    disk_us: disk_us[idx * d..(idx + 1) * d]
-                        .iter()
-                        .copied()
-                        .max()
-                        .unwrap_or(0),
                     cpu_us: scanned * CPU_NS_PER_RECORD / 1000,
                     records,
                     corrupt_blocks,
@@ -414,8 +318,7 @@ impl WorkerState {
     /// Answers a [`ToWorker::FetchRaw`]: raw verified block bytes for the
     /// repair path. A block that is missing *or fails its own checksum*
     /// comes back `None` — a corrupt copy is never served as scrub
-    /// material. Uncharged on the virtual clock: scrub traffic is
-    /// background I/O, not query service.
+    /// material.
     fn fetch_raw(&self, blocks: &[u32]) -> RawBlocks {
         RawBlocks {
             worker_id: self.worker_id,
@@ -428,46 +331,47 @@ impl WorkerState {
 
     /// Applies a [`ToWorker::WriteRaw`]: writes local blocks with fresh
     /// bytes (scrub repair material or a mutation's rewritten/appended
-    /// pages), refreshing their checksums. Every successful write
-    /// invalidates the block in its disk's buffer cache — the next read
-    /// must pay a miss and fetch the new bytes instead of being billed as a
-    /// hit on the stale cached identity.
+    /// pages), refreshing their checksums.
     fn write_raw(&mut self, blocks: Vec<(u32, Vec<u8>)>) {
-        let d = self.disks.len();
         for (b, bytes) in blocks {
             // A failed write (size mismatch) leaves the block as-is; the
             // next read reports it again.
-            if self.store.upsert(b, bytes).is_ok() {
-                self.disks[b as usize % d].invalidate(b / d as u32);
-            }
+            let _ = self.store.upsert(b, bytes);
         }
     }
 
-    /// Publishes lifetime totals and cache gauges after a batch.
-    fn publish(&self, counters: &WorkerCounters, batch_len: u64, wall_us: u64, errors: u64) {
-        let blocks: u64 = self.disks.iter().map(DiskModel::blocks_read).sum();
-        let hits: u64 = self.disks.iter().map(DiskModel::cache_hits).sum();
-        let busy: u64 = self.disks.iter().map(DiskModel::busy_us).sum();
-        let cache_len = self
-            .disks
-            .iter()
-            .map(DiskModel::cache_len)
-            .max()
-            .unwrap_or(0) as u64;
-        counters.blocks_fetched.store(blocks, Ordering::Relaxed);
-        counters.cache_hits.store(hits, Ordering::Relaxed);
-        counters.disk_busy_us.store(busy, Ordering::Relaxed);
-        counters.busy_wall_us.fetch_add(wall_us, Ordering::Relaxed);
+    /// Publishes lifetime totals after a batch.
+    fn publish(&self, counters: &WorkerCounters, batch_len: u64, errors: u64) {
+        counters
+            .blocks_fetched
+            .store(self.blocks_read, Ordering::Relaxed);
         counters.error_replies.fetch_add(errors, Ordering::Relaxed);
         counters.batches.fetch_add(1, Ordering::Relaxed);
         counters
             .batched_requests
             .fetch_add(batch_len, Ordering::Relaxed);
         counters.max_batch.fetch_max(batch_len, Ordering::Relaxed);
-        counters.cache_len.store(cache_len, Ordering::Relaxed);
-        counters
-            .max_cache_len
-            .fetch_max(cache_len, Ordering::Relaxed);
+    }
+
+    /// How long a batch's replies are held before they are sent: a
+    /// straggler ([`FaultKind::SlowDisk`]`(f)`) holds them `f - 1` times the
+    /// batch's measured `service` time, and a late message
+    /// ([`FaultKind::DelayReply`]) for its delay.
+    fn reply_hold(&self, batch: &[ReadRequest], service: Duration) -> Duration {
+        self.faults
+            .iter()
+            .map(|f| match *f {
+                FaultKind::SlowDisk(factor) => {
+                    service.saturating_mul(factor.saturating_sub(1).try_into().unwrap_or(u32::MAX))
+                }
+                FaultKind::DelayReply { query, delay_ms }
+                    if batch.iter().any(|r| r.query_id == query) =>
+                {
+                    Duration::from_millis(delay_ms)
+                }
+                _ => Duration::ZERO,
+            })
+            .sum()
     }
 
     /// Takes one message sent to the slot: reads join `batch`, raw reads
@@ -505,8 +409,8 @@ impl WorkerState {
     ///
     /// Channel faults act first: deliveries with drop budget left vanish,
     /// and redeliveries of seqs already serviced are deduped. The survivors
-    /// go through the disks as one elevator pass; replies then carry the
-    /// poison, delay, reorder and duplicate faults.
+    /// are read and scanned; replies then carry the poison, straggler,
+    /// delay, reorder and duplicate faults.
     pub fn serve(&mut self, batch: Vec<ReadRequest>, counters: Option<&WorkerCounters>) -> bool {
         let mut kept = Vec::with_capacity(batch.len());
         let mut deduped = 0u64;
@@ -549,15 +453,15 @@ impl WorkerState {
                 seq: r.seq,
                 blocks: &r.blocks,
                 query: &r.query,
-                priority: r.priority,
             })
             .collect();
-        let disk_before: Vec<u64> = self.disks.iter().map(DiskModel::busy_us).collect();
+        let started = Instant::now();
         let mut replies = self.service_batch(&specs);
+        let service = started.elapsed();
         for req in &batch {
             self.note_seen(req.seq);
         }
-        // Poison faults: the request was serviced (time charged), but the
+        // Poison faults: the request was serviced (its blocks read), but the
         // answer is an error — same shape as a bad block.
         for reply in &mut replies {
             if self.is_poisoned(reply.query_id) {
@@ -568,81 +472,17 @@ impl WorkerState {
                 ));
             }
         }
-        // Wall time of the batch: the disks seeked in parallel, so the node
-        // was busy for the slowest disk's share of this batch, plus all
-        // decode/filter CPU.
-        let wall_disk = self
-            .disks
-            .iter()
-            .zip(&disk_before)
-            .map(|(d, &b)| d.busy_us() - b)
-            .max()
-            .unwrap_or(0);
-        let cpu: u64 = replies.iter().map(|r| r.cpu_us).sum();
-        #[cfg(feature = "obs")]
-        if let Some(rec) = &self.recorder {
-            use pargrid_obs::{Event, SpanKind, NO_ID, NO_QUERY};
-            // One DiskBatch span per disk that moved, timestamped in that
-            // disk's own busy clock so each disk renders as a gap-free Gantt
-            // lane.
-            let d = self.disks.len();
-            for (di, &before) in disk_before.iter().enumerate() {
-                let delta = self.disks[di].busy_us() - before;
-                if delta > 0 {
-                    rec.record_worker(
-                        self.worker_id,
-                        Event {
-                            ts_us: before,
-                            dur_us: delta,
-                            query_id: NO_QUERY,
-                            kind: SpanKind::DiskBatch,
-                            worker: self.worker_id as u32,
-                            disk: (self.worker_id * d + di) as u32,
-                            detail: batch.len() as u64,
-                        },
-                    );
-                }
-            }
-            let probes: u64 = replies.iter().map(|r| r.blocks_requested).sum();
-            let hits: u64 = replies.iter().map(|r| r.cache_hits).sum();
-            rec.record_worker(
-                self.worker_id,
-                Event {
-                    ts_us: rec.now(),
-                    dur_us: 0,
-                    query_id: NO_QUERY,
-                    kind: SpanKind::CacheProbe,
-                    worker: self.worker_id as u32,
-                    disk: NO_ID,
-                    detail: (hits << 32) | (probes & 0xFFFF_FFFF),
-                },
-            );
-            rec.batch_wall_us.record(wall_disk + cpu);
-            self.busy_accum += wall_disk + cpu;
-            rec.advance_clock(self.busy_accum);
-        }
         if let Some(c) = counters {
             let errors = replies.iter().filter(|r| r.error.is_some()).count() as u64;
-            self.publish(c, batch.len() as u64, wall_disk + cpu, errors);
+            self.publish(c, batch.len() as u64, errors);
         }
         // Timing faults on the reply path: hold the whole batch's replies (a
-        // late message), then emit in reversed order if a reorder fault
-        // matches. The coordinator absorbs both via seq matching and
-        // retransmit dedup.
-        let delay_ms = self
-            .faults
-            .iter()
-            .filter_map(|f| match *f {
-                FaultKind::DelayReply { query, delay_ms }
-                    if batch.iter().any(|r| r.query_id == query) =>
-                {
-                    Some(delay_ms)
-                }
-                _ => None,
-            })
-            .max();
-        if let Some(ms) = delay_ms {
-            std::thread::sleep(std::time::Duration::from_millis(ms));
+        // straggler, a late message), then emit in reversed order if a
+        // reorder fault matches. The coordinator absorbs all three via seq
+        // matching, retransmit dedup and hedged reads.
+        let hold = self.reply_hold(&batch, service);
+        if !hold.is_zero() {
+            std::thread::sleep(hold);
         }
         let reorder = self.faults.iter().any(|f| {
             matches!(*f, FaultKind::ReorderReplies(q)
@@ -767,12 +607,13 @@ pub fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::QueryPriority;
     use pargrid_geom::{Point, Rect};
     use pargrid_gridfile::page::encode_page;
     use pargrid_gridfile::Record;
 
     fn worker_with_two_blocks() -> WorkerState {
-        let mut w = WorkerState::new(0, 0, DiskParams::default());
+        let mut w = WorkerState::new(0, 0);
         let recs_a: Vec<Record> = (0..10)
             .map(|i| Record::new(i, Point::new2(i as f64, i as f64)))
             .collect();
@@ -814,7 +655,6 @@ mod tests {
         assert_eq!(reply.blocks_requested, 2);
         let ids: Vec<u64> = reply.records.iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![3, 4, 5, 6, 7, 8, 9, 10, 11, 12]);
-        assert!(reply.disk_us > 0);
         assert!(reply.cpu_us > 0 || CPU_NS_PER_RECORD < 50);
     }
 
@@ -829,21 +669,10 @@ mod tests {
     }
 
     #[test]
-    fn repeated_reads_hit_cache() {
-        let mut w = worker_with_two_blocks();
-        let q = Rect::new2(0.0, 0.0, 100.0, 100.0);
-        let first = w.handle_read(0, vec![0, 1], &q);
-        let second = w.handle_read(1, vec![0, 1], &q);
-        assert_eq!(first.cache_hits, 0);
-        assert_eq!(second.cache_hits, 2);
-        assert!(second.disk_us < first.disk_us);
-    }
-
-    #[test]
     fn unknown_block_yields_error_reply_and_serves_the_rest() {
-        // A request hitting a missing block gets an error reply (its disk
-        // time stays charged); the *other* request in the same batch is
-        // fully served — the worker no longer aborts mid-batch.
+        // A request hitting a missing block gets an error reply; the
+        // *other* request in the same batch is fully served — the worker
+        // does not abort mid-batch.
         let mut w = worker_with_two_blocks();
         let all = Rect::new2(0.0, 0.0, 100.0, 100.0);
         let replies = w.service_batch(&[
@@ -852,14 +681,12 @@ mod tests {
                 seq: 1,
                 blocks: &[0, 99],
                 query: &all,
-                priority: QueryPriority::Interactive,
             },
             RequestSpec {
                 query_id: 2,
                 seq: 2,
                 blocks: &[0, 1],
                 query: &all,
-                priority: QueryPriority::Interactive,
             },
         ]);
         assert_eq!(replies.len(), 2);
@@ -868,7 +695,6 @@ mod tests {
         assert!(bad.records.is_empty());
         assert!(bad.corrupt_blocks.is_empty(), "missing, not corrupt");
         assert_eq!(bad.blocks_requested, 2);
-        assert!(bad.disk_us > 0, "disk time was already charged");
         let good = &replies[1];
         assert!(good.error.is_none());
         assert_eq!(good.records.len(), 20);
@@ -928,7 +754,6 @@ mod tests {
         let poisoned = reply_rx.recv().expect("reply");
         assert!(poisoned.error.is_some());
         assert!(poisoned.records.is_empty());
-        assert!(poisoned.disk_us > 0, "time was spent before the poison");
         send(2);
         let healthy = reply_rx.recv().expect("reply");
         assert!(healthy.error.is_none());
@@ -1115,33 +940,6 @@ mod tests {
     }
 
     #[test]
-    fn rewritten_block_is_not_served_stale_from_cache() {
-        // Warm the cache on block 0, rewrite its bytes via the WriteRaw
-        // path, re-read: the reply must carry the NEW records (checksum
-        // verified against the new bytes) and be charged a cache MISS — the
-        // stale cached identity must not be billed as a hit.
-        let mut w = worker_with_two_blocks();
-        let all = Rect::new2(0.0, 0.0, 100.0, 100.0);
-        assert_eq!(w.handle_read(0, vec![0], &all).cache_hits, 0);
-        assert_eq!(w.handle_read(1, vec![0], &all).cache_hits, 1, "warmed");
-        let fresh: Vec<Record> = (100..105)
-            .map(|i| Record::new(i, Point::new2(1.0, 1.0)))
-            .collect();
-        w.write_raw(vec![(0, encode_page(&fresh, 2, 0, 4096))]);
-        let reread = w.handle_read(2, vec![0], &all);
-        assert!(
-            reread.error.is_none(),
-            "checksum must match the new bytes: {:?}",
-            reread.error
-        );
-        let ids: Vec<u64> = reread.records.iter().map(|r| r.id).collect();
-        assert_eq!(ids, vec![100, 101, 102, 103, 104], "fresh bytes served");
-        assert_eq!(reread.cache_hits, 0, "rewritten block pays a miss");
-        // The re-read re-cached the (new) block: hits resume.
-        assert_eq!(w.handle_read(3, vec![0], &all).cache_hits, 1);
-    }
-
-    #[test]
     fn write_raw_appends_fresh_blocks() {
         // A mutation's bucket split ships blocks the worker has never seen;
         // WriteRaw upserts them and they serve like any bulk-loaded block.
@@ -1157,110 +955,23 @@ mod tests {
     }
 
     #[test]
-    fn slow_disk_fault_inflates_service_time() {
-        let q = Rect::new2(0.0, 0.0, 100.0, 100.0);
-        let mut healthy = worker_with_two_blocks();
-        let mut slow = worker_with_two_blocks().with_faults(vec![FaultKind::SlowDisk(10)]);
-        let h = healthy.handle_read(0, vec![0, 1], &q);
-        let s = slow.handle_read(0, vec![0, 1], &q);
-        assert_eq!(h.records, s.records, "results identical");
-        assert_eq!(s.disk_us, h.disk_us * 10, "10x straggler");
-    }
-
-    #[test]
-    fn multi_disk_worker_parallelizes_batches() {
-        // Same blocks, 1 vs 4 disks: batch time shrinks because the disks
-        // seek in parallel, while results stay identical.
-        let make = |n_disks| {
-            let mut w = WorkerState::with_disks(
-                0,
-                0,
-                DiskParams {
-                    cache_pages: 0,
-                    ..DiskParams::default()
-                },
-                crate::store::BlockStore::memory(),
-                n_disks,
-            );
-            for i in 0..8u32 {
-                let recs: Vec<Record> = (0..4)
-                    .map(|j| Record::new(i as u64 * 4 + j, Point::new2(j as f64, j as f64)))
-                    .collect();
-                w.store.put(i, encode_page(&recs, 2, 0, 4096)).expect("put");
-            }
-            w
-        };
-        let q = Rect::new2(0.0, 0.0, 100.0, 100.0);
-        let mut one = make(1);
-        let mut four = make(4);
-        let r1 = one.handle_read(0, (0..8).collect(), &q);
-        let r4 = four.handle_read(0, (0..8).collect(), &q);
-        assert_eq!(r1.records, r4.records);
-        assert!(
-            r4.disk_us < r1.disk_us,
-            "4 disks {} not faster than 1 disk {}",
-            r4.disk_us,
-            r1.disk_us
-        );
-    }
-
-    #[test]
-    fn combined_batch_accounts_per_query() {
-        // Two queries batched together: both want blocks 0 and 1, so the
-        // second one's reads come out of the cache that the first one's
-        // elevator pass just filled — but each query is charged its own
-        // cache hits and disk time.
-        let mut w = worker_with_two_blocks();
-        let all = Rect::new2(0.0, 0.0, 100.0, 100.0);
-        let low = Rect::new2(0.0, 0.0, 5.0, 5.0);
-        let replies = w.service_batch(&[
-            RequestSpec {
-                query_id: 1,
-                seq: 1,
-                blocks: &[0, 1],
-                query: &all,
-                priority: QueryPriority::Interactive,
-            },
-            RequestSpec {
-                query_id: 2,
-                seq: 2,
-                blocks: &[0, 1],
-                query: &low,
-                priority: QueryPriority::Interactive,
+    fn slow_disk_and_delay_faults_hold_replies() {
+        let held = worker_with_two_blocks().with_faults(vec![
+            FaultKind::SlowDisk(10),
+            FaultKind::DelayReply {
+                query: 4,
+                delay_ms: 5,
             },
         ]);
-        assert_eq!(replies.len(), 2);
-        assert_eq!(replies[0].cache_hits, 0);
-        assert_eq!(replies[1].cache_hits, 2);
-        assert!(replies[1].disk_us < replies[0].disk_us);
-        assert_eq!(replies[0].records.len(), 20);
-        assert_eq!(replies[1].records.len(), 6);
-    }
-
-    #[test]
-    fn interactive_pass_precedes_batch_pass() {
-        // The interactive request is serviced first even though it is listed
-        // second, so it pays the cold reads and the batch request hits cache.
-        let mut w = worker_with_two_blocks();
-        let all = Rect::new2(0.0, 0.0, 100.0, 100.0);
-        let replies = w.service_batch(&[
-            RequestSpec {
-                query_id: 1,
-                seq: 1,
-                blocks: &[0, 1],
-                query: &all,
-                priority: QueryPriority::Batch,
-            },
-            RequestSpec {
-                query_id: 2,
-                seq: 2,
-                blocks: &[0, 1],
-                query: &all,
-                priority: QueryPriority::Interactive,
-            },
-        ]);
-        assert_eq!(replies[1].cache_hits, 0, "interactive went first");
-        assert_eq!(replies[0].cache_hits, 2, "batch rode the warm cache");
+        let (tx, _rx) = crossbeam::channel::unbounded();
+        let service = Duration::from_millis(3);
+        let hold = |qid| held.reply_hold(&[request(qid, qid, vec![0], &tx)], service);
+        assert_eq!(hold(1), Duration::from_millis(27), "(10 - 1) x service");
+        assert_eq!(hold(4), Duration::from_millis(32), "plus the delay");
+        let healthy = worker_with_two_blocks();
+        assert!(healthy
+            .reply_hold(&[request(4, 4, vec![0], &tx)], service)
+            .is_zero());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! is already on the neighboring block (sequential read), ~0.1 ms for a
 //! buffer-cache hit.
 
-use crate::cache::LruCache;
+use super::cache::LruCache;
 
 /// Disk service-time parameters, in virtual microseconds.
 #[derive(Clone, Copy, Debug)]
@@ -48,11 +48,6 @@ pub struct DiskModel {
     cache: LruCache,
     last_block: Option<u32>,
     busy_us: u64,
-    blocks_read: u64,
-    cache_hits: u64,
-    /// Service-time multiplier (1 = healthy). Raised by the
-    /// [`crate::FaultKind::SlowDisk`] straggler fault.
-    slowdown: u64,
 }
 
 impl DiskModel {
@@ -63,16 +58,7 @@ impl DiskModel {
             params,
             last_block: None,
             busy_us: 0,
-            blocks_read: 0,
-            cache_hits: 0,
-            slowdown: 1,
         }
-    }
-
-    /// Multiplies every subsequent service time by `factor` (clamped to at
-    /// least 1) — the straggler-disk fault hook.
-    pub fn set_slowdown(&mut self, factor: u64) {
-        self.slowdown = factor.max(1);
     }
 
     /// Services a batch of block reads (sorted internally so sequential
@@ -88,20 +74,17 @@ impl DiskModel {
     }
 
     /// Services one block read at the current arm position, returning its
-    /// cost. Callers batching several queries together (the worker's elevator
-    /// pass) are responsible for issuing blocks in sorted order; this method
+    /// cost. Callers batching several queries together (a worker's elevator
+    /// pass in [`super::CostModel::charge_round`]) are responsible for issuing blocks in sorted order; this method
     /// charges whatever the arm movement actually costs.
     pub fn read_block(&mut self, block: u32) -> BlockCost {
-        self.blocks_read += 1;
-        let (base_us, hit) = if self.cache.touch(block) {
-            self.cache_hits += 1;
+        let (us, hit) = if self.cache.touch(block) {
             (self.params.hit_us, true)
         } else if self.last_block == Some(block.wrapping_sub(1)) {
             (self.params.sequential_us, false)
         } else {
             (self.params.miss_us, false)
         };
-        let us = base_us * self.slowdown;
         self.last_block = Some(block);
         self.busy_us += us;
         BlockCost { us, hit }
@@ -122,24 +105,9 @@ impl DiskModel {
         self.busy_us
     }
 
-    /// Total blocks read (cache hits included).
-    pub fn blocks_read(&self) -> u64 {
-        self.blocks_read
-    }
-
-    /// Total cache hits.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
-    }
-
     /// Pages currently resident in the buffer cache.
     pub fn cache_len(&self) -> usize {
         self.cache.len()
-    }
-
-    /// Buffer-cache capacity in pages.
-    pub fn cache_capacity(&self) -> usize {
-        self.params.cache_pages
     }
 }
 
@@ -171,8 +139,6 @@ mod tests {
         let t = d.read_batch(&mut [10, 20, 30]);
         // 10 is a miss, 20 and 30 are non-sequential misses.
         assert_eq!(t, 3000);
-        assert_eq!(d.blocks_read(), 3);
-        assert_eq!(d.cache_hits(), 0);
     }
 
     #[test]
@@ -195,8 +161,7 @@ mod tests {
         let mut d = DiskModel::new(params());
         d.read_batch(&mut [1, 2, 3]);
         let t = d.read_batch(&mut [1, 2, 3]);
-        assert_eq!(t, 30);
-        assert_eq!(d.cache_hits(), 3);
+        assert_eq!(t, 30, "three hits");
     }
 
     #[test]
@@ -206,8 +171,7 @@ mod tests {
             ..params()
         });
         d.read_batch(&mut [1]);
-        d.read_batch(&mut [1]);
-        assert_eq!(d.cache_hits(), 0);
+        assert!(!d.read_block(1).hit);
         // Re-reading the same block is not "sequential" (block != last+1).
         assert_eq!(d.busy_us(), 2000);
     }
@@ -234,20 +198,6 @@ mod tests {
         let hit = d.read_block(9);
         assert_eq!(hit, BlockCost { us: 10, hit: true });
         assert_eq!(d.cache_len(), 2);
-        assert_eq!(d.cache_capacity(), 4);
-    }
-
-    #[test]
-    fn slowdown_multiplies_every_service_time() {
-        let mut d = DiskModel::new(params());
-        d.set_slowdown(10);
-        assert_eq!(d.read_block(5).us, 10_000, "miss is 10x");
-        assert_eq!(d.read_block(6).us, 1_000, "sequential is 10x");
-        assert_eq!(d.read_block(5).us, 100, "cache hit is 10x");
-        assert_eq!(d.busy_us(), 11_100);
-        // Clamped: zero means healthy, not free.
-        d.set_slowdown(0);
-        assert_eq!(d.read_block(6).us, 10, "hit back at 1x");
     }
 
     #[test]

@@ -29,12 +29,14 @@
 
 #![warn(missing_docs)]
 
+pub mod cost;
 pub mod metrics;
 pub mod plot;
 pub mod runner;
 pub mod table;
 pub mod workload;
 
+pub use cost::{CostModel, DiskModel, DiskParams, NetParams};
 pub use metrics::{
     closest_pairs, count_pairs_on_same_disk, evaluate, evaluate_heterogeneous,
     intra_disk_proximity, EvalStats, ThroughputStats,

@@ -24,7 +24,7 @@
 //! pargrid rebalance --addr 127.0.0.1:7878 --add-workers 2      # grow the cluster live
 //! pargrid rebalance --addr 127.0.0.1:7878 --remove-worker 0    # drain + shrink
 //! pargrid rebalance --addr 127.0.0.1:7878 --add-workers 1 --dry-run   # preview the plan
-//! pargrid worker --listen 127.0.0.1:7901 --disks 2             # cluster worker process
+//! pargrid worker --listen 127.0.0.1:7901                        # cluster worker process
 //! pargrid serve my.pgf --method minimax --disks 4 \
 //!     --workers 127.0.0.1:7901,127.0.0.1:7902 \
 //!     --node-id 0 --peer-listen 127.0.0.1:7951 \
@@ -50,7 +50,7 @@ fn usage() -> ExitCode {
          pargrid evaluate FILE.pgf --method M --disks N [--ratio R] [--queries N] [--seed N] [--clients K] [--replicate] [--fail K] [--chaos SEED] [--deadline-us N] [--trace FILE.json] [--metrics FILE.prom]\n  \
          pargrid serve FILE.pgf --method M --disks N [--addr H:P] [--seed N] [--queue N] [--dispatchers K] [--pace-us N] [--replicate] [--standby K] [--wal DIR]\n  \
          pargrid serve FILE.pgf --method M --disks N --workers H:P[,H:P...] [--addr H:P] [--node-id N] [--peer-listen H:P] [--peers ID=PEER=CLIENT[,...]] [--heartbeat-ms N]\n  \
-         pargrid worker --listen H:P [--disks N] [--state FILE]\n  \
+         pargrid worker --listen H:P [--state FILE]\n  \
          pargrid query --addr H:P --range LO..HI[,...] | --keys V|*[,...] | --insert ID,C[,...] | --delete ID,C[,...] | --ping | --stats | --shutdown\n  \
          pargrid rebalance --addr H:P --add-workers K | --remove-worker I [--dry-run]\n\n  \
          serve: each connection answers its requests in order; up to --dispatchers K requests run at once (default 4) and --queue N more may wait (default 64); the rest are shed\n  \
@@ -322,14 +322,6 @@ fn parse_keys(spec: &str) -> Result<Vec<Option<f64>>, String> {
 
 fn print_remote_reply(reply: &pargrid::net::RecordsReply, count_only: bool) {
     println!("records:      {}", reply.records.len());
-    println!(
-        "virtual cost: {} us ({} us comm), {} response blocks of {} total, {} cache hits",
-        reply.elapsed_us,
-        reply.comm_us,
-        reply.response_blocks,
-        reply.total_blocks,
-        reply.cache_hits
-    );
     if !count_only {
         for r in reply.records.iter().take(20) {
             println!("  {} @ {:?}", r.id, r.point.coords());
@@ -698,18 +690,16 @@ fn cmd_worker(args: &[String]) -> CliResult {
     use pargrid::cluster::{WorkerConfig, WorkerServer};
 
     let listen = flag_value(args, "--listen")?.unwrap_or("127.0.0.1:7901");
-    let disks: usize = flag_parse(args, "--disks", 2)?;
     let state_path = flag_value(args, "--state")?.map(std::path::PathBuf::from);
     let durable = state_path.is_some();
     let cfg = WorkerConfig {
-        disks,
         state_path,
         ..WorkerConfig::default()
     };
     let server =
         WorkerServer::start(listen, cfg).map_err(|e| format!("cannot bind {listen}: {e}"))?;
     println!(
-        "worker on {} ({disks} virtual disks, {} voter state)",
+        "worker on {} ({} voter state)",
         server.local_addr(),
         if durable { "durable" } else { "in-memory" }
     );
