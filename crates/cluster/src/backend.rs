@@ -41,10 +41,10 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use pargrid_net::cluster_proto::{
-    BatchItem, ClusterRequest, ClusterResponse, PRIORITY_BATCH, PRIORITY_INTERACTIVE,
+    BatchItem, ClusterRequest, ClusterResponse, PRIORITY_INTERACTIVE,
 };
 use pargrid_net::frame::{read_frame, write_frame};
-use pargrid_parallel::message::{FromWorker, QueryPriority, RawBlocks, ReadRequest, ToWorker};
+use pargrid_parallel::message::{FromWorker, RawBlocks, ReadRequest, ToWorker};
 use pargrid_parallel::stats::WorkerCounters;
 use pargrid_parallel::worker::{WorkerState, DEFAULT_SEEN_SEQ_WINDOW};
 use pargrid_parallel::{SlotHandle, WorkerBackend};
@@ -471,10 +471,7 @@ impl HostProxy {
                 slot: r.worker as u32,
                 query_id: r.query_id,
                 seq: r.seq,
-                priority: match r.priority {
-                    QueryPriority::Interactive => PRIORITY_INTERACTIVE,
-                    QueryPriority::Batch => PRIORITY_BATCH,
-                },
+                priority: PRIORITY_INTERACTIVE,
                 rect: r.query,
                 blocks: r.blocks.clone(),
             })

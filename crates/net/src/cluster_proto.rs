@@ -62,10 +62,12 @@ const RESP_META_ACK: u8 = 0xA7;
 const RESP_FENCED: u8 = 0xA8;
 const RESP_CLUSTER_ERR: u8 = 0xA9;
 
-/// Query priority on the wire (mirrors
-/// `pargrid_parallel::QueryPriority` without depending on its layout).
+/// The priority byte a dispatch carries. Workers serve requests as they
+/// arrive and ignore it; the coordinator always sends this value, and the
+/// byte stays so the frame layout does not move.
 pub const PRIORITY_INTERACTIVE: u8 = 0;
-/// Batch-class priority byte (see [`PRIORITY_INTERACTIVE`]).
+/// The other value a decoder accepts in the priority byte (see
+/// [`PRIORITY_INTERACTIVE`]).
 pub const PRIORITY_BATCH: u8 = 1;
 
 /// One replicated-metadata-log operation (the oplog a standby coordinator

@@ -130,7 +130,7 @@ impl WorkerBackend for InProcessBackend {
 mod tests {
     use super::*;
     use crate::fault::FaultKind;
-    use crate::message::{FromWorker, QueryPriority, ReadRequest};
+    use crate::message::{FromWorker, ReadRequest};
     use crossbeam::channel::unbounded;
     use pargrid_geom::{Point, Rect};
     use pargrid_gridfile::page::encode_page;
@@ -145,7 +145,6 @@ mod tests {
             blocks: vec![0],
             query: Rect::new2(0.0, 0.0, 100.0, 100.0),
             reply: reply.clone(),
-            priority: QueryPriority::Interactive,
         }])
     }
 

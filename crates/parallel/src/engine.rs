@@ -66,7 +66,7 @@ use crate::backend::SlotHandle;
 use crate::error::EngineError;
 use crate::fault::FaultPlan;
 use crate::merge::{assemble, Part};
-use crate::message::{FromWorker, QueryPriority, ReadRequest, ToWorker};
+use crate::message::{FromWorker, ReadRequest, ToWorker};
 use crate::stats::{EngineStats, SharedStats};
 use crate::worker::WorkerState;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, SendError, Sender};
@@ -503,10 +503,13 @@ struct PlannedRead {
     buckets: Vec<u32>,
 }
 
-/// One accepted reply as the cost model replays it.
+/// One accepted reply, an error reply included, as the cost model
+/// replays it.
 struct Served {
     slot: usize,
     seq: u64,
+    /// See [`Outstanding::in_round`].
+    in_round: bool,
     blocks: Vec<u32>,
     records: u64,
     cpu_us: u64,
@@ -535,6 +538,10 @@ struct Outstanding {
     hedged: bool,
     /// The other request of a hedged pair.
     partner: Option<u64>,
+    /// Whether the round's own dispatch carried it, which a worker serves
+    /// as one batch with the round's other reads. A failover, hedge or
+    /// retransmit is a later message, served as a batch of its own.
+    in_round: bool,
 }
 
 impl Outstanding {
@@ -550,6 +557,7 @@ impl Outstanding {
             sent: Instant::now(),
             hedged: false,
             partner: None,
+            in_round: false,
         }
     }
 }
@@ -573,8 +581,6 @@ struct PendingQuery {
     /// Messages the cost model charges one latency each: the broadcast,
     /// retransmits, failovers and hedges.
     messages: u64,
-    /// Error replies, each charged as an empty reply.
-    errors: u64,
     /// Accepted worker answers, one part per reply; assembled once, in
     /// [`PendingQuery::into_outcome`].
     parts: Vec<Part>,
@@ -597,7 +603,6 @@ impl PendingQuery {
             response_blocks: 0,
             total_blocks: 0,
             messages: 0,
-            errors: 0,
             parts: Vec::new(),
             served: Vec::new(),
             retries: 0,
@@ -1007,7 +1012,6 @@ impl ParallelGridFile {
             engine: self,
             reply_tx,
             reply_rx,
-            priority: QueryPriority::Interactive,
             stats: RunStats::default(),
         }
     }
@@ -1060,7 +1064,6 @@ impl ParallelGridFile {
         from_worker: usize,
         buckets: &[u32],
         reply_tx: &Sender<FromWorker>,
-        priority: QueryPriority,
     ) {
         #[cfg(feature = "obs")]
         self.trace_instant(
@@ -1109,7 +1112,6 @@ impl ParallelGridFile {
                 blocks: blocks.clone(),
                 query: p.rect,
                 reply: reply_tx.clone(),
-                priority,
             };
             match self.slots[w].send(ToWorker::Process(vec![request])) {
                 Ok(()) => p.awaiting.push(Outstanding::new(w, seq, bkts, blocks)),
@@ -1118,7 +1120,7 @@ impl ParallelGridFile {
                     // in `retried` now, so this recursion terminates by
                     // marking them incomplete.
                     self.shared.workers[w].dead.store(true, Ordering::Relaxed);
-                    self.fail_over(query_id, p, w, &bkts, reply_tx, priority);
+                    self.fail_over(query_id, p, w, &bkts, reply_tx);
                 }
             }
         }
@@ -1134,7 +1136,6 @@ impl ParallelGridFile {
         rect: &Rect,
         round_pos: usize,
         reply_tx: &Sender<FromWorker>,
-        priority: QueryPriority,
     ) -> (u64, PendingQuery, Vec<(usize, ReadRequest)>) {
         let query_id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
         self.shared.queries.fetch_add(1, Ordering::Relaxed);
@@ -1158,11 +1159,11 @@ impl ParallelGridFile {
                     blocks: read.blocks.clone(),
                     query: *rect,
                     reply: reply_tx.clone(),
-                    priority,
                 },
             ));
-            p.awaiting
-                .push(Outstanding::new(w, seq, read.buckets, read.blocks));
+            let mut o = Outstanding::new(w, seq, read.buckets, read.blocks);
+            o.in_round = true;
+            p.awaiting.push(o);
         }
         if !requests.is_empty() {
             // One broadcast message for the dispatch.
@@ -1180,7 +1181,6 @@ impl ParallelGridFile {
         msg: ToWorker,
         pending: &mut HashMap<u64, PendingQuery>,
         reply_tx: &Sender<FromWorker>,
-        priority: QueryPriority,
     ) {
         self.shared.workers[worker]
             .dead
@@ -1196,7 +1196,7 @@ impl ParallelGridFile {
                 continue;
             };
             let o = p.awaiting.remove(pos);
-            self.fail_over(req.query_id, p, worker, &o.buckets, reply_tx, priority);
+            self.fail_over(req.query_id, p, worker, &o.buckets, reply_tx);
         }
     }
 
@@ -1752,7 +1752,6 @@ impl ParallelGridFile {
         reply: FromWorker,
         pending: &mut HashMap<u64, PendingQuery>,
         reply_tx: &Sender<FromWorker>,
-        priority: QueryPriority,
     ) {
         let Some(p) = pending.get_mut(&reply.query_id) else {
             return;
@@ -1776,17 +1775,19 @@ impl ParallelGridFile {
         let partner = o
             .partner
             .and_then(|seq| p.awaiting.iter().position(|x| x.seq == seq));
+        // An error reply read its blocks too: the replay charges them, with
+        // no records.
+        p.served.push(Served {
+            slot: o.worker,
+            seq: o.seq,
+            in_round: o.in_round,
+            records: reply.records.len() as u64,
+            cpu_us: reply.cpu_us,
+            blocks: o.blocks,
+        });
         if reply.error.is_some() {
-            p.errors += 1;
             if partner.is_none() {
-                self.fail_over(
-                    reply.query_id,
-                    p,
-                    reply.worker_id,
-                    &o.buckets,
-                    reply_tx,
-                    priority,
-                );
+                self.fail_over(reply.query_id, p, reply.worker_id, &o.buckets, reply_tx);
             }
             return;
         }
@@ -1800,13 +1801,6 @@ impl ParallelGridFile {
             self.service_hist
                 .record(o.sent.elapsed().as_micros() as u64);
         }
-        p.served.push(Served {
-            slot: o.worker,
-            seq: o.seq,
-            records: reply.records.len() as u64,
-            cpu_us: reply.cpu_us,
-            blocks: o.blocks,
-        });
         p.parts.push(Part {
             slot: o.worker,
             seq: o.seq,
@@ -1841,7 +1835,6 @@ impl ParallelGridFile {
         &self,
         pending: &mut HashMap<u64, PendingQuery>,
         reply_tx: &Sender<FromWorker>,
-        priority: QueryPriority,
     ) -> Option<Instant> {
         let after = self.hedge_after()?;
         let now = Instant::now();
@@ -1866,7 +1859,6 @@ impl ParallelGridFile {
                     blocks: blocks.clone(),
                     query: p.rect,
                     reply: reply_tx.clone(),
-                    priority,
                 };
                 if self.slots[w]
                     .send(ToWorker::Process(vec![request]))
@@ -1908,7 +1900,6 @@ impl ParallelGridFile {
         &self,
         reply_rx: &Receiver<FromWorker>,
         reply_tx: &Sender<FromWorker>,
-        priority: QueryPriority,
         pending: &mut HashMap<u64, PendingQuery>,
     ) {
         let timeout = Duration::from_millis(self.fail_timeout_ms.max(1));
@@ -1919,7 +1910,7 @@ impl ParallelGridFile {
             // when the collector would block is a hedging candidate.
             let next = reply_rx.try_recv().or_else(|_| {
                 let wake = self
-                    .hedge(pending, reply_tx, priority)
+                    .hedge(pending, reply_tx)
                     .map_or(poll_at, |h| h.min(poll_at));
                 reply_rx.recv_timeout(wake.saturating_duration_since(Instant::now()))
             });
@@ -1927,7 +1918,7 @@ impl ParallelGridFile {
                 Ok(reply) => {
                     strikes = 0;
                     poll_at = Instant::now() + timeout;
-                    self.process_reply(reply, pending, reply_tx, priority);
+                    self.process_reply(reply, pending, reply_tx);
                 }
                 Err(RecvTimeoutError::Disconnected) => return,
                 Err(RecvTimeoutError::Timeout) if Instant::now() < poll_at => {}
@@ -1967,6 +1958,7 @@ impl ParallelGridFile {
                             o.strikes = 0;
                             o.backoff = o.backoff.saturating_mul(2).min(16);
                             o.retransmits += 1;
+                            o.in_round = false;
                             p.messages += 1;
                             self.shared.retransmits.fetch_add(1, Ordering::Relaxed);
                             #[cfg(feature = "obs")]
@@ -1983,7 +1975,6 @@ impl ParallelGridFile {
                                 blocks: o.blocks.clone(),
                                 query: p.rect,
                                 reply: reply_tx.clone(),
-                                priority,
                             };
                             if self.slots[o.worker]
                                 .send(ToWorker::Process(vec![request]))
@@ -2024,7 +2015,7 @@ impl ParallelGridFile {
                                     .any(|x| x.seq == seq)
                             };
                             if !o.partner.is_some_and(left) {
-                                self.fail_over(qid, p, o.worker, &o.buckets, reply_tx, priority);
+                                self.fail_over(qid, p, o.worker, &o.buckets, reply_tx);
                             }
                         }
                     }
@@ -2046,14 +2037,13 @@ impl ParallelGridFile {
         &self,
         rects: &[Rect],
         (reply_tx, reply_rx): (&Sender<FromWorker>, &Receiver<FromWorker>),
-        priority: QueryPriority,
         mut batches: Option<&mut ThroughputStats>,
     ) -> Vec<(u64, PendingQuery)> {
         let mut per_worker: Vec<Vec<ReadRequest>> =
             (0..self.slots.len()).map(|_| Vec::new()).collect();
         let mut pending: HashMap<u64, PendingQuery> = HashMap::with_capacity(rects.len());
         for (round_pos, rect) in rects.iter().enumerate() {
-            let (query_id, p, requests) = self.admit(rect, round_pos, reply_tx, priority);
+            let (query_id, p, requests) = self.admit(rect, round_pos, reply_tx);
             for (w, request) in requests {
                 per_worker[w].push(request);
             }
@@ -2082,7 +2072,7 @@ impl ParallelGridFile {
         }
         for (w, msg) in busy {
             if let Err(SendError(msg)) = self.slots[w].send(msg) {
-                self.fail_over_bounced(w, msg, &mut pending, reply_tx, priority);
+                self.fail_over_bounced(w, msg, &mut pending, reply_tx);
             }
         }
         // A session traces one Dispatch per query that had reads to send.
@@ -2092,7 +2082,7 @@ impl ParallelGridFile {
                 self.trace_instant(SpanKind::Dispatch, query_id, NO_ID, p.awaiting.len() as u64);
             }
         }
-        self.collect(reply_rx, reply_tx, priority, &mut pending);
+        self.collect(reply_rx, reply_tx, &mut pending);
         let mut finished: Vec<(u64, PendingQuery)> = pending.into_iter().collect();
         finished.sort_unstable_by_key(|(_, p)| p.round_pos);
         debug_assert!(finished.iter().all(|(_, p)| p.awaiting.is_empty()));
@@ -2159,13 +2149,8 @@ impl ParallelGridFile {
         for round in workload.queries.chunks(in_flight) {
             #[cfg(feature = "obs")]
             let round_start = self.recorder.as_ref().map_or(0, |r| r.now());
-            let finished = self.run_round(
-                round,
-                (&reply_tx, &reply_rx),
-                QueryPriority::Batch,
-                Some(&mut tp),
-            );
-            let costs = self.charge(&finished, QueryPriority::Batch, &mut tp.worker_busy_us);
+            let finished = self.run_round(round, (&reply_tx, &reply_rx), Some(&mut tp));
+            let costs = self.charge(&finished, &mut tp.worker_busy_us);
             for ((_query_id, p), cost) in finished.into_iter().zip(costs) {
                 tp.queries += 1;
                 tp.total_blocks += p.total_blocks;
@@ -2190,13 +2175,14 @@ impl ParallelGridFile {
 
     /// Charges a finished round to the cost model — the one place it is
     /// charged — adding each worker's busy time to `busy_us` and returning
-    /// each query's `(elapsed_us, comm_us, cache_hits)`. The round's
-    /// accepted reads go in seq order, which is admission order, so each
-    /// worker's elevator batch breaks ties as its dispatch listed them.
+    /// each query's `(elapsed_us, comm_us, cache_hits)`. Reads go as the
+    /// workers served them: the round's dispatch as one elevator batch per
+    /// worker, in seq order, which is admission order, so each batch breaks
+    /// ties as its dispatch listed them; then each later message (failover,
+    /// hedge, retransmit) as a batch of its own, in seq order.
     fn charge(
         &self,
         finished: &[(u64, PendingQuery)],
-        priority: QueryPriority,
         busy_us: &mut [u64],
     ) -> Vec<(u64, u64, u64)> {
         let mut served: Vec<(usize, &Served)> = finished
@@ -2204,36 +2190,35 @@ impl ParallelGridFile {
             .enumerate()
             .flat_map(|(q, (_, p))| p.served.iter().map(move |s| (q, s)))
             .collect();
-        served.sort_unstable_by_key(|(_, s)| s.seq);
-        let reads: Vec<Read<'_>> = served
-            .iter()
-            .map(|(_, s)| Read {
-                worker: s.slot,
-                blocks: &s.blocks,
-                interactive: priority == QueryPriority::Interactive,
-                cpu_us: s.cpu_us,
-            })
-            .collect();
+        served.sort_unstable_by_key(|(_, s)| (!s.in_round, s.seq));
+        let later = served.partition_point(|(_, s)| s.in_round);
         #[cfg(feature = "obs")]
         let recorder = self.recorder.as_deref();
         #[cfg(not(feature = "obs"))]
         let recorder = None;
-        let cost = self
-            .cost
-            .lock()
-            .expect("engine cost model lock")
-            .charge_round(&reads, recorder);
-        for (busy, wall) in busy_us.iter_mut().zip(&cost.wall_us) {
-            *busy += wall;
+        let mut model = self.cost.lock().expect("engine cost model lock");
+        let mut costs = Vec::with_capacity(served.len());
+        for batch in std::iter::once(&served[..later]).chain(served[later..].chunks(1)) {
+            let reads: Vec<Read<'_>> = batch
+                .iter()
+                .map(|(_, s)| Read {
+                    worker: s.slot,
+                    blocks: &s.blocks,
+                    cpu_us: s.cpu_us,
+                })
+                .collect();
+            let cost = model.charge_round(&reads, recorder);
+            for (busy, wall) in busy_us.iter_mut().zip(&cost.wall_us) {
+                *busy += wall;
+            }
+            costs.extend(cost.reads);
         }
+        drop(model);
         let mut charged: Vec<(u64, u64, u64)> = finished
             .iter()
-            .map(|(_, p)| {
-                let comm = p.messages * self.net.latency_us + p.errors * self.net.reply_us(0);
-                (0, comm, 0)
-            })
+            .map(|(_, p)| (0, p.messages * self.net.latency_us, 0))
             .collect();
-        for ((q, s), c) in served.iter().zip(&cost.reads) {
+        for ((q, s), c) in served.iter().zip(&costs) {
             let (worker_us, comm, hits) = &mut charged[*q];
             *worker_us = (*worker_us).max(c.disk_us + s.cpu_us);
             *comm += self.net.reply_us(s.records * self.record_bytes as u64);
@@ -2255,20 +2240,10 @@ pub struct QuerySession<'e> {
     engine: &'e ParallelGridFile,
     reply_tx: Sender<FromWorker>,
     reply_rx: Receiver<FromWorker>,
-    priority: QueryPriority,
     stats: RunStats,
 }
 
 impl QuerySession<'_> {
-    /// Sets the scheduling class of this session's requests (default
-    /// [`QueryPriority::Interactive`]). Workers serve requests as they
-    /// arrive; only the cost model's replay, which sessions do not run,
-    /// orders by class.
-    pub fn with_priority(mut self, priority: QueryPriority) -> Self {
-        self.priority = priority;
-        self
-    }
-
     /// Executes one range query through the SPMD protocol: a one-query
     /// admission round. The cost model is not charged: the outcome's
     /// virtual fields are 0.
@@ -2278,7 +2253,6 @@ impl QuerySession<'_> {
             .run_round(
                 std::slice::from_ref(rect),
                 (&self.reply_tx, &self.reply_rx),
-                self.priority,
                 None,
             )
             .pop()
@@ -2773,21 +2747,37 @@ mod tests {
     /// FNV-1a-64 over every runner outcome's `(elapsed_us, comm_us,
     /// cache_hits)` and the run's `makespan_us`, for
     /// [`runner_virtual_times_match_the_golden`]: under the default and the
-    /// SP-2 configuration, window 1 then window 8 on one engine, as the
-    /// build that charged the model inside its workers computed them.
-    const GOLDEN_RUNNER_FNV1A: [u64; 4] = [
+    /// SP-2 configuration, and on a replicated engine whose worker 1 answers
+    /// some queries with errors, window 1 then window 8 on one engine, as
+    /// the build that charged the model inside its workers computed them.
+    const GOLDEN_RUNNER_FNV1A: [u64; 6] = [
         0xc20c_395c_ab52_e4f9,
         0x9297_c85e_9e79_d35e,
         0x693d_2ee6_9ae8_ef6b,
         0x4801_2240_6d40_09dd,
+        0x1224_2187_606b_bdda,
+        0xfb4f_0cab_913d_01b2,
     ];
 
     #[test]
     fn runner_virtual_times_match_the_golden() {
         let w = QueryWorkload::square(&Rect::new2(0.0, 0.0, 100.0, 100.0), 0.08, 40, 23);
+        // Query ids run 0..40 at window 1 and 40..80 at window 8; a poisoned
+        // read is charged where it was served and failed over to a replica,
+        // which serves the retry as a batch of its own.
+        let poisoned = [2, 9, 17, 30, 43, 51, 60, 77]
+            .into_iter()
+            .fold(FaultPlan::none(), |plan, q| plan.with_poison(1, q));
+        let engines = [
+            build_engine_cfg(6, EngineConfig::default()),
+            build_engine_cfg(6, EngineConfig::sp2_seven_disks()),
+            build_replicated_engine(
+                6,
+                EngineConfig::default().resilience(|r| r.with_faults(poisoned)),
+            ),
+        ];
         let mut digests = Vec::new();
-        for config in [EngineConfig::default(), EngineConfig::sp2_seven_disks()] {
-            let (_g, engine, _r) = build_engine_cfg(6, config);
+        for (_g, engine, _r) in &engines {
             for window in [1, 8] {
                 let (outcomes, tp) = engine.run_workload_concurrent(&w, window);
                 let words = outcomes
@@ -2801,6 +2791,7 @@ mod tests {
                 }));
             }
         }
+        assert!(engines[2].1.stats().retries > 0, "the poison fired");
         assert_eq!(digests, GOLDEN_RUNNER_FNV1A, "{digests:#x?}");
     }
 
@@ -2937,7 +2928,6 @@ mod tests {
                         blocks: read.blocks,
                         query: q,
                         reply: reply_tx.clone(),
-                        priority: QueryPriority::Interactive,
                     }]))
                     .expect("send");
             }
@@ -3264,16 +3254,22 @@ mod tests {
     #[cfg(feature = "obs")]
     #[test]
     fn slow_primary_is_hedged_against_its_replica() {
-        // Worker 0 is a straggler: it holds every reply for 20000x the
-        // batch's service time. After a warmup that avoids it fills the
-        // latency baseline, a query whose one request lands on worker 0 is
-        // hedged to the replica once it has waited 2 x p95 on the wall
-        // clock. The replica's answer wins: the query returns exact while
-        // the primary still holds its reply, which arrives later and is
-        // dropped.
+        // Worker 0 is a straggler (`SlowDisk`), and the target query's reply
+        // from it is held a fixed `HOLD_MS` on top, so how long the primary
+        // takes does not depend on the host's speed. After a warmup that
+        // avoids worker 0 fills the latency baseline, the target's one
+        // request lands on worker 0 and is hedged to the replica once it
+        // has waited 2 x p95 on the wall clock. The replica's answer wins:
+        // the query returns exact while the primary still holds its reply,
+        // which arrives later and is dropped.
+        const WARMUP: u64 = 24;
+        const HOLD_MS: u64 = 2_000;
+        let faults = FaultPlan::none()
+            .with_slow_disk(0, 2)
+            .with_delay(0, WARMUP, HOLD_MS);
         let cfg = fast_cfg()
             .latency(|l| l.with_hedging(2.0))
-            .resilience(|r| r.with_faults(FaultPlan::none().with_slow_disk(0, 20_000)));
+            .resilience(|r| r.with_faults(faults));
         let (gf, engine, recs) = build_replicated_engine(4, cfg);
         let tiny = |r: &Record| {
             let [x, y] = [r.point.coords()[0], r.point.coords()[1]];
@@ -3286,7 +3282,7 @@ mod tests {
             if !plan.is_empty() && !plan.contains_key(&0) {
                 session.query(&q);
                 warmed += 1;
-                if warmed == 24 {
+                if warmed == WARMUP {
                     break;
                 }
             }
@@ -3302,6 +3298,11 @@ mod tests {
                     && engine.hedge_target(&plan[&0].buckets, 0).is_some()
             })
             .expect("some record resolves to a hedgeable worker-0 request");
+        assert_eq!(
+            engine.next_query_id.load(Ordering::Relaxed),
+            WARMUP,
+            "the target is the query the delay fault names"
+        );
         let out = session.query(&target);
         assert!(same_records(&out.records, &oracle(&gf, &target)));
         assert!(!out.incomplete);
@@ -3313,7 +3314,7 @@ mod tests {
         );
         let late = session
             .reply_rx
-            .recv_timeout(Duration::from_secs(30))
+            .recv_timeout(Duration::from_millis(HOLD_MS) + Duration::from_secs(30))
             .expect("the primary replies in the end");
         assert_eq!(late.worker_id, 0);
     }

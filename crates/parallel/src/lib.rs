@@ -92,7 +92,7 @@ pub use engine::{
 };
 pub use error::{EngineError, StoreError};
 pub use fault::{FaultKind, FaultPlan, WorkerFault};
-pub use message::{FromWorker, QueryPriority, RawBlocks, ToWorker};
+pub use message::{FromWorker, RawBlocks, ToWorker};
 pub use pargrid_sim::ThroughputStats;
 pub use stats::{EngineStats, WorkerStats};
 pub use store::BlockStore;
@@ -107,7 +107,6 @@ pub mod prelude {
     };
     pub use crate::error::{EngineError, StoreError};
     pub use crate::fault::{FaultKind, FaultPlan, WorkerFault};
-    pub use crate::message::QueryPriority;
     pub use crate::stats::{EngineStats, WorkerStats};
     pub use crate::store::BlockStore;
 }

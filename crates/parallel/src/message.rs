@@ -17,21 +17,6 @@ use crossbeam::channel::Sender;
 use pargrid_geom::Rect;
 use pargrid_gridfile::Record;
 
-/// Scheduling class of a request within a worker's batch.
-///
-/// The cost model's elevator pass (see [`pargrid_sim::cost`]) charges
-/// interactive reads in a first pass and batch reads in a second, so a
-/// long analytical scan cannot delay a short interactive query batched
-/// with it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum QueryPriority {
-    /// Serviced first (sessions default to this).
-    #[default]
-    Interactive,
-    /// Serviced after all interactive requests in the same batch.
-    Batch,
-}
-
 /// One query's block requests for one worker.
 #[derive(Clone, Debug)]
 pub struct ReadRequest {
@@ -50,9 +35,6 @@ pub struct ReadRequest {
     pub query: Rect,
     /// Where to send the [`FromWorker`] reply.
     pub reply: Sender<FromWorker>,
-    /// Scheduling class (interactive requests are charged before batch
-    /// requests within one elevator pass).
-    pub priority: QueryPriority,
 }
 
 /// Messages the coordinator sends to a worker.

@@ -354,24 +354,25 @@ impl WorkerState {
     }
 
     /// How long a batch's replies are held before they are sent: a
-    /// straggler ([`FaultKind::SlowDisk`]`(f)`) holds them `f - 1` times the
-    /// batch's measured `service` time, and a late message
-    /// ([`FaultKind::DelayReply`]) for its delay.
+    /// straggler ([`FaultKind::SlowDisk`]`(f)`, the largest `f` if several)
+    /// holds them `f - 1` times the batch's measured `service` time, and a
+    /// late message ([`FaultKind::DelayReply`], the longest if several match)
+    /// adds its delay.
     fn reply_hold(&self, batch: &[ReadRequest], service: Duration) -> Duration {
-        self.faults
-            .iter()
-            .map(|f| match *f {
-                FaultKind::SlowDisk(factor) => {
-                    service.saturating_mul(factor.saturating_sub(1).try_into().unwrap_or(u32::MAX))
-                }
+        let (mut factor, mut delay) = (1u64, 0u64);
+        for f in &self.faults {
+            match *f {
+                FaultKind::SlowDisk(x) => factor = factor.max(x),
                 FaultKind::DelayReply { query, delay_ms }
                     if batch.iter().any(|r| r.query_id == query) =>
                 {
-                    Duration::from_millis(delay_ms)
+                    delay = delay.max(delay_ms)
                 }
-                _ => Duration::ZERO,
-            })
-            .sum()
+                _ => {}
+            }
+        }
+        service.saturating_mul(u32::try_from(factor - 1).unwrap_or(u32::MAX))
+            + Duration::from_millis(delay)
     }
 
     /// Takes one message sent to the slot: reads join `batch`, raw reads
@@ -607,7 +608,6 @@ pub fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::QueryPriority;
     use pargrid_geom::{Point, Rect};
     use pargrid_gridfile::page::encode_page;
     use pargrid_gridfile::Record;
@@ -642,7 +642,6 @@ mod tests {
             blocks,
             query: Rect::new2(0.0, 0.0, 100.0, 100.0),
             reply: reply.clone(),
-            priority: QueryPriority::Interactive,
         }
     }
 
@@ -724,7 +723,6 @@ mod tests {
             blocks: vec![0],
             query: Rect::new2(0.0, 0.0, 5.0, 5.0),
             reply: reply_tx,
-            priority: QueryPriority::Interactive,
         }]))
         .expect("send");
         handle.join().expect("worker thread exits cleanly");
@@ -956,18 +954,23 @@ mod tests {
 
     #[test]
     fn slow_disk_and_delay_faults_hold_replies() {
+        let delay = |query, delay_ms| FaultKind::DelayReply { query, delay_ms };
         let held = worker_with_two_blocks().with_faults(vec![
             FaultKind::SlowDisk(10),
-            FaultKind::DelayReply {
-                query: 4,
-                delay_ms: 5,
-            },
+            delay(4, 5),
+            delay(4, 2),
+            delay(6, 8),
         ]);
         let (tx, _rx) = crossbeam::channel::unbounded();
         let service = Duration::from_millis(3);
-        let hold = |qid| held.reply_hold(&[request(qid, qid, vec![0], &tx)], service);
-        assert_eq!(hold(1), Duration::from_millis(27), "(10 - 1) x service");
-        assert_eq!(hold(4), Duration::from_millis(32), "plus the delay");
+        let hold = |qids: &[u64]| {
+            let batch: Vec<ReadRequest> =
+                qids.iter().map(|&q| request(q, q, vec![0], &tx)).collect();
+            held.reply_hold(&batch, service)
+        };
+        assert_eq!(hold(&[1]), Duration::from_millis(27), "(10 - 1) x service");
+        assert_eq!(hold(&[4]), Duration::from_millis(32), "plus the longest");
+        assert_eq!(hold(&[4, 6]), Duration::from_millis(35), "delays: max");
         let healthy = worker_with_two_blocks();
         assert!(healthy
             .reply_hold(&[request(4, 4, vec![0], &tx)], service)
@@ -986,7 +989,6 @@ mod tests {
             blocks: vec![0],
             query: Rect::new2(0.0, 0.0, 5.0, 5.0),
             reply: reply_tx,
-            priority: QueryPriority::Interactive,
         }]))
         .expect("send");
         let reply = reply_rx.recv().expect("reply");

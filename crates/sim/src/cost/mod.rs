@@ -5,12 +5,12 @@
 //! engine stands in for that hardware with this model and charges it in one
 //! place, its workload runners: once a round of queries has its replies in,
 //! the runner replays the round's accepted reads through
-//! [`CostModel::charge_round`]. Each worker's reads form **one elevator
-//! batch**: per disk (stripe `block mod D`, local index `block / D`) the
-//! blocks go through in `(local block, read index)` order, interactive
-//! reads in a first pass and batch reads in a second. Every block's cost is
-//! charged to the read that asked for it, so per-query times stay
-//! paper-faithful while a round's queries share arm movement. Disks, caches
+//! [`CostModel::charge_round`], one call per batch the workers served. In a
+//! call, each worker's reads form **one elevator batch**: per disk (stripe
+//! `block mod D`, local index `block / D`) the blocks go through in
+//! `(local block, read index)` order. Every block's cost is charged to the
+//! read that asked for it, so per-query times stay paper-faithful while a
+//! round's queries share arm movement. Disks, caches
 //! and arm positions persist across rounds, so warm caches carry over from
 //! one run to the next on the same engine.
 
@@ -56,8 +56,6 @@ pub struct Read<'a> {
     pub worker: usize,
     /// Its block ids on that worker.
     pub blocks: &'a [u32],
-    /// Interactive reads go through the disks before batch reads.
-    pub interactive: bool,
     /// The worker's CPU time for decoding and filtering, microseconds.
     pub cpu_us: u64,
 }
@@ -159,22 +157,18 @@ impl Node {
         let d = self.disks.len();
         let before: Vec<u64> = self.disks.iter().map(DiskModel::busy_us).collect();
         let mut disk_us = vec![0u64; batch.len() * d];
-        for interactive in [true, false] {
-            let mut per_disk: Vec<Vec<(u32, usize)>> = vec![Vec::new(); d];
-            for (k, &i) in batch.iter().enumerate() {
-                if reads[i].interactive == interactive {
-                    for &b in reads[i].blocks {
-                        per_disk[b as usize % d].push((b / d as u32, k));
-                    }
-                }
+        let mut per_disk: Vec<Vec<(u32, usize)>> = vec![Vec::new(); d];
+        for (k, &i) in batch.iter().enumerate() {
+            for &b in reads[i].blocks {
+                per_disk[b as usize % d].push((b / d as u32, k));
             }
-            for (di, list) in per_disk.iter_mut().enumerate() {
-                list.sort_unstable();
-                for &(local, k) in list.iter() {
-                    let block = self.disks[di].read_block(local);
-                    disk_us[k * d + di] += block.us;
-                    costs[batch[k]].cache_hits += block.hit as u64;
-                }
+        }
+        for (di, list) in per_disk.iter_mut().enumerate() {
+            list.sort_unstable();
+            for &(local, k) in list.iter() {
+                let block = self.disks[di].read_block(local);
+                disk_us[k * d + di] += block.us;
+                costs[batch[k]].cache_hits += block.hit as u64;
             }
         }
         for (k, &i) in batch.iter().enumerate() {
@@ -240,7 +234,6 @@ mod tests {
         Read {
             worker,
             blocks,
-            interactive: true,
             cpu_us: 0,
         }
     }
@@ -286,20 +279,6 @@ mod tests {
         assert_eq!(cost.reads[0].cache_hits, 0);
         assert_eq!(cost.reads[1].cache_hits, 2);
         assert!(cost.reads[1].disk_us < cost.reads[0].disk_us);
-    }
-
-    #[test]
-    fn interactive_pass_precedes_batch_pass() {
-        // The interactive read goes first even though it is listed second,
-        // so it pays the cold reads and the batch read hits the cache.
-        let mut m = one_worker();
-        let batch = Read {
-            interactive: false,
-            ..read(0, &[0, 1])
-        };
-        let cost = m.charge_round(&[batch, read(0, &[0, 1])], None);
-        assert_eq!(cost.reads[1].cache_hits, 0, "interactive went first");
-        assert_eq!(cost.reads[0].cache_hits, 2, "batch rode the warm cache");
     }
 
     #[test]

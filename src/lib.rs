@@ -81,8 +81,8 @@ pub mod prelude {
     pub use pargrid_obs::{Histogram, Recorder, SpanKind, TailSummary, TraceSnapshot};
     pub use pargrid_parallel::{
         EngineConfig, EngineError, EngineStats, FaultKind, FaultPlan, LatencyConfig, ObsConfig,
-        ParallelGridFile, QueryOutcome, QueryPriority, QuerySession, ResilienceConfig, RunStats,
-        StoreError, WorkerFault, WorkerStats,
+        ParallelGridFile, QueryOutcome, QuerySession, ResilienceConfig, RunStats, StoreError,
+        WorkerFault, WorkerStats,
     };
     pub use pargrid_sim::{
         evaluate, sweep, DiskParams, EvalStats, NetParams, QueryWorkload, ThroughputStats,
